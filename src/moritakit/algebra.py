@@ -8,13 +8,14 @@ which reports every failing instance rather than stopping at the first.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactlin import (
     Basis,
     Field,
     Matrix,
     QuotientStructure,
+    closure,
     quotient_structure,
     unit_vector,
     vec_add,
@@ -212,17 +213,8 @@ class Ideal:
 def two_sided_ideal_closure(a: Algebra, generators: Sequence[Sequence]) -> Ideal:
     """Smallest two-sided ideal containing the generators."""
     span = Basis.span(a.field, a.dim, [tuple(g) for g in generators])
-    while True:
-        new_vecs = list(span.vectors)
-        for i in range(a.dim):
-            e = a.basis_vector(i)
-            for v in span.vectors:
-                new_vecs.append(a.multiply(e, v))
-                new_vecs.append(a.multiply(v, e))
-        grown = Basis.span(a.field, a.dim, new_vecs)
-        if grown == span:
-            return Ideal(a, span)
-        span = grown
+    mults = a._basis_left_mats() + a._basis_right_mats()
+    return Ideal(a, closure(span, [m.apply for m in mults]))
 
 
 def ideal_product(a: Algebra, left: Ideal, right: Ideal) -> Ideal:

@@ -18,12 +18,13 @@ from .context import (
     compose_contexts,
     contexts_isomorphic,
     is_strict,
-    trace_ideals,
     validate_context,
 )
 from .equivalence import (
     Report,
     build_catalog,
+    context_theories,
+    trace_ideal_notes,
     user_catalog,
     verify_kato_muller,
     verify_projective_equivalence,
@@ -158,13 +159,8 @@ def _cmd_validate(ws, args):
 
 def _cmd_trace(ws, args):
     ctx, name = _one_context(ws, args)
-    i, j = trace_ideals(ctx)
-    t_i = TorsionTheory.from_ideal(ctx.R, i)
-    t_j = TorsionTheory.from_ideal(ctx.S, j)
+    i_note, j_note = trace_ideal_notes(ctx, *context_theories(ctx))
     report = Report("trace ideals and stabilization")
-    i_note = f"I = {i.dim}-dim, idempotent (exponent {t_i.exponent})"
-    j_note = (f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
-              else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})")
     report.record(f"context {name}", "trace ideal into R", True, note=i_note)
     report.record(f"context {name}", "trace ideal into S", True, note=j_note)
     return report, [i_note, j_note]
@@ -316,7 +312,8 @@ def _cmd_catalog(ws, args):
     cat = build_catalog(alg, max_dim, budget=budget,
                         allow_sampling=True, seed=args.seed)
     dims = [m.dim for m in cat]
-    report = Report("module catalog")
+    report = Report("module catalog", args.strict_sampling)
+    report.flag_sampled_catalogs(cat)
     report.record("catalog", "isomorphism classes enumerated", True,
                   witness=dims, note=cat.provenance)
     extra = [f"catalog: {len(cat)} modules",

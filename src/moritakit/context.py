@@ -15,12 +15,21 @@ maps on the raw product basis; from_raw_maps checks well-definedness
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Ideal, subalgebra_on_basis
-from .exactlin import Basis, Matrix, kernel_basis, solve, vec_add, vec_scale, zero_vector
+from .exactlin import (
+    Basis,
+    Matrix,
+    coefficient_search,
+    kernel_basis,
+    solve,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    zero_vector,
+)
 from .modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
@@ -28,6 +37,7 @@ from .modules import (
     HomBasis,
     LeftModule,
     TensorProduct,
+    _intertwiners,
     hom_module,
     regular_bimodule,
     tensor_over,
@@ -78,58 +88,37 @@ class MoritaContext:
 
 def validate_context(ctx: MoritaContext) -> list:
     """Bimodule-map conditions for phi and psi plus the two compatibility
-    identities, checked on all basis triples.  Returns failure strings."""
+    identities, checked on all basis triples.  Returns failure strings.
+
+    Each psi or N-side condition is the phi or M-side one of the reversed
+    context, so every check is written once and run on both contexts.
+    """
     out = []
-    R, S, M, N = ctx.R, ctx.S, ctx.M, ctx.N
-    MN, NM = ctx.MN, ctx.NM
-    for r in range(R.dim):
-        e = R.basis_vector(r)
-        if (ctx.phi @ MN.left_action[r]) != (R.left_mult_matrix(e) @ ctx.phi):
-            out.append(f"phi fails left R-linearity at basis {r}")
-        if (ctx.phi @ MN.right_action[r]) != (R.right_mult_matrix(e) @ ctx.phi):
-            out.append(f"phi fails right R-linearity at basis {r}")
-    for s in range(S.dim):
-        e = S.basis_vector(s)
-        if (ctx.psi @ NM.left_action[s]) != (S.left_mult_matrix(e) @ ctx.psi):
-            out.append(f"psi fails left S-linearity at basis {s}")
-        if (ctx.psi @ NM.right_action[s]) != (S.right_mult_matrix(e) @ ctx.psi):
-            out.append(f"psi fails right S-linearity at basis {s}")
-    f = R.field
-    m_left = M.left_module()
-    m_right = M.right_module()
-    n_left = N.left_module()
-    n_right = N.right_module()
-    for i in range(M.dim):
-        ei = _unit(f, M.dim, i)
-        for j in range(N.dim):
-            ej = _unit(f, N.dim, j)
-            r = ctx.phi.apply(MN.pure_tensor(ei, ej))
-            for k in range(M.dim):
-                ek = _unit(f, M.dim, k)
-                lhs = m_left.action_of(r).apply(ek)
-                s = ctx.psi.apply(NM.pure_tensor(ej, ek))
-                rhs = m_right.action_of(s).apply(ei)
-                if lhs != rhs:
-                    out.append(f"phi/psi compatibility in M fails at ({i}, {j}, {k})")
-    for j in range(N.dim):
-        ej = _unit(f, N.dim, j)
-        for i in range(M.dim):
-            ei = _unit(f, M.dim, i)
-            s = ctx.psi.apply(NM.pure_tensor(ej, ei))
-            for l in range(N.dim):
-                el = _unit(f, N.dim, l)
-                lhs = n_left.action_of(s).apply(el)
-                r = ctx.phi.apply(MN.pure_tensor(ei, el))
-                rhs = n_right.action_of(r).apply(ej)
-                if lhs != rhs:
-                    out.append(f"psi/phi compatibility in N fails at ({j}, {i}, {l})")
+    rev = reverse_context(ctx)
+    for c, name, alg in ((ctx, "phi", "R"), (rev, "psi", "S")):
+        for r in range(c.R.dim):
+            e = c.R.basis_vector(r)
+            if (c.phi @ c.MN.left_action[r]) != (c.R.left_mult_matrix(e) @ c.phi):
+                out.append(f"{name} fails left {alg}-linearity at basis {r}")
+            if (c.phi @ c.MN.right_action[r]) != (c.R.right_mult_matrix(e) @ c.phi):
+                out.append(f"{name} fails right {alg}-linearity at basis {r}")
+    f = ctx.R.field
+    for c, names, mod in ((ctx, "phi/psi", "M"), (rev, "psi/phi", "N")):
+        m_left = c.M.left_module()
+        m_right = c.M.right_module()
+        for i in range(c.M.dim):
+            ei = unit_vector(f, c.M.dim, i)
+            for j in range(c.N.dim):
+                ej = unit_vector(f, c.N.dim, j)
+                r = c.phi.apply(c.MN.pure_tensor(ei, ej))
+                for k in range(c.M.dim):
+                    ek = unit_vector(f, c.M.dim, k)
+                    lhs = m_left.action_of(r).apply(ek)
+                    s = c.psi.apply(c.NM.pure_tensor(ej, ek))
+                    rhs = m_right.action_of(s).apply(ei)
+                    if lhs != rhs:
+                        out.append(f"{names} compatibility in {mod} fails at ({i}, {j}, {k})")
     return out
-
-
-def _unit(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
 
 
 def corner_context(a: Algebra, e: Sequence) -> MoritaContext:
@@ -195,8 +184,17 @@ def identity_context(a: Algebra) -> MoritaContext:
 
 
 def reverse_context(ctx: MoritaContext) -> MoritaContext:
-    """Swap the roles of the two algebras: (S, R, N, M, psi, phi)."""
-    return MoritaContext(ctx.S, ctx.R, ctx.N, ctx.M, ctx.psi, ctx.phi)
+    """Swap the roles of the two algebras: (S, R, N, M, psi, phi).
+
+    The tensor spaces are canonical, so the reversed context takes over
+    ctx's N (x)_R M and M (x)_S N as its M (x) N and N (x) M instead of
+    computing them again; ctx was checked when it was built.
+    """
+    rev = object.__new__(MoritaContext)
+    rev.R, rev.S, rev.M, rev.N = ctx.S, ctx.R, ctx.N, ctx.M
+    rev.MN, rev.NM = ctx.NM, ctx.MN
+    rev.phi, rev.psi = ctx.psi, ctx.phi
+    return rev
 
 
 def trace_ideals(ctx: MoritaContext) -> tuple:
@@ -224,31 +222,30 @@ def eta_map(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
     """eta(X): M (x)_S N (x)_R X -> X sending m (x) n (x) x to phi(m (x) n).x."""
     if x.algebra != ctx.R:
         raise ValueError("eta expects a left module over R")
-    inner = tensor_over(ctx.R, ctx.N, x)
-    outer = tensor_over(ctx.S, ctx.M, inner.as_left_module())
-    return NaturalMap(_eval_through(ctx, ctx.phi, ctx.MN, ctx.M.dim, ctx.N.dim, x, inner, outer), outer, inner)
+    return _eta(ctx, x)
 
 
 def rho_map(ctx: MoritaContext, y: LeftModule) -> NaturalMap:
-    """rho(Y): N (x)_R M (x)_S Y -> Y sending n (x) m (x) y to psi(n (x) m).y."""
+    """rho(Y): N (x)_R M (x)_S Y -> Y sending n (x) m (x) y to psi(n (x) m).y,
+    which is eta of the reversed context."""
     if y.algebra != ctx.S:
         raise ValueError("rho expects a left module over S")
-    inner = tensor_over(ctx.S, ctx.M, y)
-    outer = tensor_over(ctx.R, ctx.N, inner.as_left_module())
-    return NaturalMap(_eval_through(ctx, ctx.psi, ctx.NM, ctx.N.dim, ctx.M.dim, y, inner, outer), outer, inner)
+    return _eta(reverse_context(ctx), y)
 
 
-def _eval_through(ctx, pairing: Matrix, pair_tensor: TensorProduct, a_dim: int, b_dim: int,
-                  x: LeftModule, inner: TensorProduct, outer: TensorProduct) -> Matrix:
+def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
+    inner = tensor_over(ctx.R, ctx.N, x)
+    outer = tensor_over(ctx.S, ctx.M, inner.as_left_module())
     # column for each computed outer basis vector: unfold through both
     # sections, pair the first two tensor legs, act on the third
     f = x.algebra.field
+    a_dim, b_dim = ctx.M.dim, ctx.N.dim
     acts = {}
     for i in range(a_dim):
-        ei = _unit(f, a_dim, i)
+        ei = unit_vector(f, a_dim, i)
         for j in range(b_dim):
-            ej = _unit(f, b_dim, j)
-            acts[(i, j)] = x.action_of(pairing.apply(pair_tensor.pure_tensor(ei, ej)))
+            ej = unit_vector(f, b_dim, j)
+            acts[(i, j)] = x.action_of(ctx.phi.apply(ctx.MN.pure_tensor(ei, ej)))
     cols = []
     for b in range(outer.dim):
         v = outer.section.col(b)
@@ -266,7 +263,7 @@ def _eval_through(ctx, pairing: Matrix, pair_tensor: TensorProduct, a_dim: int, 
                             continue
                         out = vec_add(f, out, vec_scale(f, f.mul(coeff, co), acts[(i, j)].col(k)))
         cols.append(out)
-    return Matrix.from_cols(f, cols, rows=x.dim)
+    return NaturalMap(Matrix.from_cols(f, cols, rows=x.dim), outer, inner)
 
 
 class AdjointUnit(NamedTuple):
@@ -284,6 +281,17 @@ def eta_prime_map(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
     """x |-> (n |-> (m |-> phi(m (x) n).x)), the closed-object comparison."""
     if x.algebra != ctx.R:
         raise ValueError("eta' expects a left module over R")
+    return _eta_prime(ctx, x)
+
+
+def rho_prime_map(ctx: MoritaContext, y: LeftModule) -> AdjointUnit:
+    """y |-> (m |-> (n |-> psi(n (x) m).y)), eta' of the reversed context."""
+    if y.algebra != ctx.S:
+        raise ValueError("rho' expects a left module over S")
+    return _eta_prime(reverse_context(ctx), y)
+
+
+def _eta_prime(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
     f = ctx.R.field
     h1_mod, h1 = hom_module(ctx.M, x)
     h2_mod, h2 = hom_module(ctx.N, h1_mod)
@@ -291,53 +299,23 @@ def eta_prime_map(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
     for k in range(x.dim):
         inner_cols = []
         for j in range(ctx.N.dim):
-            ej = _unit(f, ctx.N.dim, j)
+            ej = unit_vector(f, ctx.N.dim, j)
             mat_cols = []
             for i in range(ctx.M.dim):
-                ei = _unit(f, ctx.M.dim, i)
+                ei = unit_vector(f, ctx.M.dim, i)
                 r = ctx.phi.apply(ctx.MN.pure_tensor(ei, ej))
                 mat_cols.append(x.action_of(r).col(k))
             fjk = Matrix.from_cols(f, mat_cols, rows=x.dim)
             c = h1.coords(fjk)
             if c is None:
-                raise AssertionError("eta' image escaped Hom_R(M, X)")
+                raise AssertionError("eta' image escaped Hom(M, X)")
             inner_cols.append(c)
         gk = Matrix.from_cols(f, inner_cols, rows=h1.dim)
         c2 = h2.coords(gk)
         if c2 is None:
-            raise AssertionError("eta' image escaped Hom_S(N, -)")
+            raise AssertionError("eta' image escaped Hom(N, Hom(M, X))")
         cols.append(c2)
     return AdjointUnit(Matrix.from_cols(f, cols, rows=h2.dim), h2_mod, h1_mod, h1, h2)
-
-
-def rho_prime_map(ctx: MoritaContext, y: LeftModule) -> AdjointUnit:
-    """y |-> (m |-> (n |-> psi(n (x) m).y)), the S-side mirror of eta'."""
-    if y.algebra != ctx.S:
-        raise ValueError("rho' expects a left module over S")
-    f = ctx.S.field
-    k1_mod, k1 = hom_module(ctx.N, y)
-    k2_mod, k2 = hom_module(ctx.M, k1_mod)
-    cols = []
-    for l in range(y.dim):
-        inner_cols = []
-        for i in range(ctx.M.dim):
-            ei = _unit(f, ctx.M.dim, i)
-            mat_cols = []
-            for j in range(ctx.N.dim):
-                ej = _unit(f, ctx.N.dim, j)
-                s = ctx.psi.apply(ctx.NM.pure_tensor(ej, ei))
-                mat_cols.append(y.action_of(s).col(l))
-            gil = Matrix.from_cols(f, mat_cols, rows=y.dim)
-            c = k1.coords(gil)
-            if c is None:
-                raise AssertionError("rho' image escaped Hom_S(N, Y)")
-            inner_cols.append(c)
-        hk = Matrix.from_cols(f, inner_cols, rows=k1.dim)
-        c2 = k2.coords(hk)
-        if c2 is None:
-            raise AssertionError("rho' image escaped Hom_R(M, -)")
-        cols.append(c2)
-    return AdjointUnit(Matrix.from_cols(f, cols, rows=k2.dim), k2_mod, k1_mod, k1, k2)
 
 
 class Counit(NamedTuple):
@@ -366,91 +344,58 @@ def compose_contexts(first: MoritaContext, second: MoritaContext) -> MoritaConte
     """The composite context between first.R and second.S.
 
     Bimodules are M1 (x)_S M2 and N2 (x)_S N1 (S the shared middle
-    algebra); the new pairings thread one pairing through the other.
+    algebra); the new pairings thread one pairing through the other.  The
+    composite's psi is the phi of the reversed composite, whose bimodules
+    are the same two tensor products in swapped roles.
     """
     if first.S != second.R:
         raise ValueError("contexts do not share a middle algebra")
-    R, S, T = first.R, first.S, second.S
-    f = R.field
-    m_t = tensor_over(S, first.M, second.M)
-    n_t = tensor_over(S, second.N, first.N)
-    M2 = m_t.as_bimodule()
-    N2 = n_t.as_bimodule()
+    m_t = tensor_over(first.S, first.M, second.M)
+    n_t = tensor_over(first.S, second.N, first.N)
+    phi_raw = _composite_pairing(first, second, m_t, n_t)
+    psi_raw = _composite_pairing(reverse_context(second), reverse_context(first), n_t, m_t)
+    return MoritaContext.from_raw_maps(first.R, second.S, m_t.as_bimodule(), n_t.as_bimodule(),
+                                       phi_raw, psi_raw)
 
+
+def _composite_pairing(first: MoritaContext, second: MoritaContext,
+                       m_t: TensorProduct, n_t: TensorProduct) -> Matrix:
+    # (m (x) m') (x) (n' (x) n) |-> phi1(m (x) phi2(m' (x) n').n) on the raw
+    # product basis of the computed spaces m_t = M1 (x) M2, n_t = N2 (x) N1
+    f = first.R.field
+    d1, d2, e2, e1 = first.M.dim, second.M.dim, second.N.dim, first.N.dim
     n1_left = first.N.left_module()
-    n2_right = second.N.right_module()
-
-    phi_cols = []
-    for a in range(M2.dim):
+    cols = []
+    for a in range(m_t.dim):
         va = m_t.section.col(a)
-        for b in range(N2.dim):
+        for b in range(n_t.dim):
             vb = n_t.section.col(b)
-            acc = zero_vector(f, R.dim)
-            for i in range(first.M.dim):
-                for ip in range(second.M.dim):
-                    ca = va[i * second.M.dim + ip]
+            acc = zero_vector(f, first.R.dim)
+            for i in range(d1):
+                for ip in range(d2):
+                    ca = va[i * d2 + ip]
                     if f.is_zero(ca):
                         continue
-                    for jp in range(second.N.dim):
-                        for j in range(first.N.dim):
-                            cb = vb[jp * first.N.dim + j]
+                    for jp in range(e2):
+                        for j in range(e1):
+                            cb = vb[jp * e1 + j]
                             if f.is_zero(cb):
                                 continue
                             s = second.phi.apply(second.MN.pure_tensor(
-                                _unit(f, second.M.dim, ip), _unit(f, second.N.dim, jp)))
-                            nbar = n1_left.action_of(s).apply(_unit(f, first.N.dim, j))
-                            r = first.phi.apply(first.MN.pure_tensor(_unit(f, first.M.dim, i), nbar))
+                                unit_vector(f, d2, ip), unit_vector(f, e2, jp)))
+                            nbar = n1_left.action_of(s).apply(unit_vector(f, e1, j))
+                            r = first.phi.apply(first.MN.pure_tensor(unit_vector(f, d1, i), nbar))
                             acc = vec_add(f, acc, vec_scale(f, f.mul(ca, cb), r))
-            phi_cols.append(acc)
-    phi_raw = Matrix.from_cols(f, phi_cols, rows=R.dim)
-
-    psi_cols = []
-    for b in range(N2.dim):
-        vb = n_t.section.col(b)
-        for a in range(M2.dim):
-            va = m_t.section.col(a)
-            acc = zero_vector(f, T.dim)
-            for jp in range(second.N.dim):
-                for j in range(first.N.dim):
-                    cb = vb[jp * first.N.dim + j]
-                    if f.is_zero(cb):
-                        continue
-                    for i in range(first.M.dim):
-                        for ip in range(second.M.dim):
-                            ca = va[i * second.M.dim + ip]
-                            if f.is_zero(ca):
-                                continue
-                            s = first.psi.apply(first.NM.pure_tensor(
-                                _unit(f, first.N.dim, j), _unit(f, first.M.dim, i)))
-                            nbar = n2_right.action_of(s).apply(_unit(f, second.N.dim, jp))
-                            t_val = second.psi.apply(second.NM.pure_tensor(nbar, _unit(f, second.M.dim, ip)))
-                            acc = vec_add(f, acc, vec_scale(f, f.mul(ca, cb), t_val))
-            psi_cols.append(acc)
-    psi_raw = Matrix.from_cols(f, psi_cols, rows=T.dim)
-
-    return MoritaContext.from_raw_maps(R, T, M2, N2, phi_raw, psi_raw)
+            cols.append(acc)
+    return Matrix.from_cols(f, cols, rows=first.R.dim)
 
 
 def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:
     """Maps intertwining both the left and the right actions."""
     if a.left_algebra != b.left_algebra or a.right_algebra != b.right_algebra:
         raise ValueError("bimodules over different algebra pairs")
-    f = a.left_algebra.field
-    sd, td = a.dim, b.dim
-    nvars = sd * td
-    rows = []
-    for acts_a, acts_b in ((a.left_action, b.left_action), (a.right_action, b.right_action)):
-        for mat_a, mat_b in zip(acts_a, acts_b):
-            As, At = mat_a.entries, mat_b.entries
-            for r in range(td):
-                for c in range(sd):
-                    row = [f.zero] * nvars
-                    for k in range(td):
-                        row[k * sd + c] = f.add(row[k * sd + c], At[r][k])
-                    for k in range(sd):
-                        row[r * sd + k] = f.sub(row[r * sd + k], As[k][c])
-                    rows.append(row)
-    basis = kernel_basis(Matrix(f, rows, cols=nvars)) if rows else Basis.full(f, nvars)
+    basis = _intertwiners(a.left_algebra.field, a.dim, b.dim,
+                          zip(a.left_action + a.right_action, b.left_action + b.right_action))
     return HomBasis(a.left_module(), b.left_module(), basis)
 
 
@@ -500,8 +445,10 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext,
         return ContextIsoResult(None, None, True)
 
     rng = random.Random(seed)
+    v_exhaustive = True
 
-    def try_u(u: Matrix):
+    def solve_v(u: Matrix) -> Optional[Matrix]:
+        nonlocal v_exhaustive
         if not u.is_invertible():
             return None
         # solve for v: stack phi2 (u (x) v_b) and psi2 (v_b (x) u) over the
@@ -526,41 +473,22 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext,
         ker = kernel_basis(system)
         if ker.dim == 0:
             return None
-        if f.is_prime_field and f.p ** ker.dim <= 256:
-            scalars = [f.of_int(t) for t in range(f.p)]
-            for combo in itertools.product(scalars, repeat=ker.dim):
-                cand = hom_v.from_coords(vec_add(f, sol, ker.from_coords(combo)))
-                if cand.is_invertible():
-                    return cand
-        else:
-            for _ in range(64):
-                if f.is_prime_field:
-                    combo = [f.of_int(rng.randrange(f.p)) for _ in range(ker.dim)]
-                else:
-                    combo = [f.of_int(rng.randint(-3, 3)) for _ in range(ker.dim)]
-                cand = hom_v.from_coords(vec_add(f, sol, ker.from_coords(combo)))
-                if cand.is_invertible():
-                    return cand
-        return None
 
-    d = hom_u.dim
-    if f.is_prime_field and f.p ** d <= exhaust:
-        scalars = [f.of_int(t) for t in range(f.p)]
-        for coeffs in itertools.product(scalars, repeat=d):
-            if all(f.is_zero(c) for c in coeffs):
-                continue
-            u = hom_u.from_coords(coeffs)
-            v = try_u(u)
-            if v is not None:
-                return ContextIsoResult(u, v, True)
-        return ContextIsoResult(None, None, True)
-    for _ in range(samples):
-        if f.is_prime_field:
-            coeffs = [f.of_int(rng.randrange(f.p)) for _ in range(d)]
-        else:
-            coeffs = [f.of_int(rng.randint(-3, 3)) for _ in range(d)]
+        def shifted(combo):
+            cand = hom_v.from_coords(vec_add(f, sol, ker.from_coords(combo)))
+            return cand if cand.is_invertible() else None
+
+        v, exhaustive = coefficient_search(f, ker.dim, shifted, 256, 64, rng)
+        v_exhaustive = v_exhaustive and exhaustive
+        return v
+
+    def pair_for(coeffs):
         u = hom_u.from_coords(coeffs)
-        v = try_u(u)
-        if v is not None:
-            return ContextIsoResult(u, v, False)
-    return ContextIsoResult(None, None, False)
+        v = solve_v(u)
+        return None if v is None else (u, v)
+
+    hit, exhaustive = coefficient_search(f, hom_u.dim, pair_for, exhaust, samples, rng)
+    if hit is None:
+        # a miss is a proof only when every search behind it was exhaustive
+        return ContextIsoResult(None, None, exhaustive and v_exhaustive)
+    return ContextIsoResult(hit[0], hit[1], exhaustive)

@@ -19,10 +19,11 @@ from .context import (
     NaturalMap,
     eta_map,
     evaluation_counit,
+    reverse_context,
     rho_map,
     trace_ideals,
 )
-from .exactlin import Basis, Matrix
+from .exactlin import Basis, Matrix, random_scalar
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_LATTICE_BUDGET,
@@ -103,6 +104,11 @@ class Report:
     def flag(self, text: str) -> None:
         if text not in self.flags:
             self.flags.append(text)
+
+    def flag_sampled_catalogs(self, *catalogs) -> None:
+        for cat in catalogs:
+            if not cat.exhaustive:
+                self.flag(f"sampled catalog: {cat.provenance}")
 
     @property
     def sampled(self) -> bool:
@@ -206,12 +212,6 @@ def _eta_naturality_square(e1: NaturalMap, e2: NaturalMap, f: Matrix,
     return f @ e1.matrix == e2.matrix @ outer_map
 
 
-def _random_scalar(field, rng):
-    if field.is_prime_field:
-        return field.of_int(rng.randrange(field.p))
-    return field.of_int(rng.randint(-3, 3))
-
-
 def _sample_naturality(report: Report, maps, modules, field, eye_outer, eye_inner,
                        label: str, rng, cap: int) -> None:
     pairs = [(i, j) for i in range(len(modules)) for j in range(len(modules))]
@@ -223,7 +223,7 @@ def _sample_naturality(report: Report, maps, modules, field, eye_outer, eye_inne
         h = hom_space(modules[i], modules[j])
         if h.dim == 0:
             continue
-        coeffs = [_random_scalar(field, rng) for _ in range(h.dim)]
+        coeffs = [random_scalar(field, rng) for _ in range(h.dim)]
         if all(field.is_zero(c) for c in coeffs):
             coeffs[rng.randrange(h.dim)] = field.one
         f = h.from_coords(coeffs)
@@ -241,18 +241,15 @@ def verify_strict_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s:
     report = Report("strict context equivalence", strict_sampling)
     if not _check_precondition_strict(ctx, report):
         return report
-    for cat in (catalog_r, catalog_s):
-        if not cat.exhaustive:
-            report.flag(f"sampled catalog: {cat.provenance}")
+    report.flag_sampled_catalogs(catalog_r, catalog_s)
     f = ctx.R.field
     etas = [eta_map(ctx, x) for x in catalog_r]
     rhos = [rho_map(ctx, y) for y in catalog_s]
-    for i, (x, em) in enumerate(zip(catalog_r, etas)):
-        ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
-        report.record(f"R-module[{i}] (dim {x.dim})", "eta invertible", ok, witness=em.matrix)
-    for i, (y, rm) in enumerate(zip(catalog_s, rhos)):
-        ok = rm.matrix.rows == rm.matrix.cols and rm.matrix.is_invertible()
-        report.record(f"S-module[{i}] (dim {y.dim})", "rho invertible", ok, witness=rm.matrix)
+    for side, cat, maps, unit in (("R", catalog_r, etas, "eta"), ("S", catalog_s, rhos, "rho")):
+        for i, (x, em) in enumerate(zip(cat, maps)):
+            ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
+            report.record(f"{side}-module[{i}] (dim {x.dim})", f"{unit} invertible", ok,
+                          witness=em.matrix)
     rng = random.Random(seed)
     eye_m = Matrix.identity(f, ctx.M.dim)
     eye_n = Matrix.identity(f, ctx.N.dim)
@@ -278,18 +275,30 @@ def context_theories(ctx: MoritaContext) -> tuple:
     return TorsionTheory.from_ideal(ctx.R, i), TorsionTheory.from_ideal(ctx.S, j)
 
 
+def trace_ideal_notes(ctx: MoritaContext, t_i: TorsionTheory, t_j: TorsionTheory) -> tuple:
+    """Report notes naming the trace ideals I in R and J in S (the ideals
+    of the two theories) and where their power chains stabilize."""
+    i, j = t_i.ideal, t_j.ideal
+    j_note = (f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
+              else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})")
+    return f"I = {i.dim}-dim, idempotent (exponent {t_i.exponent})", j_note
+
+
 def _kato_muller_side(report: Report, label: str, modules, theory_here, theory_there,
-                      hom_there, hom_back) -> None:
+                      ctx: MoritaContext) -> None:
+    # the hom functor out of this side is Hom_R(M, -) of ctx; the one back
+    # is the same functor of the reversed context
+    rev = reverse_context(ctx)
     for i, x in enumerate(modules):
         subject = f"{label}[{i}] (dim {x.dim})"
         note = ""
         if not is_closed(theory_here, x):
             x = localize(theory_here, x).module
             note = f"localized first, now dim {x.dim}"
-        fx = hom_there(x)
+        fx = hom_functor_to_s(ctx, x)
         report.record(subject, "image under hom functor is closed",
                       is_closed(theory_there, fx), note=note)
-        back = hom_back(fx)
+        back = hom_functor_to_s(rev, fx)
         iso = is_isomorphic(back, x)
         report.record(subject, "round trip isomorphic", iso.found,
                       witness=iso.map_, note=note)
@@ -305,22 +314,13 @@ def verify_kato_muller(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalo
     the check exercises exactly the closed objects.
     """
     report = Report("quotient category equivalence", strict_sampling)
-    for cat in (catalog_r, catalog_s):
-        if not cat.exhaustive:
-            report.flag(f"sampled catalog: {cat.provenance}")
+    report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
-    i, j = trace_ideals(ctx)
-    report.record("context", "trace ideal into R", True,
-                  note=f"I = {i.dim}-dim, idempotent (exponent {t_i.exponent})")
-    report.record("context", "trace ideal into S", True,
-                  note=(f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
-                        else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})"))
-    _kato_muller_side(report, "R-module", list(catalog_r), t_i, t_j,
-                      lambda x: hom_functor_to_s(ctx, x),
-                      lambda y: hom_functor_to_r(ctx, y))
-    _kato_muller_side(report, "S-module", list(catalog_s), t_j, t_i,
-                      lambda y: hom_functor_to_r(ctx, y),
-                      lambda x: hom_functor_to_s(ctx, x))
+    i_note, j_note = trace_ideal_notes(ctx, t_i, t_j)
+    report.record("context", "trace ideal into R", True, note=i_note)
+    report.record("context", "trace ideal into S", True, note=j_note)
+    _kato_muller_side(report, "R-module", list(catalog_r), t_i, t_j, ctx)
+    _kato_muller_side(report, "S-module", list(catalog_s), t_j, t_i, reverse_context(ctx))
     return report
 
 
@@ -335,9 +335,7 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
         report.record("context", "pairing into R surjective", False,
                       note=f"trace ideal has dim {i.dim} < {ctx.R.dim}")
         return report
-    for cat in (catalog_r, catalog_s):
-        if not cat.exhaustive:
-            report.flag(f"sampled catalog: {cat.provenance}")
+    report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
     for idx, x in enumerate(catalog_r):
         subject = f"R-module[{idx}] (dim {x.dim})"
@@ -410,9 +408,7 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
     of ideal-full, ideal-projective modules on the two sides; units are
     the eta and rho maps."""
     report = Report("projective class equivalence", strict_sampling)
-    for cat in (catalog_r, catalog_s):
-        if not cat.exhaustive:
-            report.flag(f"sampled catalog: {cat.provenance}")
+    report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
     r_members = _projective_class_filter(report, t_i, catalog_r, budget)
     s_members = _projective_class_filter(report, t_j, catalog_s, budget)
@@ -420,26 +416,19 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
                   note=f"{len(r_members)} of {len(catalog_r)} qualify")
     report.record("S side", "projective class size", True,
                   note=f"{len(s_members)} of {len(catalog_s)} qualify")
-    for i, p in r_members:
-        subject = f"R-member[{i}] (dim {p.dim})"
-        gp = tensor_over(ctx.R, ctx.N, p).as_left_module()
-        full = ideal_action_image(t_j.ideal, gp).basis.dim == gp.dim
-        proj = is_I_projective_oracle(t_j, gp, catalog_s, budget=budget)
-        if not proj.exhaustive:
-            report.flag("sampled projectivity oracle")
-        report.record(subject, "tensor image in the projective class", full and bool(proj))
-        em = eta_map(ctx, p)
-        ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
-        report.record(subject, "eta invertible on member", ok, witness=em.matrix)
-    for i, q in s_members:
-        subject = f"S-member[{i}] (dim {q.dim})"
-        fq = tensor_over(ctx.S, ctx.M, q).as_left_module()
-        full = ideal_action_image(t_i.ideal, fq).basis.dim == fq.dim
-        proj = is_I_projective_oracle(t_i, fq, catalog_r, budget=budget)
-        if not proj.exhaustive:
-            report.flag("sampled projectivity oracle")
-        report.record(subject, "tensor image in the projective class", full and bool(proj))
-        rm = rho_map(ctx, q)
-        ok = rm.matrix.rows == rm.matrix.cols and rm.matrix.is_invertible()
-        report.record(subject, "rho invertible on member", ok, witness=rm.matrix)
+    # the S side is the R side of the reversed context, where rho is eta
+    for side, members, c, t_there, cat_there, unit in (
+            ("R", r_members, ctx, t_j, catalog_s, "eta"),
+            ("S", s_members, reverse_context(ctx), t_i, catalog_r, "rho")):
+        for i, p in members:
+            subject = f"{side}-member[{i}] (dim {p.dim})"
+            gp = tensor_over(c.R, c.N, p).as_left_module()
+            full = ideal_action_image(t_there.ideal, gp).basis.dim == gp.dim
+            proj = is_I_projective_oracle(t_there, gp, cat_there, budget=budget)
+            if not proj.exhaustive:
+                report.flag("sampled projectivity oracle")
+            report.record(subject, "tensor image in the projective class", full and bool(proj))
+            em = eta_map(c, p)
+            ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
+            report.record(subject, f"{unit} invertible on member", ok, witness=em.matrix)
     return report

@@ -13,8 +13,9 @@ hom spaces, tensor quotients) deterministic.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -150,6 +151,43 @@ def vec_scale(field: Field, c: Scalar, v: Sequence[Scalar]) -> tuple:
 
 def vec_is_zero(field: Field, v: Sequence[Scalar]) -> bool:
     return all(field.is_zero(a) for a in v)
+
+
+def random_scalar(field: Field, rng) -> Scalar:
+    """One seeded draw: uniform over GF(p), an integer in [-3, 3] over Q."""
+    if field.is_prime_field:
+        return field.of_int(rng.randrange(field.p))
+    return field.of_int(rng.randint(-3, 3))
+
+
+def coefficient_search(field: Field, dim: int, accept: Callable, exhaust: int,
+                       samples: int, rng) -> tuple:
+    """Look for a coefficient tuple of length dim that accept() takes.
+
+    accept(coeffs) returns a hit or None.  Policy: over GF(p) with
+    p**dim <= exhaust every nonzero tuple is tried in lexicographic order,
+    so a miss is a proof that no tuple is accepted; otherwise `samples`
+    tuples are drawn with random_scalar from the caller's rng, and a miss
+    proves nothing.
+
+    Returns:
+        (hit, exhaustive): the first accepted hit or None, and whether the
+        search was the exhaustive sweep.
+    """
+    if field.is_prime_field and field.p ** dim <= exhaust:
+        scalars = [field.of_int(t) for t in range(field.p)]
+        tuples = itertools.product(scalars, repeat=dim)
+        next(tuples)  # the zero tuple comes first
+        for coeffs in tuples:
+            hit = accept(coeffs)
+            if hit is not None:
+                return hit, True
+        return None, True
+    for _ in range(samples):
+        hit = accept([random_scalar(field, rng) for _ in range(dim)])
+        if hit is not None:
+            return hit, False
+    return None, False
 
 
 class Matrix:
@@ -500,6 +538,20 @@ def subspace_ops(u: Basis, v: Basis) -> SubspaceOps:
         equal=u == v,
         contains=u.contains(v),
     )
+
+
+def closure(space: Basis, operators: Sequence[Callable]) -> Basis:
+    """Smallest subspace containing space and stable under every operator
+    (each a linear map of vectors): re-span the images until nothing new
+    appears."""
+    while True:
+        vecs = list(space.vectors)
+        for op in operators:
+            vecs.extend(op(v) for v in space.vectors)
+        grown = Basis.span(space.field, space.ambient_dim, vecs)
+        if grown == space:
+            return space
+        space = grown
 
 
 class QuotientStructure(NamedTuple):

@@ -13,13 +13,12 @@ components are cut out by coordinate masks.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, Optional, Sequence
 
 from .algebra import Algebra
 from .context import MoritaContext
-from .equivalence import Report, build_catalog
-from .exactlin import Basis, Matrix, kernel_basis
+from .equivalence import Report, build_catalog, context_theories, trace_ideal_notes
+from .exactlin import Basis, Matrix, kernel_basis, unit_vector
 from .modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
@@ -27,6 +26,7 @@ from .modules import (
     HomBasis,
     IsoResult,
     LeftModule,
+    _search_invertible,
     hom_module,
     hom_space,
     quotient_module,
@@ -266,36 +266,15 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule,
                          samples: int = DEFAULT_ISO_SAMPLES, seed: int = 0,
                          exhaust: int = DEFAULT_ISO_EXHAUST) -> IsoResult:
     """Search for an invertible degree-preserving map (an identity-degree
-    hom), with the same exhaust-or-sample policy as the ungraded search."""
+    hom), with the same coefficient search as the ungraded one."""
     if gm.algebra != gn.algebra:
         raise ValueError("graded iso needs modules over the same graded algebra")
     if gm.dim != gn.dim or gm.component_dims() != gn.component_dims():
         return IsoResult(None, True)
     if gm.dim == 0:
         return IsoResult(Matrix.zeros(gm.base.algebra.field, 0, 0), True)
-    f = gm.base.algebra.field
     h = graded_hom(gm, gn).component(gm.algebra.group.identity)
-    if h.dim == 0:
-        return IsoResult(None, True)
-    if f.is_prime_field and f.p ** h.dim <= exhaust:
-        scalars = [f.of_int(t) for t in range(f.p)]
-        for coeffs in itertools.product(scalars, repeat=h.dim):
-            if all(f.is_zero(c) for c in coeffs):
-                continue
-            cand = h.from_coords(coeffs)
-            if cand.is_invertible():
-                return IsoResult(cand, True)
-        return IsoResult(None, True)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        if f.is_prime_field:
-            coeffs = [f.of_int(rng.randrange(f.p)) for _ in range(h.dim)]
-        else:
-            coeffs = [f.of_int(rng.randint(-3, 3)) for _ in range(h.dim)]
-        cand = h.from_coords(coeffs)
-        if cand.is_invertible():
-            return IsoResult(cand, False)
-    return IsoResult(None, False)
+    return _search_invertible(h, samples, seed, exhaust)
 
 
 def _graded_submodule_degrees(basis: Basis, degrees, field) -> tuple:
@@ -444,9 +423,9 @@ def _check_bimodule_grading(bim, left_degs, right_degs, degs, group, name):
 
 def _check_pairing_grading(pairing, tensor, left_degs, right_degs, out_degs, group, f, name):
     for i in range(len(left_degs)):
-        ei = tuple(f.one if t == i else f.zero for t in range(len(left_degs)))
+        ei = unit_vector(f, len(left_degs), i)
         for j in range(len(right_degs)):
-            ej = tuple(f.one if t == j else f.zero for t in range(len(right_degs)))
+            ej = unit_vector(f, len(right_degs), j)
             want = group.mul(left_degs[i], right_degs[j])
             val = pairing.apply(tensor.pure_tensor(ei, ej))
             for k, x in enumerate(val):
@@ -466,20 +445,11 @@ def graded_corner_context(galg: GradedAlgebra, e: Sequence) -> GradedContext:
     ctx = corner_context(galg.base, e)
     # degrees of the corner subalgebra and bimodule bases, read off their
     # echelon representatives inside the ambient algebra
-    s_degs = []
-    m_degs = []
-    n_degs = []
-    s_basis = _corner_basis(galg.base, e, "ese")
-    m_basis = _corner_basis(galg.base, e, "se")
-    n_basis = _corner_basis(galg.base, e, "es")
-    for v in s_basis.vectors:
-        s_degs.append(_require_degree(v, galg))
-    for v in m_basis.vectors:
-        m_degs.append(_require_degree(v, galg))
-    for v in n_basis.vectors:
-        n_degs.append(_require_degree(v, galg))
-    graded_s = GradedAlgebra(ctx.S, galg.group, tuple(s_degs))
-    return GradedContext(ctx, galg, graded_s, tuple(m_degs), tuple(n_degs))
+    s_degs, m_degs, n_degs = (
+        tuple(_require_degree(v, galg) for v in _corner_basis(galg.base, e, kind).vectors)
+        for kind in ("ese", "se", "es"))
+    graded_s = GradedAlgebra(ctx.S, galg.group, s_degs)
+    return GradedContext(ctx, galg, graded_s, m_degs, n_degs)
 
 
 def _require_degree(v, galg) -> int:
@@ -522,21 +492,12 @@ def verify_graded_kato_muller(gctx: GradedContext, gcat_r: GradedCatalog,
     """The graded quotient-equivalence run: closedness, hom-image
     closedness, graded round-trip isos, and suspension invariance of the
     closedness verdict on every catalog member."""
-    from .context import trace_ideals
-
     report = Report("graded quotient category equivalence", strict_sampling)
-    for cat in (gcat_r, gcat_s):
-        if not cat.exhaustive:
-            report.flag(f"sampled catalog: {cat.provenance}")
-    ctx = gctx.context
-    i, j = trace_ideals(ctx)
-    t_i = TorsionTheory.from_ideal(ctx.R, i)
-    t_j = TorsionTheory.from_ideal(ctx.S, j)
-    report.record("context", "trace ideal into R", True,
-                  note=f"I = {i.dim}-dim, idempotent (exponent {t_i.exponent})")
-    report.record("context", "trace ideal into S", True,
-                  note=(f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
-                        else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})"))
+    report.flag_sampled_catalogs(gcat_r, gcat_s)
+    t_i, t_j = context_theories(gctx.context)
+    i_note, j_note = trace_ideal_notes(gctx.context, t_i, t_j)
+    report.record("context", "trace ideal into R", True, note=i_note)
+    report.record("context", "trace ideal into S", True, note=j_note)
     group = gctx.graded_r.group
     _graded_side(report, "R-module", gcat_r, t_i, t_j, group,
                  lambda gx: hom_functor_to_s_graded(gctx, gx),

@@ -24,11 +24,11 @@ from .exactlin import (
     Basis,
     Matrix,
     QuotientStructure,
+    closure,
+    coefficient_search,
     kernel_basis,
     quotient_structure,
-    unit_vector,
     vstack,
-    zero_vector,
 )
 
 DEFAULT_ENUM_BUDGET = 81  # p**dim cap: dim <= 6 over GF(2), dim <= 4 over GF(3)
@@ -42,8 +42,12 @@ class BudgetExceeded(Exception):
     with sampling and must then flag every derived verdict as sampled."""
 
 
-class LeftModule:
+class _Module:
+    """A one-sided module: one action matrix per algebra basis vector.
+    LeftModule and RightModule differ only in which way products act."""
+
     __slots__ = ("algebra", "dim", "action")
+    _hash_tag = ()
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix]):
         _check_action_shape(algebra, dim, action)
@@ -56,44 +60,26 @@ class LeftModule:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, LeftModule)
+            isinstance(other, type(self))
             and self.algebra == other.algebra
             and self.dim == other.dim
             and self.action == other.action
         )
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.dim, self.action))
+        return hash(self._hash_tag + (self.algebra, self.dim, self.action))
 
     def __repr__(self) -> str:
-        return f"LeftModule(dim {self.dim} over {self.algebra!r})"
+        return f"{type(self).__name__}(dim {self.dim} over {self.algebra!r})"
 
 
-class RightModule:
-    __slots__ = ("algebra", "dim", "action")
+class LeftModule(_Module):
+    __slots__ = ()
 
-    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix]):
-        _check_action_shape(algebra, dim, action)
-        self.algebra = algebra
-        self.dim = dim
-        self.action = tuple(action)
 
-    def action_of(self, a_vec: Sequence) -> Matrix:
-        return _combine(self.algebra, self.dim, self.action, a_vec)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RightModule)
-            and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.action == other.action
-        )
-
-    def __hash__(self) -> int:
-        return hash(("right", self.algebra, self.dim, self.action))
-
-    def __repr__(self) -> str:
-        return f"RightModule(dim {self.dim} over {self.algebra!r})"
+class RightModule(_Module):
+    __slots__ = ()
+    _hash_tag = ("right",)
 
 
 class Bimodule:
@@ -329,13 +315,18 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
     """
     if source.algebra != target.algebra:
         raise ValueError("hom between modules over different algebras")
-    f = source.algebra.field
-    sd, td = source.dim, target.dim
+    basis = _intertwiners(source.algebra.field, source.dim, target.dim,
+                          zip(source.action, target.action))
+    return HomBasis(source, target, basis)
+
+
+def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
+    """Vectorized (td x sd) matrices F with At @ F = F @ As for every pair
+    (As, At) of source and target action matrices."""
     nvars = sd * td
     rows = []
-    for a in range(source.algebra.dim):
-        As = source.action[a].entries
-        At = target.action[a].entries
+    for mat_s, mat_t in action_pairs:
+        As, At = mat_s.entries, mat_t.entries
         for r in range(td):
             for c in range(sd):
                 row = [f.zero] * nvars
@@ -345,10 +336,8 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
                     row[r * sd + k] = f.sub(row[r * sd + k], As[k][c])
                 rows.append(row)
     if not rows:
-        basis = Basis.full(f, nvars)
-    else:
-        basis = kernel_basis(Matrix(f, rows, cols=nvars))
-    return HomBasis(source, target, basis)
+        return Basis.full(f, nvars)
+    return kernel_basis(Matrix(f, rows, cols=nvars))
 
 
 def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
@@ -437,8 +426,8 @@ class TensorProduct:
 
     def pure_tensor(self, mvec: Sequence, nvec: Sequence) -> tuple:
         f = self.projection.field
-        n = _factor_dim(self.right_factor)
-        raw = [f.zero] * (_factor_dim(self.left_factor) * n)
+        n = self.right_factor.dim
+        raw = [f.zero] * (self.left_factor.dim * n)
         for i, a in enumerate(mvec):
             if f.is_zero(a):
                 continue
@@ -461,10 +450,6 @@ class TensorProduct:
         """The map of computed tensor spaces sending m (x) n to
         f_left(m) (x) f_right(n); callers guarantee balance."""
         return target.projection @ kron(f_left, f_right) @ self.section
-
-
-def _factor_dim(factor) -> int:
-    return factor.dim
 
 
 def tensor_over(middle: Algebra, left, right) -> TensorProduct:
@@ -597,15 +582,7 @@ def enumerate_submodules(m: LeftModule, cap: Optional[int] = None,
 def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
     """Closure of a single vector under the action."""
     span = Basis.span(m.algebra.field, m.dim, [tuple(v)])
-    while True:
-        vecs = list(span.vectors)
-        for act in m.action:
-            for w in span.vectors:
-                vecs.append(act.apply(w))
-        grown = Basis.span(m.algebra.field, m.dim, vecs)
-        if grown == span:
-            return span
-        span = grown
+    return closure(span, [act.apply for act in m.action])
 
 
 def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
@@ -673,10 +650,8 @@ def is_isomorphic(m: LeftModule, n: LeftModule, samples: int = DEFAULT_ISO_SAMPL
     """Search the hom space for an invertible map.
 
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
-    tried first when it lies in the hom space; over GF(p) with p**homdim
-    within the exhaust cap all coefficient tuples are tried in lexicographic
-    order (a miss is then a proof); otherwise `samples` pseudorandom
-    combinations from a fixed seed (a miss is then only 'not found').
+    tried first when it lies in the hom space; then the coefficient search,
+    whose miss is a proof only when that search was exhaustive.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism search across different algebras")
@@ -686,28 +661,23 @@ def is_isomorphic(m: LeftModule, n: LeftModule, samples: int = DEFAULT_ISO_SAMPL
     if m.dim == 0:
         return IsoResult(Matrix.zeros(field, 0, 0), True)
     hom = hom_space(m, n)
-    d = hom.dim
-    if d == 0:
-        return IsoResult(None, True)
     ident = Matrix.identity(field, m.dim)
     if hom.coords(ident) is not None:
         return IsoResult(ident, True)
-    if field.is_prime_field and field.p ** d <= exhaust:
-        scalars = [field.of_int(t) for t in range(field.p)]
-        for coeffs in itertools.product(scalars, repeat=d):
-            if all(field.is_zero(c) for c in coeffs):
-                continue
-            cand = hom.from_coords(coeffs)
-            if cand.is_invertible():
-                return IsoResult(cand, True)
+    return _search_invertible(hom, samples, seed, exhaust)
+
+
+def _search_invertible(hom: HomBasis, samples: int, seed: int, exhaust: int) -> IsoResult:
+    """An invertible member of the hom space, found by coefficient_search
+    (exhaustive over small GF(p) spaces, else sampled from the seed)."""
+    if hom.dim == 0:
         return IsoResult(None, True)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        if field.is_prime_field:
-            coeffs = [field.of_int(rng.randrange(field.p)) for _ in range(d)]
-        else:
-            coeffs = [field.of_int(rng.randint(-3, 3)) for _ in range(d)]
+
+    def invertible(coeffs):
         cand = hom.from_coords(coeffs)
-        if cand.is_invertible():
-            return IsoResult(cand, False)
-    return IsoResult(None, False)
+        return cand if cand.is_invertible() else None
+
+    field = hom.source.algebra.field
+    hit, exhaustive = coefficient_search(field, hom.dim, invertible, exhaust, samples,
+                                         random.Random(seed))
+    return IsoResult(hit, exhaustive)

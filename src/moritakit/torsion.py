@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import Algebra, Ideal, ideal_product, stabilize_ideal
 from .context import MoritaContext, eta_map
-from .exactlin import Basis, Matrix, kernel_basis
+from .exactlin import Basis, Matrix, closure, kernel_basis, random_scalar, unit_vector
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     Bimodule,
@@ -165,23 +165,10 @@ def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
     if kernel_basis(canonical) != t.basis:
         raise AssertionError("canonical map kernel is not the torsion submodule")
     image = Basis.span(tt.algebra.field, loc.dim, canonical.columns())
-    coker, _ = quotient_module(loc, _stable_closure(loc, image))
+    coker, _ = quotient_module(loc, closure(image, [act.apply for act in loc.action]))
     if not is_torsion(tt, coker):
         raise AssertionError("localization cokernel is not torsion")
     return Localization(loc, canonical, t, res.hom)
-
-
-def _stable_closure(m: LeftModule, span: Basis) -> Basis:
-    # smallest submodule containing the span
-    cur = span
-    while True:
-        vecs = list(cur.vectors)
-        for act in m.action:
-            vecs.extend(act.apply(v) for v in cur.vectors)
-        grown = Basis.span(m.algebra.field, m.dim, vecs)
-        if grown == cur:
-            return cur
-        cur = grown
 
 
 class OracleVerdict:
@@ -249,7 +236,7 @@ def _vector_outside_column_span(m: Matrix) -> Optional[tuple]:
         return None
     # any standard vector off the span works; echelon form guarantees one
     for i in range(m.rows):
-        e = tuple(m.field.one if j == i else m.field.zero for j in range(m.rows))
+        e = unit_vector(m.field, m.rows, i)
         if not span.contains_vector(e):
             return e
     raise AssertionError("span claims full rank but no missing vector found")
@@ -259,15 +246,11 @@ def sample_submodules(m: LeftModule, samples: int, seed: int) -> list:
     rng = random.Random(seed)
     f = m.algebra.field
     found = {Basis.zero(f, m.dim), Basis.full(f, m.dim)}
+    acts = [act.apply for act in m.action]
     for _ in range(samples):
-        gens = []
-        for _ in range(rng.choice((1, 1, 2))):
-            if f.is_prime_field:
-                gens.append(tuple(f.of_int(rng.randrange(f.p)) for _ in range(m.dim)))
-            else:
-                gens.append(tuple(f.of_int(rng.randint(-3, 3)) for _ in range(m.dim)))
-        span = Basis.span(f, m.dim, gens)
-        found.add(_stable_closure(m, span))
+        gens = [tuple(random_scalar(f, rng) for _ in range(m.dim))
+                for _ in range(rng.choice((1, 1, 2)))]
+        found.add(closure(Basis.span(f, m.dim, gens), acts))
     ordered = sorted(found, key=lambda b: (b.dim, b.vectors))
     return [Submodule(m, b) for b in ordered]
 

@@ -130,7 +130,10 @@ def _parse_field(obj, location: str) -> Field:
         p = obj.get("p")
         _expect(isinstance(p, int) and not isinstance(p, bool) and p >= 2,
                 "gf field needs a prime p >= 2", f"{location}.p")
-        return Field.gf(p)
+        try:
+            return Field.gf(p)
+        except ValueError as e:
+            raise WorkspaceError(str(e), f"{location}.p") from None
     if kind == "rationals":
         return Field.rationals()
     raise WorkspaceError(f"unknown field kind {kind!r}", f"{location}.kind")

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and report emission."""
 
+import hashlib
 import json
 import os
 
@@ -11,6 +12,7 @@ WORKSPACE_DIR = os.path.join(os.path.dirname(__file__), "..", "workspaces")
 T2 = os.path.join(WORKSPACE_DIR, "t2_corner.json")
 M2 = os.path.join(WORKSPACE_DIR, "m2_corner.json")
 IDENTITY = os.path.join(WORKSPACE_DIR, "identity.json")
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
 def run(capsys, *argv):
@@ -183,6 +185,30 @@ def test_strict_sampling_fails_sampled_run(capsys):
     assert code == 1
     assert "flag: sampled catalog: sampled(seed=0)" in out
     assert "result: fail" in out
+
+
+def test_catalog_strict_sampling_fails_sampled_catalog(capsys):
+    code, out, _ = run(capsys, "catalog", T2, "--module", "T2reg", "--max-dim", "2",
+                       "--budget", "8", "--strict-sampling", "--format", "machine")
+    assert code == 1
+    summary = json.loads(out)["summary"]
+    assert "sampled catalog: sampled(seed=0)" in summary["flags"]
+    assert summary["passed"] is False
+
+
+def test_pinned_machine_reports_unchanged(capsys):
+    # the benchmark pins the exit code and the sha256 of each report at seed 0
+    with open(REFERENCE, encoding="utf-8") as fh:
+        commands = json.load(fh)["cli"]["commands"]
+    mismatches = []
+    for entry in commands:
+        argv = list(entry["argv"])
+        argv[1] = os.path.join(WORKSPACE_DIR, argv[1])
+        code, out, _ = run(capsys, *argv, "--format", "machine", "--seed", "0")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (entry["exit"], entry["sha256"]):
+            mismatches.append(" ".join(entry["argv"]))
+    assert mismatches == []
 
 
 def test_out_flag_writes_machine_report(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from moritakit.algebra import full_matrix_algebra, upper_triangular_algebra
+from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
 from moritakit.context import (
     MoritaContext,
     bimodule_hom_space,
@@ -21,7 +21,7 @@ from moritakit.context import (
     validate_context,
 )
 from moritakit.exactlin import Basis, Field, Matrix
-from moritakit.modules import ideal_action_image, quotient_module, regular_module
+from moritakit.modules import Bimodule, ideal_action_image, quotient_module, regular_module
 
 GF2 = Field.gf(2)
 E22 = (GF2.zero, GF2.zero, GF2.one)
@@ -248,6 +248,30 @@ def test_context_iso_reflexive_on_degenerate_pairings(t2, t2_corner):
     res = contexts_isomorphic(degenerate, degenerate)
     assert res.found
     assert res.u.is_invertible() and res.v.is_invertible()
+
+
+def test_context_iso_sampled_miss_is_not_a_proof():
+    # A = GF(2)[x]/(x^2) with basis (1, x); x acts as 0 on M = k and on
+    # N1 = k^4, and as the shift of A on the A summand of N2 = A + k + k.
+    # Both pairings are zero, so every u leaves v free in the 12-dim
+    # Hom(N1, N2); 2**12 is past the exhaustive cap and v is sampled.
+    a = Algebra(GF2, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
+
+    def bimodule(dim, x_action):
+        acts = [Matrix.identity(GF2, dim), Matrix(GF2, x_action)]
+        return Bimodule(a, a, dim, acts, acts)
+
+    m = bimodule(1, [[0]])
+    n1 = bimodule(4, [[0] * 4] * 4)
+    n2 = bimodule(4, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    c1, c2 = (MoritaContext.from_raw_maps(a, a, m, n, Matrix.zeros(GF2, 2, 4),
+                                          Matrix.zeros(GF2, 2, 4)) for n in (n1, n2))
+    assert validate_context(c1) == [] and validate_context(c2) == []
+    assert bimodule_hom_space(n1, n2).dim == 12
+    res = contexts_isomorphic(c1, c2)
+    assert not res.found
+    assert not res.exhaustive
+    assert not res.proven_none
 
 
 def test_bimodule_hom_space_of_corner_m(t2_corner):

@@ -51,6 +51,14 @@ def test_missing_field_declaration(tmp_path):
         parse_workspace(write_ws(tmp_path, {"algebras": {}}))
 
 
+def test_non_prime_field_order_located(tmp_path):
+    doc = dict(MINIMAL, field={"kind": "gf", "p": 4})
+    with pytest.raises(WorkspaceError, match=r"field\.p") as info:
+        parse_workspace(write_ws(tmp_path, doc))
+    assert info.value.location == "field.p"
+    assert "not prime" in info.value.message
+
+
 def test_syntax_error_carries_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{\n  "field": {\n')
