@@ -52,8 +52,10 @@ class MoritaContext:
             raise ValueError("M must be an (R, S)-bimodule")
         if N.left_algebra != S or N.right_algebra != R:
             raise ValueError("N must be an (S, R)-bimodule")
-        MN = tensor_over(S, M, N)
-        NM = tensor_over(R, N, M)
+        self._attach(R, S, M, N, tensor_over(S, M, N), tensor_over(R, N, M), phi, psi)
+
+    def _attach(self, R, S, M, N, MN: TensorProduct, NM: TensorProduct,
+                phi: Matrix, psi: Matrix) -> None:
         if phi.rows != R.dim or phi.cols != MN.dim:
             raise ValueError(f"phi is {phi.rows}x{phi.cols}, want {R.dim}x{MN.dim}")
         if psi.rows != S.dim or psi.cols != NM.dim:
@@ -69,7 +71,8 @@ class MoritaContext:
         phi_raw columns are indexed (i, j) |-> i*dim(N)+j against M and N
         basis pairs; psi_raw likewise with N major.  Raises ValueError if a
         map fails to vanish on the balancing relations (not well-defined on
-        the tensor quotient).
+        the tensor quotient).  The tensor spaces built for that check are
+        the ones the context keeps.
         """
         MN = tensor_over(S, M, N)
         NM = tensor_over(R, N, M)
@@ -80,7 +83,9 @@ class MoritaContext:
         for rel in NM.relations.vectors:
             if any(not f.is_zero(x) for x in psi_raw.apply(rel)):
                 raise ValueError("psi is not well-defined on the tensor quotient")
-        return cls(R, S, M, N, phi_raw @ MN.section, psi_raw @ NM.section)
+        ctx = object.__new__(cls)
+        ctx._attach(R, S, M, N, MN, NM, phi_raw @ MN.section, psi_raw @ NM.section)
+        return ctx
 
     def __repr__(self) -> str:
         return f"MoritaContext(R dim {self.R.dim}, S dim {self.S.dim}, M dim {self.M.dim}, N dim {self.N.dim})"

@@ -36,6 +36,7 @@ from .modules import (
     hom_space,
     ideal_action_image,
     is_isomorphic,
+    iso_invariant,
     quotient_module,
     regular_module,
     submodule_lattice,
@@ -134,6 +135,18 @@ def _module_sort_key(m: LeftModule):
     return (m.dim, tuple(tuple(tuple(row) for row in a.entries) for a in m.action))
 
 
+def _keep_new_class(buckets: dict, key, mod, is_iso) -> bool:
+    """Keep mod unless it is isomorphic to a kept module with the same
+    invariant key; only those are searched, since a different key is
+    already a proof of non-isomorphism.  The first module of a class stays
+    its representative."""
+    bucket = buckets.setdefault(key, [])
+    if any(is_iso(r, mod).found for r in bucket):
+        return False
+    bucket.append(mod)
+    return True
+
+
 def build_catalog(algebra: Algebra, max_dim: int,
                   budget: int = DEFAULT_LATTICE_BUDGET,
                   allow_sampling: bool = False,
@@ -147,15 +160,23 @@ def build_catalog(algebra: Algebra, max_dim: int,
     pieces need not be quotients of R^2).  When the lattice budget is
     exceeded and sampling is allowed, submodules are sampled instead and
     the catalog is flagged.
+
+    Deduplication searches for an isomorphism only between modules with
+    equal iso_invariant keys (dim, rank of each basis action, dim End).
+    Every entry of the key is preserved by N = P M P^-1 over the fixed
+    algebra basis, so two modules with different keys are proven
+    non-isomorphic without a search, and skipping those searches leaves
+    the catalog exactly what comparing against every kept module gives:
+    still exhaustive up to max_dim when the lattices were.
     """
     reps = []
+    buckets = {}
 
     def add(mod: LeftModule) -> bool:
         if mod.dim > max_dim:
             return False
-        for r in reps:
-            if r.dim == mod.dim and is_isomorphic(r, mod).found:
-                return False
+        if not _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic):
+            return False
         reps.append(mod)
         return True
 
@@ -173,11 +194,19 @@ def build_catalog(algebra: Algebra, max_dim: int,
             quo, _ = quotient_module(free, sub.basis)
             add(quo)
 
+    # Each sum reps[i] + reps[j] is tried once: the sums with j < tried[i]
+    # are done.  reps only grows, so a sum that matched a kept class once
+    # would match it again.
+    tried = []
     changed = True
     while changed:
         changed = False
-        for a in list(reps):
-            for b in list(reps):
+        for i in range(len(reps)):
+            if i == len(tried):
+                tried.append(0)
+            start, tried[i] = tried[i], len(reps)
+            for j in range(start, tried[i]):
+                a, b = reps[i], reps[j]
                 if a.dim + b.dim <= max_dim and a.dim > 0 and b.dim > 0:
                     if add(direct_sum(a, b)):
                         changed = True
@@ -336,7 +365,7 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
                       note=f"trace ideal has dim {i.dim} < {ctx.R.dim}")
         return report
     report.flag_sampled_catalogs(catalog_r, catalog_s)
-    t_i, t_j = context_theories(ctx)
+    t_i, t_j = TorsionTheory.from_ideal(ctx.R, i), TorsionTheory.from_ideal(ctx.S, j)
     for idx, x in enumerate(catalog_r):
         subject = f"R-module[{idx}] (dim {x.dim})"
         report.record(subject, "closed for the trivial theory", is_closed(t_i, x))

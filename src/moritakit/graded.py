@@ -17,7 +17,13 @@ from typing import Dict, Optional, Sequence
 
 from .algebra import Algebra
 from .context import MoritaContext
-from .equivalence import Report, build_catalog, context_theories, trace_ideal_notes
+from .equivalence import (
+    Report,
+    _keep_new_class,
+    build_catalog,
+    context_theories,
+    trace_ideal_notes,
+)
 from .exactlin import Basis, Matrix, kernel_basis, unit_vector
 from .modules import (
     DEFAULT_ISO_EXHAUST,
@@ -354,20 +360,26 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          allow_sampling: bool = False,
                          seed: int = 0) -> GradedCatalog:
     """Every valid grading of every base isomorphism class, deduplicated
-    by graded isomorphism.  A sampled base catalog taints the provenance."""
+    by graded isomorphism.  A sampled base catalog taints the provenance.
+
+    A graded isomorphism is an isomorphism of the base modules, and the
+    base representatives are pairwise non-isomorphic, so candidates are
+    searched against each other only within one base class and one
+    component_dims() vector, the other invariant a graded iso keeps."""
     base_cat = build_catalog(galg.base, max_dim, budget=budget,
                              allow_sampling=allow_sampling, seed=seed)
     order = galg.group.order
     reps = []
-    for mod in base_cat:
+    buckets = {}
+    for index, mod in enumerate(base_cat):
         for assignment in itertools.product(range(order), repeat=mod.dim):
             try:
                 cand = GradedModule(galg, mod, assignment)
             except ValueError:
                 continue
-            if any(r.dim == cand.dim and is_graded_isomorphic(r, cand).found for r in reps):
-                continue
-            reps.append(cand)
+            key = (index, cand.component_dims())
+            if _keep_new_class(buckets, key, cand, is_graded_isomorphic):
+                reps.append(cand)
     reps.sort(key=lambda g: (g.dim, g.degrees))
     if base_cat.exhaustive:
         provenance = f"exhaustive-up-to-dim({max_dim})"

@@ -28,6 +28,7 @@ from .exactlin import (
     coefficient_search,
     kernel_basis,
     quotient_structure,
+    rank,
     vstack,
 )
 
@@ -643,6 +644,14 @@ class IsoResult:
         if self.found:
             return "IsoResult(found)"
         return "IsoResult(none, exhaustive)" if self.exhaustive else "IsoResult(not found, sampled)"
+
+
+def iso_invariant(m: LeftModule) -> tuple:
+    """(dim, rank of each basis action, dim End(m)): equal for isomorphic
+    modules over the same algebra basis, since N = P M P^-1 conjugates each
+    action matrix and End(N) = P End(M) P^-1.  Different keys therefore
+    prove two modules non-isomorphic."""
+    return m.dim, tuple(rank(a) for a in m.action), hom_space(m, m).dim
 
 
 def is_isomorphic(m: LeftModule, n: LeftModule, samples: int = DEFAULT_ISO_SAMPLES,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import moritakit.context as context
 from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
 from moritakit.context import (
     MoritaContext,
@@ -100,6 +101,23 @@ def test_raw_map_must_respect_relations(t2, t2_corner):
     with pytest.raises(ValueError, match="not well-defined"):
         MoritaContext.from_raw_maps(
             t2, t2_corner.S, t2_corner.M, t2_corner.N, good_phi_raw, bad_psi)
+
+
+def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch):
+    calls = []
+    real = context.tensor_over
+
+    def counting(middle, left, right):
+        calls.append(middle)
+        return real(middle, left, right)
+
+    monkeypatch.setattr(context, "tensor_over", counting)
+    ctx = MoritaContext.from_raw_maps(
+        t2, t2_corner.S, t2_corner.M, t2_corner.N,
+        t2_corner.phi @ t2_corner.MN.projection, t2_corner.psi @ t2_corner.NM.projection)
+    assert len(calls) == 2
+    assert (ctx.phi, ctx.psi) == (t2_corner.phi, t2_corner.psi)
+    assert validate_context(ctx) == []
 
 
 def test_validate_reports_compatibility_break(t2, t2_corner):

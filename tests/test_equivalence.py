@@ -1,7 +1,11 @@
 """Engine tests: catalogs, the four verifiers, and their cross-agreements."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import moritakit.equivalence as equivalence
+from moritakit.algebra import Algebra, upper_triangular_algebra
 from moritakit.context import (
     MoritaContext,
     compose_contexts,
@@ -24,10 +28,11 @@ from moritakit.equivalence import (
     verify_strict_equivalence,
 )
 from moritakit.exactlin import Field, Matrix
-from moritakit.modules import is_isomorphic, regular_module
+from moritakit.modules import LeftModule, is_isomorphic, iso_invariant, regular_module
 from moritakit.torsion import localize
 
 GF2 = Field.gf(2)
+GF3 = Field.gf(3)
 E22 = (GF2.zero, GF2.zero, GF2.one)
 E11_M2 = (GF2.one, GF2.zero, GF2.zero, GF2.zero)
 
@@ -98,6 +103,84 @@ def test_catalog_provenance_and_bounds(cat_t2):
 
 def test_catalog_contains_the_nonsplit_extension(cat_t2, p2):
     assert any(m.dim == 2 and is_isomorphic(m, p2).found for m in cat_t2)
+
+
+@pytest.fixture(scope="module")
+def cat_t2_gf3():
+    return build_catalog(upper_triangular_algebra(GF3, 2), 2)
+
+
+@st.composite
+def invertible_matrices(draw, field, n):
+    """P = L U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal, so P is invertible."""
+    def entry(lo):
+        return field.of_int(draw(st.integers(lo, field.p - 1)))
+
+    low = Matrix(field, [[field.one if i == j else (entry(0) if i > j else field.zero)
+                          for j in range(n)] for i in range(n)], cols=n)
+    up = Matrix(field, [[entry(1) if i == j else (entry(0) if i < j else field.zero)
+                         for j in range(n)] for i in range(n)], cols=n)
+    return low @ up
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_iso_invariant_survives_conjugation(cat_t2, cat_t2_gf3, data):
+    cat = data.draw(st.sampled_from([cat_t2, cat_t2_gf3]))
+    mod = data.draw(st.sampled_from(cat.modules))
+    p = data.draw(invertible_matrices(cat.algebra.field, mod.dim))
+    p_inv = p.inverse()
+    conj = LeftModule(mod.algebra, mod.dim, [p @ a @ p_inv for a in mod.action])
+    assert iso_invariant(conj) == iso_invariant(mod)
+
+
+def test_catalog_dedup_never_searches_in_vain(t2, monkeypatch):
+    calls = []
+    real = equivalence.is_isomorphic
+
+    def counting(m, n, *args, **kwargs):
+        res = real(m, n, *args, **kwargs)
+        calls.append(res.found)
+        return res
+
+    monkeypatch.setattr(equivalence, "is_isomorphic", counting)
+    cat = build_catalog(t2, 4)
+    assert len(cat) == 22
+    assert calls and all(calls)
+
+
+def _rebased(alg: Algebra, p_cols) -> Algebra:
+    """alg written in the basis formed by the columns of p_cols."""
+    f = alg.field
+    n = alg.dim
+    p = Matrix(f, [[f.of_int(x) for x in row] for row in p_cols], cols=n)
+    p_inv = p.inverse()
+    new_basis = p.columns()
+    mul = [[p_inv.apply(alg.multiply(x, y)) for y in new_basis] for x in new_basis]
+    return Algebra(f, n, mul, p_inv.apply(alg.unit))
+
+
+def test_catalog_in_non_standard_basis_keeps_gabriel_counts():
+    # unimodular: L U with L = [[1,0,0],[1,1,0],[-1,1,1]], U = [[1,1,-1],[0,1,1],[0,0,1]]
+    t2 = _rebased(upper_triangular_algebra(GF3, 2), [[1, 1, -1], [1, 2, 0], [-1, 0, 3]])
+    cat = build_catalog(t2, 3)
+    per_dim = [sum(1 for m in cat if m.dim == d) for d in range(4)]
+    assert per_dim == [1, 2, 4, 6]
+    assert cat.provenance == "exhaustive-up-to-dim(3)"
+
+
+def test_one_epi_computes_trace_ideals_once(m2_corner, cat_m2, cat_m2_s, monkeypatch):
+    calls = []
+    real = equivalence.trace_ideals
+
+    def counting(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(equivalence, "trace_ideals", counting)
+    assert verify_one_epi(m2_corner, cat_m2, cat_m2_s).passed
+    assert len(calls) == 1
 
 
 def test_strict_verifier_passes_on_matrix_corner(m2_corner, cat_m2, cat_m2_s):
