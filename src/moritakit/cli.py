@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="context name (repeat for compose/iso)")
     common.add_argument("--module", help="module name")
     common.add_argument("--ideal", help="ideal name")
-    common.add_argument("--max-dim", type=int, dest="max_dim",
-                        help="catalog dimension bound (overrides workspace recipes)")
+    common.add_argument("--max-dim", type=_non_negative_int, dest="max_dim",
+                        help="catalog dimension bound, at least 0 (overrides workspace recipes)")
     common.add_argument("--budget", type=int, help="submodule enumeration budget")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled searches (recorded in reports)")
@@ -67,6 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub.add_parser(name, parents=[common], help=f"run the {name} check")
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,8 @@ Both tensor spaces are computed once per context with the canonical basis
 convention from tensor_over, and phi/psi are stored as matrices on those
 computed spaces.  Workspace files and the corner construction provide the
 maps on the raw product basis; from_raw_maps checks well-definedness
-(vanishing on the balancing relations) before pushing down.
+(vanishing on the balancing relations) before pushing down, and
+raw_pairing reads a pairing back on that basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .exactlin import (
     coefficient_search,
     kernel_basis,
     solve,
-    unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
@@ -39,6 +39,7 @@ from .modules import (
     TensorProduct,
     _intertwiners,
     hom_module,
+    kron,
     regular_bimodule,
     tensor_over,
 )
@@ -91,6 +92,13 @@ class MoritaContext:
         return f"MoritaContext(R dim {self.R.dim}, S dim {self.S.dim}, M dim {self.M.dim}, N dim {self.N.dim})"
 
 
+def raw_pairing(ctx: MoritaContext) -> Matrix:
+    """phi on the raw product basis, the inverse of from_raw_maps: column
+    i*dim(N)+j is phi(m_i (x) n_j).  The psi side is the raw pairing of
+    reverse_context(ctx)."""
+    return ctx.phi @ ctx.MN.projection
+
+
 def validate_context(ctx: MoritaContext) -> list:
     """Bimodule-map conditions for phi and psi plus the two compatibility
     identities, checked on all basis triples.  Returns failure strings.
@@ -107,27 +115,29 @@ def validate_context(ctx: MoritaContext) -> list:
                 out.append(f"{name} fails left {alg}-linearity at basis {r}")
             if (c.phi @ c.MN.right_action[r]) != (c.R.right_mult_matrix(e) @ c.phi):
                 out.append(f"{name} fails right {alg}-linearity at basis {r}")
-    f = ctx.R.field
-    for c, names, mod in ((ctx, "phi/psi", "M"), (rev, "psi/phi", "N")):
+    raws = (raw_pairing(ctx), raw_pairing(rev))
+    for c, (phi_raw, psi_raw), names, mod in ((ctx, raws, "phi/psi", "M"),
+                                              (rev, raws[::-1], "psi/phi", "N")):
         m_left = c.M.left_module()
         m_right = c.M.right_module()
         for i in range(c.M.dim):
-            ei = unit_vector(f, c.M.dim, i)
             for j in range(c.N.dim):
-                ej = unit_vector(f, c.N.dim, j)
-                r = c.phi.apply(c.MN.pure_tensor(ei, ej))
+                act = m_left.action_of(phi_raw.col(i * c.N.dim + j))
                 for k in range(c.M.dim):
-                    ek = unit_vector(f, c.M.dim, k)
-                    lhs = m_left.action_of(r).apply(ek)
-                    s = c.psi.apply(c.NM.pure_tensor(ej, ek))
-                    rhs = m_right.action_of(s).apply(ei)
-                    if lhs != rhs:
+                    rhs = m_right.action_of(psi_raw.col(j * c.M.dim + k)).col(i)
+                    if act.col(k) != rhs:
                         out.append(f"{names} compatibility in {mod} fails at ({i}, {j}, {k})")
     return out
 
 
 def corner_context(a: Algebra, e: Sequence) -> MoritaContext:
     """The context (A, eAe, Ae, eA, mult, mult) for an idempotent e."""
+    return _corner(a, e)[0]
+
+
+def _corner(a: Algebra, e: Sequence) -> tuple:
+    """corner_context together with the spans eAe, Ae and eA inside A whose
+    echelon bases are the bases of its S, M and N."""
     if a.multiply(e, e) != tuple(e):
         raise ValueError("corner element is not idempotent")
     f = a.field
@@ -173,7 +183,7 @@ def corner_context(a: Algebra, e: Sequence) -> MoritaContext:
     bad = validate_context(ctx)
     if bad:
         raise AssertionError(f"corner context failed validation: {bad[:3]}")
-    return ctx
+    return ctx, (s_basis, m_basis, n_basis)
 
 
 def identity_context(a: Algebra) -> MoritaContext:
@@ -245,12 +255,7 @@ def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
     # sections, pair the first two tensor legs, act on the third
     f = x.algebra.field
     a_dim, b_dim = ctx.M.dim, ctx.N.dim
-    acts = {}
-    for i in range(a_dim):
-        ei = unit_vector(f, a_dim, i)
-        for j in range(b_dim):
-            ej = unit_vector(f, b_dim, j)
-            acts[(i, j)] = x.action_of(ctx.phi.apply(ctx.MN.pure_tensor(ei, ej)))
+    acts = [x.action_of(r) for r in raw_pairing(ctx).columns()]
     cols = []
     for b in range(outer.dim):
         v = outer.section.col(b)
@@ -266,7 +271,7 @@ def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
                         co = w[j * x.dim + k]
                         if f.is_zero(co):
                             continue
-                        out = vec_add(f, out, vec_scale(f, f.mul(coeff, co), acts[(i, j)].col(k)))
+                        out = vec_add(f, out, vec_scale(f, f.mul(coeff, co), acts[i * b_dim + j].col(k)))
         cols.append(out)
     return NaturalMap(Matrix.from_cols(f, cols, rows=x.dim), outer, inner)
 
@@ -300,17 +305,13 @@ def _eta_prime(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
     f = ctx.R.field
     h1_mod, h1 = hom_module(ctx.M, x)
     h2_mod, h2 = hom_module(ctx.N, h1_mod)
+    acts = [x.action_of(r) for r in raw_pairing(ctx).columns()]
     cols = []
     for k in range(x.dim):
         inner_cols = []
         for j in range(ctx.N.dim):
-            ej = unit_vector(f, ctx.N.dim, j)
-            mat_cols = []
-            for i in range(ctx.M.dim):
-                ei = unit_vector(f, ctx.M.dim, i)
-                r = ctx.phi.apply(ctx.MN.pure_tensor(ei, ej))
-                mat_cols.append(x.action_of(r).col(k))
-            fjk = Matrix.from_cols(f, mat_cols, rows=x.dim)
+            fjk = Matrix.from_cols(f, [acts[i * ctx.N.dim + j].col(k) for i in range(ctx.M.dim)],
+                                   rows=x.dim)
             c = h1.coords(fjk)
             if c is None:
                 raise AssertionError("eta' image escaped Hom(M, X)")
@@ -366,33 +367,22 @@ def compose_contexts(first: MoritaContext, second: MoritaContext) -> MoritaConte
 def _composite_pairing(first: MoritaContext, second: MoritaContext,
                        m_t: TensorProduct, n_t: TensorProduct) -> Matrix:
     # (m (x) m') (x) (n' (x) n) |-> phi1(m (x) phi2(m' (x) n').n) on the raw
-    # product basis of the computed spaces m_t = M1 (x) M2, n_t = N2 (x) N1
+    # product basis of m_t = M1 (x) M2 and n_t = N2 (x) N1: block i of phi1's
+    # raw matrix times the action of phi2(m'_ip (x) n'_jp) on N1 gives the
+    # values at (i, ip, jp, j) for every j; the sections push them down
     f = first.R.field
     d1, d2, e2, e1 = first.M.dim, second.M.dim, second.N.dim, first.N.dim
+    raw1 = raw_pairing(first).columns()
+    blocks = [Matrix.from_cols(f, raw1[i * e1:(i + 1) * e1], rows=first.R.dim) for i in range(d1)]
     n1_left = first.N.left_module()
+    acts = [n1_left.action_of(s) for s in raw_pairing(second).columns()]
     cols = []
-    for a in range(m_t.dim):
-        va = m_t.section.col(a)
-        for b in range(n_t.dim):
-            vb = n_t.section.col(b)
-            acc = zero_vector(f, first.R.dim)
-            for i in range(d1):
-                for ip in range(d2):
-                    ca = va[i * d2 + ip]
-                    if f.is_zero(ca):
-                        continue
-                    for jp in range(e2):
-                        for j in range(e1):
-                            cb = vb[jp * e1 + j]
-                            if f.is_zero(cb):
-                                continue
-                            s = second.phi.apply(second.MN.pure_tensor(
-                                unit_vector(f, d2, ip), unit_vector(f, e2, jp)))
-                            nbar = n1_left.action_of(s).apply(unit_vector(f, e1, j))
-                            r = first.phi.apply(first.MN.pure_tensor(unit_vector(f, d1, i), nbar))
-                            acc = vec_add(f, acc, vec_scale(f, f.mul(ca, cb), r))
-            cols.append(acc)
-    return Matrix.from_cols(f, cols, rows=first.R.dim)
+    for i in range(d1):
+        for ip in range(d2):
+            for jp in range(e2):
+                cols.extend((blocks[i] @ acts[ip * e2 + jp]).columns())
+    raw = Matrix.from_cols(f, cols, rows=first.R.dim)
+    return raw @ kron(m_t.section, n_t.section)
 
 
 def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:

@@ -16,15 +16,16 @@ import itertools
 from typing import Dict, Optional, Sequence
 
 from .algebra import Algebra
-from .context import MoritaContext
+from .context import MoritaContext, _corner, raw_pairing, reverse_context
 from .equivalence import (
+    Catalog,
     Report,
     _keep_new_class,
     build_catalog,
     context_theories,
     trace_ideal_notes,
 )
-from .exactlin import Basis, Matrix, kernel_basis, unit_vector
+from .exactlin import Basis, Matrix, kernel_basis
 from .modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
@@ -111,6 +112,29 @@ def homogeneous_degree(vec, degrees, field) -> Optional[int]:
     return seen
 
 
+def _stray_column(mat: Matrix, want: Sequence[int], row_degrees: Sequence[int]) -> Optional[int]:
+    """The first column j of mat with a nonzero entry in a row whose degree
+    is not want[j], or None when every column lands in its degree."""
+    f = mat.field
+    for j, d in enumerate(want):
+        if any(not f.is_zero(row[j]) and row_degrees[k] != d
+               for k, row in enumerate(mat.entries)):
+            return j
+    return None
+
+
+def _degrees_of(vectors, coord_degrees: Sequence[int], field, error: str) -> tuple:
+    """The degree of each vector, raising ValueError(error) at the first
+    one whose support mixes degrees."""
+    out = []
+    for v in vectors:
+        d = homogeneous_degree(v, coord_degrees, field)
+        if d is None:
+            raise ValueError(error)
+        out.append(d)
+    return tuple(out)
+
+
 class GradedAlgebra:
     __slots__ = ("base", "group", "degrees")
 
@@ -125,12 +149,11 @@ class GradedAlgebra:
             if not f.is_zero(u) and degs[i] != group.identity:
                 raise ValueError("unit is not concentrated in the identity degree")
         for i in range(base.dim):
-            for j in range(base.dim):
-                want = group.mul(degs[i], degs[j])
-                for k, c in enumerate(base.mul[i][j]):
-                    if not f.is_zero(c) and degs[k] != want:
-                        raise ValueError(
-                            f"product of basis {i} and {j} has a component in the wrong degree")
+            j = _stray_column(base.left_mult_matrix(base.basis_vector(i)),
+                              [group.mul(degs[i], d) for d in degs], degs)
+            if j is not None:
+                raise ValueError(
+                    f"product of basis {i} and {j} has a component in the wrong degree")
         self.base = base
         self.group = group
         self.degrees = degs
@@ -162,15 +185,10 @@ class GradedModule:
         group = algebra.group
         if any(not 0 <= d < group.order for d in degs):
             raise ValueError("degree index out of range")
-        f = base.algebra.field
-        for i in range(algebra.base.dim):
-            act = base.action[i]
-            for j in range(base.dim):
-                want = group.mul(algebra.degrees[i], degs[j])
-                for k in range(base.dim):
-                    if not f.is_zero(act.entries[k][j]) and degs[k] != want:
-                        raise ValueError(
-                            f"action of basis {i} on coordinate {j} leaves its degree")
+        for i, act in enumerate(base.action):
+            j = _stray_column(act, [group.mul(algebra.degrees[i], d) for d in degs], degs)
+            if j is not None:
+                raise ValueError(f"action of basis {i} on coordinate {j} leaves its degree")
         self.algebra = algebra
         self.base = base
         self.degrees = degs
@@ -197,10 +215,10 @@ def suspension(gm: GradedModule, sigma: int) -> GradedModule:
     return GradedModule(gm.algebra, gm.base, tuple(g.mul(d, inv) for d in gm.degrees))
 
 
-def _degree_of_hom_coord(group, src_degrees, tgt_degrees, r, c) -> int:
-    # f(M_lambda) subset N_{lambda.sigma}: coordinate (r, c) carries
-    # sigma = lambda^(-1) . mu with lambda = deg(c), mu = deg(r)
-    return group.mul(group.inv(src_degrees[c]), tgt_degrees[r])
+def _hom_coord_degrees(group, src_degrees, tgt_degrees) -> tuple:
+    # f(M_lambda) subset N_{lambda.sigma}: the row-major coordinate (r, c)
+    # carries sigma = lambda^(-1) . mu with lambda = deg(c), mu = deg(r)
+    return tuple(group.mul(group.inv(lam), mu) for mu in tgt_degrees for lam in src_degrees)
 
 
 class GradedHom:
@@ -224,25 +242,24 @@ class GradedHom:
 def graded_hom(gm: GradedModule, gn: GradedModule) -> GradedHom:
     if gm.algebra != gn.algebra:
         raise ValueError("graded hom needs modules over the same graded algebra")
-    group = gm.algebra.group
-    f = gm.base.algebra.field
     full = hom_space(gm.base, gn.base)
-    sd, td = gm.dim, gn.dim
-    components = {}
-    for sigma in range(group.order):
-        forbidden = [r * sd + c for r in range(td) for c in range(sd)
-                     if _degree_of_hom_coord(group, gm.degrees, gn.degrees, r, c) != sigma]
-        if full.dim == 0:
-            components[sigma] = HomBasis(gm.base, gn.base, Basis.zero(f, sd * td))
-            continue
-        rows = [[vec[pos] for vec in full.basis.vectors] for pos in forbidden]
-        if rows:
-            combos = kernel_basis(Matrix(f, rows, cols=full.dim))
-        else:
-            combos = Basis.full(f, full.dim)
-        vecs = [full.basis.from_coords(c) for c in combos.vectors]
-        components[sigma] = HomBasis(gm.base, gn.base, Basis.span(f, sd * td, vecs))
-    return GradedHom(gm, gn, components)
+    coord_degs = _hom_coord_degrees(gm.algebra.group, gm.degrees, gn.degrees)
+    return GradedHom(gm, gn, {sigma: _hom_component(full, coord_degs, sigma)
+                              for sigma in range(gm.algebra.group.order)})
+
+
+def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int) -> HomBasis:
+    """The degree-sigma maps of a hom space: those vanishing on every
+    coordinate of another degree."""
+    f = full.basis.field
+    size = len(coord_degrees)
+    if full.dim == 0:
+        return HomBasis(full.source, full.target, Basis.zero(f, size))
+    rows = [[vec[pos] for vec in full.basis.vectors]
+            for pos, d in enumerate(coord_degrees) if d != sigma]
+    combos = kernel_basis(Matrix(f, rows, cols=full.dim)) if rows else Basis.full(f, full.dim)
+    vecs = [full.basis.from_coords(c) for c in combos.vectors]
+    return HomBasis(full.source, full.target, Basis.span(f, size, vecs))
 
 
 def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tuple:
@@ -252,20 +269,8 @@ def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tup
     hom space between honestly graded modules has a homogeneous echelon
     basis; a mixed-support vector means the inputs were not graded.
     """
-    sd = len(src_degrees)
-    out = []
-    for vec in hom.basis.vectors:
-        seen = None
-        for pos, x in enumerate(vec):
-            if hom.basis.field.is_zero(x):
-                continue
-            d = _degree_of_hom_coord(group, src_degrees, tgt_degrees, pos // sd, pos % sd)
-            if seen is None:
-                seen = d
-            elif d != seen:
-                raise ValueError("hom basis vector mixes degrees; inputs are not graded")
-        out.append(group.identity if seen is None else seen)
-    return tuple(out)
+    return _degrees_of(hom.basis.vectors, _hom_coord_degrees(group, src_degrees, tgt_degrees),
+                       hom.basis.field, "hom basis vector mixes degrees; inputs are not graded")
 
 
 def is_graded_isomorphic(gm: GradedModule, gn: GradedModule,
@@ -279,24 +284,19 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule,
         return IsoResult(None, True)
     if gm.dim == 0:
         return IsoResult(Matrix.zeros(gm.base.algebra.field, 0, 0), True)
-    h = graded_hom(gm, gn).component(gm.algebra.group.identity)
+    group = gm.algebra.group
+    h = _hom_component(hom_space(gm.base, gn.base),
+                       _hom_coord_degrees(group, gm.degrees, gn.degrees), group.identity)
     return _search_invertible(h, samples, seed, exhaust)
 
 
-def _graded_submodule_degrees(basis: Basis, degrees, field) -> tuple:
-    out = []
-    for v in basis.vectors:
-        d = homogeneous_degree(v, degrees, field)
-        if d is None:
-            raise ValueError("subspace is not graded: echelon basis vector mixes degrees")
-        out.append(d)
-    return tuple(out)
+_NOT_GRADED = "subspace is not graded: echelon basis vector mixes degrees"
 
 
 def ideal_degrees(tt: TorsionTheory, galg: GradedAlgebra) -> tuple:
     """Degrees of the stabilized ideal's basis; raises if it is not a
     graded ideal."""
-    return _graded_submodule_degrees(tt.stable_ideal.basis, galg.degrees, galg.base.field)
+    return _degrees_of(tt.stable_ideal.basis.vectors, galg.degrees, galg.base.field, _NOT_GRADED)
 
 
 def graded_closed_test(tt: TorsionTheory, gm: GradedModule) -> bool:
@@ -311,12 +311,7 @@ def graded_closed_test(tt: TorsionTheory, gm: GradedModule) -> bool:
     if not res.closed:
         return False
     hdegs = degrees_for_hom_basis(res.hom, galg.group, src_degs, gm.degrees)
-    f = galg.base.field
-    for j in range(gm.dim):
-        for row, hd in enumerate(hdegs):
-            if not f.is_zero(res.alpha.entries[row][j]) and hd != gm.degrees[j]:
-                return False
-    return True
+    return _stray_column(res.alpha, gm.degrees, hdegs) is None
 
 
 def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
@@ -326,7 +321,7 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
     t = torsion_submodule(tt, gm.base)
     # quotient coordinates are the non-pivot standard coordinates, which
     # keep their degrees once the torsion submodule is checked graded
-    _graded_submodule_degrees(t.basis, gm.degrees, f)
+    _degrees_of(t.basis.vectors, gm.degrees, f, _NOT_GRADED)
     quo, proj = quotient_module(gm.base, t.basis)
     keep = [i for i in range(gm.dim) if i not in set(t.basis.pivots)]
     quo_degs = tuple(gm.degrees[i] for i in keep)
@@ -336,29 +331,14 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
     return GradedModule(galg, res.hom_module, loc_degs)
 
 
-class GradedCatalog:
-    __slots__ = ("algebra", "modules", "provenance")
-
-    def __init__(self, algebra: GradedAlgebra, modules: tuple, provenance: str):
-        self.algebra = algebra
-        self.modules = tuple(modules)
-        self.provenance = provenance
-
-    @property
-    def exhaustive(self) -> bool:
-        return self.provenance.startswith("exhaustive")
-
-    def __len__(self) -> int:
-        return len(self.modules)
-
-    def __iter__(self):
-        return iter(self.modules)
+# graded catalogs are plain catalogs whose members are GradedModules
+GradedCatalog = Catalog
 
 
 def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          budget: int = DEFAULT_LATTICE_BUDGET,
                          allow_sampling: bool = False,
-                         seed: int = 0) -> GradedCatalog:
+                         seed: int = 0) -> Catalog:
     """Every valid grading of every base isomorphism class, deduplicated
     by graded isomorphism.  A sampled base catalog taints the provenance.
 
@@ -381,16 +361,13 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
             if _keep_new_class(buckets, key, cand, is_graded_isomorphic):
                 reps.append(cand)
     reps.sort(key=lambda g: (g.dim, g.degrees))
-    if base_cat.exhaustive:
-        provenance = f"exhaustive-up-to-dim({max_dim})"
-    else:
-        provenance = base_cat.provenance
-    return GradedCatalog(galg, tuple(reps), provenance)
+    return Catalog(galg, tuple(reps), base_cat.provenance)
 
 
 class GradedContext:
     """A context whose algebras, bimodules, and pairings are all graded;
-    grading compatibility is validated at construction."""
+    grading compatibility is validated at construction.  The N and psi
+    conditions are the M and phi ones of the reversed graded context."""
 
     __slots__ = ("context", "graded_r", "graded_s", "m_degrees", "n_degrees")
 
@@ -400,88 +377,59 @@ class GradedContext:
             raise ValueError("gradings are for different algebras")
         if graded_r.group != graded_s.group:
             raise ValueError("both algebras must be graded by the same group")
-        m_degs = tuple(m_degrees)
-        n_degs = tuple(n_degrees)
-        group = graded_r.group
-        f = context.R.field
-        _check_bimodule_grading(context.M, graded_r.degrees, graded_s.degrees, m_degs, group, "M")
-        _check_bimodule_grading(context.N, graded_s.degrees, graded_r.degrees, n_degs, group, "N")
-        _check_pairing_grading(context.phi, context.MN, m_degs, n_degs, graded_r.degrees, group, f, "phi")
-        _check_pairing_grading(context.psi, context.NM, n_degs, m_degs, graded_s.degrees, group, f, "psi")
         self.context = context
         self.graded_r = graded_r
         self.graded_s = graded_s
-        self.m_degrees = m_degs
-        self.n_degrees = n_degs
-
-
-def _check_bimodule_grading(bim, left_degs, right_degs, degs, group, name):
-    f = bim.left_algebra.field
-    if len(degs) != bim.dim:
-        raise ValueError(f"{name}: one degree per basis vector is required")
-    for i, act in enumerate(bim.left_action):
-        for j in range(bim.dim):
-            want = group.mul(left_degs[i], degs[j])
-            for k in range(bim.dim):
-                if not f.is_zero(act.entries[k][j]) and degs[k] != want:
+        self.m_degrees = tuple(m_degrees)
+        self.n_degrees = tuple(n_degrees)
+        group = graded_r.group
+        rev = reverse_graded_context(self)
+        for g, name in ((self, "M"), (rev, "N")):
+            bim, degs = g.context.M, g.m_degrees
+            if len(degs) != bim.dim:
+                raise ValueError(f"{name}: one degree per basis vector is required")
+            for i, act in enumerate(bim.left_action):
+                j = _stray_column(act, [group.mul(g.graded_r.degrees[i], d) for d in degs], degs)
+                if j is not None:
                     raise ValueError(f"{name}: left action breaks the grading at ({i}, {j})")
-    for i, act in enumerate(bim.right_action):
-        for j in range(bim.dim):
-            want = group.mul(degs[j], right_degs[i])
-            for k in range(bim.dim):
-                if not f.is_zero(act.entries[k][j]) and degs[k] != want:
+            for i, act in enumerate(bim.right_action):
+                j = _stray_column(act, [group.mul(d, g.graded_s.degrees[i]) for d in degs], degs)
+                if j is not None:
                     raise ValueError(f"{name}: right action breaks the grading at ({i}, {j})")
+        for g, name in ((self, "phi"), (rev, "psi")):
+            want = [group.mul(a, b) for a in g.m_degrees for b in g.n_degrees]
+            col = _stray_column(raw_pairing(g.context), want, g.graded_r.degrees)
+            if col is not None:
+                i, j = divmod(col, len(g.n_degrees))
+                raise ValueError(f"{name}: pairing of degrees breaks the grading at ({i}, {j})")
 
 
-def _check_pairing_grading(pairing, tensor, left_degs, right_degs, out_degs, group, f, name):
-    for i in range(len(left_degs)):
-        ei = unit_vector(f, len(left_degs), i)
-        for j in range(len(right_degs)):
-            ej = unit_vector(f, len(right_degs), j)
-            want = group.mul(left_degs[i], right_degs[j])
-            val = pairing.apply(tensor.pure_tensor(ei, ej))
-            for k, x in enumerate(val):
-                if not f.is_zero(x) and out_degs[k] != want:
-                    raise ValueError(f"{name}: pairing of degrees breaks the grading at ({i}, {j})")
+def reverse_graded_context(gctx: GradedContext) -> GradedContext:
+    """The graded context of reverse_context: the two sides swap their
+    algebras, bimodules, and degree lists.  Not validated again, since
+    gctx was checked when it was built."""
+    rev = object.__new__(GradedContext)
+    rev.context = reverse_context(gctx.context)
+    rev.graded_r, rev.graded_s = gctx.graded_s, gctx.graded_r
+    rev.m_degrees, rev.n_degrees = gctx.n_degrees, gctx.m_degrees
+    return rev
 
 
 def graded_corner_context(galg: GradedAlgebra, e: Sequence) -> GradedContext:
     """Corner context of a homogeneous identity-degree idempotent, with
     the induced gradings on the corner algebra and both bimodules."""
-    from .context import corner_context
-
     f = galg.base.field
     d = homogeneous_degree(e, galg.degrees, f)
     if d is None or d != galg.group.identity:
         raise ValueError("corner element must be homogeneous of identity degree")
-    ctx = corner_context(galg.base, e)
+    ctx, spans = _corner(galg.base, e)
     # degrees of the corner subalgebra and bimodule bases, read off their
     # echelon representatives inside the ambient algebra
     s_degs, m_degs, n_degs = (
-        tuple(_require_degree(v, galg) for v in _corner_basis(galg.base, e, kind).vectors)
-        for kind in ("ese", "se", "es"))
+        _degrees_of(sp.vectors, galg.degrees, f, "corner basis vector is not homogeneous")
+        for sp in spans)
     graded_s = GradedAlgebra(ctx.S, galg.group, s_degs)
     return GradedContext(ctx, galg, graded_s, m_degs, n_degs)
-
-
-def _require_degree(v, galg) -> int:
-    d = homogeneous_degree(v, galg.degrees, galg.base.field)
-    if d is None:
-        raise ValueError("corner basis vector is not homogeneous")
-    return d
-
-
-def _corner_basis(a: Algebra, e, kind: str) -> Basis:
-    vecs = []
-    for i in range(a.dim):
-        b = a.basis_vector(i)
-        if kind == "ese":
-            vecs.append(a.multiply(a.multiply(e, b), e))
-        elif kind == "se":
-            vecs.append(a.multiply(b, e))
-        else:
-            vecs.append(a.multiply(e, b))
-    return Basis.span(a.field, a.dim, vecs)
 
 
 def hom_functor_to_s_graded(gctx: GradedContext, gx: GradedModule) -> GradedModule:
@@ -492,15 +440,8 @@ def hom_functor_to_s_graded(gctx: GradedContext, gx: GradedModule) -> GradedModu
     return GradedModule(gctx.graded_s, mod, degs)
 
 
-def hom_functor_to_r_graded(gctx: GradedContext, gy: GradedModule) -> GradedModule:
-    ctx = gctx.context
-    mod, h = hom_module(ctx.N, gy.base)
-    degs = degrees_for_hom_basis(h, gctx.graded_s.group, gctx.n_degrees, gy.degrees)
-    return GradedModule(gctx.graded_r, mod, degs)
-
-
-def verify_graded_kato_muller(gctx: GradedContext, gcat_r: GradedCatalog,
-                              gcat_s: GradedCatalog, strict_sampling: bool = False) -> Report:
+def verify_graded_kato_muller(gctx: GradedContext, gcat_r: Catalog,
+                              gcat_s: Catalog, strict_sampling: bool = False) -> Report:
     """The graded quotient-equivalence run: closedness, hom-image
     closedness, graded round-trip isos, and suspension invariance of the
     closedness verdict on every catalog member."""
@@ -510,18 +451,16 @@ def verify_graded_kato_muller(gctx: GradedContext, gcat_r: GradedCatalog,
     i_note, j_note = trace_ideal_notes(gctx.context, t_i, t_j)
     report.record("context", "trace ideal into R", True, note=i_note)
     report.record("context", "trace ideal into S", True, note=j_note)
-    group = gctx.graded_r.group
-    _graded_side(report, "R-module", gcat_r, t_i, t_j, group,
-                 lambda gx: hom_functor_to_s_graded(gctx, gx),
-                 lambda gy: hom_functor_to_r_graded(gctx, gy))
-    _graded_side(report, "S-module", gcat_s, t_j, t_i, group,
-                 lambda gy: hom_functor_to_r_graded(gctx, gy),
-                 lambda gx: hom_functor_to_s_graded(gctx, gx))
+    _graded_side(report, "R-module", gcat_r, t_i, t_j, gctx)
+    _graded_side(report, "S-module", gcat_s, t_j, t_i, reverse_graded_context(gctx))
     return report
 
 
-def _graded_side(report, label, catalog, theory_here, theory_there, group,
-                 hom_there, hom_back) -> None:
+def _graded_side(report, label, catalog, theory_here, theory_there, gctx: GradedContext) -> None:
+    # the hom functor out of this side is Hom_R(M, -) of gctx; the one back
+    # is the same functor of the reversed graded context
+    rev = reverse_graded_context(gctx)
+    group = gctx.graded_r.group
     for idx, gx in enumerate(catalog):
         subject = f"{label}[{idx}] (dim {gx.dim})"
         closed_here = graded_closed_test(theory_here, gx)
@@ -534,10 +473,10 @@ def _graded_side(report, label, catalog, theory_here, theory_there, group,
         if not closed_here:
             gx = graded_localize(theory_here, gx)
             note = f"localized first, now dim {gx.dim}"
-        fx = hom_there(gx)
+        fx = hom_functor_to_s_graded(gctx, gx)
         report.record(subject, "image under hom functor is graded closed",
                       graded_closed_test(theory_there, fx), note=note)
-        back = hom_back(fx)
+        back = hom_functor_to_s_graded(rev, fx)
         iso = is_graded_isomorphic(back, gx)
         report.record(subject, "graded round trip isomorphic", iso.found,
                       witness=iso.map_, note=note)

@@ -12,7 +12,7 @@ import os
 from typing import Dict, Optional
 
 from .algebra import Algebra, Ideal, validate_algebra
-from .context import MoritaContext, validate_context
+from .context import MoritaContext, raw_pairing, reverse_context, validate_context
 from .exactlin import Basis, Field, Matrix
 from .graded import FiniteGroup, GradedAlgebra, GradedModule
 from .modules import Bimodule, LeftModule, validate_module
@@ -103,6 +103,12 @@ def _expect(cond: bool, message: str, location: str) -> None:
         raise WorkspaceError(message, location)
 
 
+def _non_negative_int(raw, message: str, location: str) -> int:
+    # bool is an int subclass, but true is not a dimension
+    _expect(isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0, message, location)
+    return raw
+
+
 def _scalar(field: Field, raw, location: str):
     try:
         return field.parse(raw)
@@ -141,9 +147,7 @@ def _parse_field(obj, location: str) -> Field:
 
 def _parse_algebra(field: Field, obj, location: str) -> Algebra:
     _expect(isinstance(obj, dict), "algebra must be an object", location)
-    dim = obj.get("dim")
-    _expect(isinstance(dim, int) and dim >= 0, "dim must be a non-negative int",
-            f"{location}.dim")
+    dim = _non_negative_int(obj.get("dim"), "dim must be a non-negative int", f"{location}.dim")
     unit = _vector(field, obj.get("unit"), dim, f"{location}.unit")
     raw_mul = obj.get("mul")
     _expect(isinstance(raw_mul, list) and len(raw_mul) == dim,
@@ -170,9 +174,7 @@ def _parse_module(ws: Workspace, obj, location: str):
     _expect(isinstance(alg_name, str), "module needs an algebra name", f"{location}.algebra")
     _expect(alg_name in ws.algebras, f"unknown algebra {alg_name!r}", f"{location}.algebra")
     a = ws.algebras[alg_name]
-    dim = obj.get("dim")
-    _expect(isinstance(dim, int) and dim >= 0, "dim must be a non-negative int",
-            f"{location}.dim")
+    dim = _non_negative_int(obj.get("dim"), "dim must be a non-negative int", f"{location}.dim")
     action = _action_mats(ws.field, obj.get("action"), a.dim, dim, f"{location}.action")
     if "right_algebra" in obj:
         r_name = obj["right_algebra"]
@@ -317,9 +319,8 @@ def _parse_catalog(ws: Workspace, obj, location: str) -> CatalogRecipe:
             _expect(ws.left_module(mname).algebra == ws.algebras[alg_name],
                     f"{mname!r} is over a different algebra", f"{location}.modules")
         return CatalogRecipe(alg_name, None, tuple(mods))
-    max_dim = obj.get("max_dim")
-    _expect(isinstance(max_dim, int) and max_dim >= 0,
-            "catalog needs max_dim or a modules list", f"{location}.max_dim")
+    max_dim = _non_negative_int(obj.get("max_dim"), "catalog needs max_dim or a modules list",
+                                f"{location}.max_dim")
     return CatalogRecipe(alg_name, max_dim, None)
 
 
@@ -401,23 +402,10 @@ def bimodule_to_json(b: Bimodule, left_name: str, right_name: str) -> dict:
 def context_to_json(ctx: MoritaContext, r_name: str, s_name: str,
                     m_name: str, n_name: str) -> dict:
     """Raw-product pairing matrices, columns indexed by (i, j) pairs."""
-    f = ctx.R.field
-    phi_cols = []
-    for i in range(ctx.M.dim):
-        ei = tuple(f.one if t == i else f.zero for t in range(ctx.M.dim))
-        for j in range(ctx.N.dim):
-            ej = tuple(f.one if t == j else f.zero for t in range(ctx.N.dim))
-            phi_cols.append(ctx.phi.apply(ctx.MN.pure_tensor(ei, ej)))
-    psi_cols = []
-    for j in range(ctx.N.dim):
-        ej = tuple(f.one if t == j else f.zero for t in range(ctx.N.dim))
-        for i in range(ctx.M.dim):
-            ei = tuple(f.one if t == i else f.zero for t in range(ctx.M.dim))
-            psi_cols.append(ctx.psi.apply(ctx.NM.pure_tensor(ej, ei)))
     return {
         "R": r_name, "S": s_name, "M": m_name, "N": n_name,
-        "phi": matrix_to_json(Matrix.from_cols(f, phi_cols, rows=ctx.R.dim)),
-        "psi": matrix_to_json(Matrix.from_cols(f, psi_cols, rows=ctx.S.dim)),
+        "phi": matrix_to_json(raw_pairing(ctx)),
+        "psi": matrix_to_json(raw_pairing(reverse_context(ctx))),
     }
 
 
@@ -496,16 +484,15 @@ def builtin_workspaces() -> Dict[str, dict]:
         },
     }
 
-    ictx = identity_context(t2)
     out["identity.json"] = {
         "field": {"kind": "gf", "p": 2},
         "algebras": {"T2": algebra_to_json(t2)},
         "modules": {
-            "M": bimodule_to_json(ictx.M, "T2", "T2"),
-            "N": bimodule_to_json(ictx.N, "T2", "T2"),
+            "M": bimodule_to_json(idctx.M, "T2", "T2"),
+            "N": bimodule_to_json(idctx.N, "T2", "T2"),
             "T2reg": module_to_json(regular_module(t2), "T2"),
         },
-        "contexts": {"identity": context_to_json(ictx, "T2", "T2", "M", "N")},
+        "contexts": {"identity": context_to_json(idctx, "T2", "T2", "M", "N")},
     }
     return out
 

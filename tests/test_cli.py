@@ -137,6 +137,23 @@ def test_missing_required_flag_is_input_error(capsys):
     assert "--module and --ideal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("equiv", T2, "--context", "t2corner", "--max-dim", "-1"),
+    ("catalog", IDENTITY, "--max-dim", "-3"),
+], ids=["equiv", "catalog"])
+def test_negative_max_dim_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_zero_max_dim_is_valid(capsys):
+    code, out, _ = run(capsys, "catalog", IDENTITY, "--max-dim", "0")
+    assert code == 0
+    assert "provenance: exhaustive-up-to-dim(0)" in out
+
+
 def test_unparsable_workspace_is_input_error(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{")

@@ -15,13 +15,14 @@ from moritakit.context import (
     evaluation_counit,
     identity_context,
     is_strict,
+    raw_pairing,
     reverse_context,
     rho_map,
     rho_prime_map,
     trace_ideals,
     validate_context,
 )
-from moritakit.exactlin import Basis, Field, Matrix
+from moritakit.exactlin import Basis, Field, Matrix, unit_vector
 from moritakit.modules import Bimodule, ideal_action_image, quotient_module, regular_module
 
 GF2 = Field.gf(2)
@@ -118,6 +119,29 @@ def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch)
     assert len(calls) == 2
     assert (ctx.phi, ctx.psi) == (t2_corner.phi, t2_corner.psi)
     assert validate_context(ctx) == []
+
+
+@pytest.mark.parametrize("field", [Field.gf(2), Field.gf(3), Field.rationals()],
+                         ids=["GF2", "GF3", "Q"])
+def test_raw_pairing_inverts_from_raw_maps(field):
+    t2 = upper_triangular_algebra(field, 2)
+    corner = corner_context(t2, (field.zero, field.zero, field.one))
+    ident = identity_context(t2)
+    m2_corner = corner_context(full_matrix_algebra(field, 2),
+                               (field.one, field.zero, field.zero, field.zero))
+    cases = [corner, ident, m2_corner, compose_contexts(ident, corner),
+             compose_contexts(corner, reverse_context(corner)), reverse_context(corner),
+             reverse_context(m2_corner)]
+    for ctx in cases:
+        raw = raw_pairing(ctx)
+        for i in range(ctx.M.dim):
+            for j in range(ctx.N.dim):
+                pure = ctx.MN.pure_tensor(unit_vector(field, ctx.M.dim, i),
+                                          unit_vector(field, ctx.N.dim, j))
+                assert raw.col(i * ctx.N.dim + j) == ctx.phi.apply(pure)
+        rebuilt = MoritaContext.from_raw_maps(ctx.R, ctx.S, ctx.M, ctx.N,
+                                              raw, raw_pairing(reverse_context(ctx)))
+        assert rebuilt.phi == ctx.phi and rebuilt.psi == ctx.psi
 
 
 def test_validate_reports_compatibility_break(t2, t2_corner):

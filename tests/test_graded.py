@@ -17,6 +17,7 @@ from moritakit.graded import (
     graded_hom,
     graded_localize,
     is_graded_isomorphic,
+    reverse_graded_context,
     suspension,
     verify_graded_kato_muller,
 )
@@ -327,6 +328,28 @@ def test_graded_context_rejects_wrong_pairing_degrees(gt2):
     gs = GradedAlgebra(ctx.S, gt2.group, (0,))
     with pytest.raises(ValueError, match="grading"):
         GradedContext(ctx, gt2, gs, (0, 0), (0,))
+
+
+def test_graded_context_rejects_wrong_n_degrees(c2):
+    # checkerboard M2 at e11: N = span{e11, e12} needs degrees (0, 1), since
+    # the right action of e12 moves e11 to e12; M's degrees stay right
+    gm2 = GradedAlgebra(full_matrix_algebra(GF2, 2), c2, (0, 1, 1, 0))
+    gctx = graded_corner_context(gm2, (1, 0, 0, 0))
+    assert gctx.n_degrees == (0, 1)
+    with pytest.raises(ValueError, match="N: right action breaks the grading"):
+        GradedContext(gctx.context, gm2, gctx.graded_s, gctx.m_degrees, (0, 0))
+
+
+def test_reverse_graded_context_twice_restores_degrees(gt2):
+    gctx = graded_corner_context(gt2, E22)
+    rev = reverse_graded_context(gctx)
+    assert (rev.m_degrees, rev.n_degrees) == (gctx.n_degrees, gctx.m_degrees)
+    assert (rev.graded_r, rev.graded_s) == (gctx.graded_s, gctx.graded_r)
+    back = reverse_graded_context(rev)
+    assert (back.m_degrees, back.n_degrees) == (gctx.m_degrees, gctx.n_degrees)
+    assert (back.graded_r.degrees, back.graded_s.degrees) == (
+        gctx.graded_r.degrees, gctx.graded_s.degrees)
+    assert (back.context.phi, back.context.psi) == (gctx.context.phi, gctx.context.psi)
 
 
 # ----------------------------------------------------------- graded engine

@@ -132,6 +132,19 @@ def test_grading_wrong_length_rejected(tmp_path):
         parse_workspace(write_ws(tmp_path, doc))
 
 
+@pytest.mark.parametrize("path", ["algebras.K.dim", "modules.X.dim", "catalogs.c.max_dim"])
+def test_boolean_is_not_a_count(tmp_path, path):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["modules"] = {"X": {"algebra": "K", "dim": 1, "action": [[[1]]]}}
+    doc["catalogs"] = {"c": {"algebra": "K", "max_dim": 1}}
+    parse_workspace(write_ws(tmp_path, doc))
+    section, name, key = path.split(".")
+    doc[section][name][key] = True
+    with pytest.raises(WorkspaceError) as info:
+        parse_workspace(write_ws(tmp_path, doc))
+    assert info.value.location == path
+
+
 def test_catalog_recipe_requires_known_algebra(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["catalogs"] = {"c": {"algebra": "missing", "max_dim": 2}}
