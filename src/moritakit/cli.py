@@ -2,8 +2,10 @@
 command, and emit a human or machine report.
 
 Exit codes: 0 when every verdict passes, 1 when some verdict fails, 2 on
-usage or input errors.  Machine reports are a single JSON document and
-are byte-identical across runs with the same workspace, flags, and seed.
+usage or input errors, 3 when an internal invariant breaks (a bug, not a
+verdict; stderr names the invariant).  Machine reports are a single JSON
+document and are byte-identical across runs with the same workspace,
+flags, and seed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .equivalence import (
     verify_strict_equivalence,
 )
 from .exactlin import Matrix
-from .graded import GradedContext, build_graded_catalog, verify_graded_kato_muller
+from .graded import build_graded_catalog, verify_graded_kato_muller
 from .modules import DEFAULT_LATTICE_BUDGET, validate_module
 from .torsion import TorsionTheory, is_closed, is_torsion_free, localize, torsion_submodule
 from .workspace import WorkspaceError, matrix_to_json, parse_workspace
@@ -52,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ideal", help="ideal name")
     common.add_argument("--max-dim", type=_non_negative_int, dest="max_dim",
                         help="catalog dimension bound, at least 0 (overrides workspace recipes)")
-    common.add_argument("--budget", type=int, help="submodule enumeration budget")
+    common.add_argument("--budget", type=_non_negative_int,
+                        help="submodule enumeration budget, at least 0")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled searches (recorded in reports)")
     common.add_argument("--strict-sampling", action="store_true", dest="strict_sampling",
@@ -90,6 +93,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"error: internal invariant broken: {e}", file=sys.stderr)
+        return 3
     machine = _machine_report(args, report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -287,12 +293,9 @@ def _cmd_iso(ws, args):
 
 
 def _cmd_graded_equiv(ws, args):
-    ctx, name = _one_context(ws, args)
-    grading = ws.grading_for_context(name)
-    r_name, s_name, m_name, n_name = ws.context_names[name]
-    gctx = GradedContext(ctx, grading.graded_algebras[r_name],
-                         grading.graded_algebras[s_name],
-                         grading.degrees[m_name], grading.degrees[n_name])
+    _, name = _one_context(ws, args)
+    gctx = ws.grading_for_context(name).contexts[name]
+    r_name, s_name = ws.context_names[name][:2]
     dim_r = dim_s = args.max_dim if args.max_dim is not None else 3
     if args.max_dim is None:
         rec_r, rec_s = ws.catalogs.get("catR"), ws.catalogs.get("catS")

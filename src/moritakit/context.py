@@ -27,8 +27,6 @@ from .exactlin import (
     kernel_basis,
     solve,
     vec_add,
-    vec_scale,
-    zero_vector,
 )
 from .modules import (
     DEFAULT_ISO_EXHAUST,
@@ -148,13 +146,7 @@ def _corner(a: Algebra, e: Sequence) -> tuple:
     n_basis = Basis.span(f, a.dim, [a.multiply(e, a.basis_vector(i)) for i in range(a.dim)])
 
     def restrict(space: Basis, mult) -> Matrix:
-        cols = []
-        for v in space.vectors:
-            c = space.coords(mult(v))
-            if c is None:
-                raise AssertionError("corner subspace is not stable")
-            cols.append(c)
-        return Matrix.from_cols(f, cols, rows=space.dim)
+        return space.coords_matrix((mult(v) for v in space.vectors), "corner subspace is not stable")
 
     m_left = [restrict(m_basis, lambda v, x=a.basis_vector(i): a.multiply(x, v)) for i in range(a.dim)]
     m_right = [restrict(m_basis, lambda v, x=incl_s.col(t): a.multiply(v, x)) for t in range(S.dim)]
@@ -164,20 +156,10 @@ def _corner(a: Algebra, e: Sequence) -> tuple:
     n_right = [restrict(n_basis, lambda v, x=a.basis_vector(i): a.multiply(v, x)) for i in range(a.dim)]
     N = Bimodule(S, a, n_basis.dim, n_left, n_right)
 
-    phi_cols = []
-    for i in range(m_basis.dim):
-        for j in range(n_basis.dim):
-            phi_cols.append(a.multiply(m_basis.vectors[i], n_basis.vectors[j]))
-    phi_raw = Matrix.from_cols(f, phi_cols, rows=a.dim)
-
-    psi_cols = []
-    for j in range(n_basis.dim):
-        for i in range(m_basis.dim):
-            prod = s_basis.coords(a.multiply(n_basis.vectors[j], m_basis.vectors[i]))
-            if prod is None:
-                raise AssertionError("corner product left eAe")
-            psi_cols.append(prod)
-    psi_raw = Matrix.from_cols(f, psi_cols, rows=S.dim)
+    phi_raw = Matrix.from_cols(f, [a.multiply(m, n) for m in m_basis.vectors for n in n_basis.vectors],
+                               rows=a.dim)
+    psi_raw = s_basis.coords_matrix((a.multiply(n, m) for n in n_basis.vectors for m in m_basis.vectors),
+                                    "corner product left eAe")
 
     ctx = MoritaContext.from_raw_maps(a, S, M, N, phi_raw, psi_raw)
     bad = validate_context(ctx)
@@ -251,29 +233,13 @@ def rho_map(ctx: MoritaContext, y: LeftModule) -> NaturalMap:
 def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
     inner = tensor_over(ctx.R, ctx.N, x)
     outer = tensor_over(ctx.S, ctx.M, inner.as_left_module())
-    # column for each computed outer basis vector: unfold through both
-    # sections, pair the first two tensor legs, act on the third
+    # on the raw basis of M (x) N (x) X, column (i*dim N + j)*dim X + k is
+    # phi(m_i (x) n_j).x_k; the two sections unfold the computed outer basis
     f = x.algebra.field
-    a_dim, b_dim = ctx.M.dim, ctx.N.dim
     acts = [x.action_of(r) for r in raw_pairing(ctx).columns()]
-    cols = []
-    for b in range(outer.dim):
-        v = outer.section.col(b)
-        out = zero_vector(f, x.dim)
-        for i in range(a_dim):
-            for c in range(inner.dim):
-                coeff = v[i * inner.dim + c]
-                if f.is_zero(coeff):
-                    continue
-                w = inner.section.col(c)
-                for j in range(b_dim):
-                    for k in range(x.dim):
-                        co = w[j * x.dim + k]
-                        if f.is_zero(co):
-                            continue
-                        out = vec_add(f, out, vec_scale(f, f.mul(coeff, co), acts[i * b_dim + j].col(k)))
-        cols.append(out)
-    return NaturalMap(Matrix.from_cols(f, cols, rows=x.dim), outer, inner)
+    raw = Matrix.from_cols(f, [act.col(k) for act in acts for k in range(x.dim)], rows=x.dim)
+    matrix = raw @ kron(Matrix.identity(f, ctx.M.dim), inner.section) @ outer.section
+    return NaturalMap(matrix, outer, inner)
 
 
 class AdjointUnit(NamedTuple):
@@ -306,22 +272,16 @@ def _eta_prime(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
     h1_mod, h1 = hom_module(ctx.M, x)
     h2_mod, h2 = hom_module(ctx.N, h1_mod)
     acts = [x.action_of(r) for r in raw_pairing(ctx).columns()]
-    cols = []
-    for k in range(x.dim):
-        inner_cols = []
-        for j in range(ctx.N.dim):
-            fjk = Matrix.from_cols(f, [acts[i * ctx.N.dim + j].col(k) for i in range(ctx.M.dim)],
-                                   rows=x.dim)
-            c = h1.coords(fjk)
-            if c is None:
-                raise AssertionError("eta' image escaped Hom(M, X)")
-            inner_cols.append(c)
-        gk = Matrix.from_cols(f, inner_cols, rows=h1.dim)
-        c2 = h2.coords(gk)
-        if c2 is None:
-            raise AssertionError("eta' image escaped Hom(N, Hom(M, X))")
-        cols.append(c2)
-    return AdjointUnit(Matrix.from_cols(f, cols, rows=h2.dim), h2_mod, h1_mod, h1, h2)
+
+    def image(k: int) -> Matrix:
+        # n_j |-> (m_i |-> phi(m_i (x) n_j).x_k), in the coordinates of Hom(M, X)
+        return h1.coords_matrix(
+            (Matrix.from_cols(f, [act.col(k) for act in acts[j::ctx.N.dim]], rows=x.dim)
+             for j in range(ctx.N.dim)), "eta' image escaped Hom(M, X)")
+
+    matrix = h2.coords_matrix((image(k) for k in range(x.dim)),
+                              "eta' image escaped Hom(N, Hom(M, X))")
+    return AdjointUnit(matrix, h2_mod, h1_mod, h1, h2)
 
 
 class Counit(NamedTuple):

@@ -276,7 +276,7 @@ def verify_strict_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s:
     rhos = [rho_map(ctx, y) for y in catalog_s]
     for side, cat, maps, unit in (("R", catalog_r, etas, "eta"), ("S", catalog_s, rhos, "rho")):
         for i, (x, em) in enumerate(zip(cat, maps)):
-            ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
+            ok = em.matrix.is_invertible()
             report.record(f"{side}-module[{i}] (dim {x.dim})", f"{unit} invertible", ok,
                           witness=em.matrix)
     rng = random.Random(seed)
@@ -372,7 +372,7 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
         fx = hom_functor_to_s(ctx, x)
         report.record(subject, "image under hom functor is closed", is_closed(t_j, fx))
         cu = evaluation_counit(ctx, x)
-        ok = cu.matrix.rows == cu.matrix.cols and cu.matrix.is_invertible()
+        ok = cu.matrix.is_invertible()
         report.record(subject, "evaluation counit invertible", ok, witness=cu.matrix)
     return report
 
@@ -403,13 +403,8 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
             hom_pq = hom_space(p_mod, quo)
             if hom_pq.dim == 0:
                 continue
-            cols = []
-            for g in hom_px.matrices:
-                c = hom_pq.coords(proj @ g)
-                if c is None:
-                    raise AssertionError("projection left the hom space")
-                cols.append(c)
-            comp = Matrix.from_cols(f, cols, rows=hom_pq.dim)
+            comp = hom_pq.coords_matrix((proj @ g for g in hom_px.matrices),
+                                        "projection left the hom space")
             if Basis.span(f, comp.rows, comp.columns()).dim < hom_pq.dim:
                 failures.append((x, k_basis))
     return OracleVerdict(not failures, exhaustive, tuple(failures))
@@ -458,6 +453,6 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
                 report.flag("sampled projectivity oracle")
             report.record(subject, "tensor image in the projective class", full and bool(proj))
             em = eta_map(c, p)
-            ok = em.matrix.rows == em.matrix.cols and em.matrix.is_invertible()
+            ok = em.matrix.is_invertible()
             report.record(subject, f"{unit} invertible on member", ok, witness=em.matrix)
     return report

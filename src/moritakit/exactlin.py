@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -89,12 +89,6 @@ class Field:
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
-
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements, for GF(p) only (used by exhaustive searches)."""
-        if self.p is None:
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.p))
 
     def parse(self, obj) -> Scalar:
         """Read a scalar from workspace JSON: int, or 'a/b' string over Q."""
@@ -473,6 +467,18 @@ class Basis:
         if not self.contains_vector(v):
             return None
         return tuple(v[p] for p in self.pivots)
+
+    def coords_matrix(self, vectors: Iterable[Sequence[Scalar]], broken: str) -> Matrix:
+        """The dim x len(vectors) matrix of their coordinates, column by
+        column.  Callers pass images that must stay in this span, so a
+        vector outside it is a broken invariant: AssertionError(broken)."""
+        cols = []
+        for v in vectors:
+            c = self.coords(v)
+            if c is None:
+                raise AssertionError(broken)
+            cols.append(c)
+        return Matrix.from_cols(self.field, cols, rows=self.dim)
 
     def from_coords(self, coeffs: Sequence[Scalar]) -> tuple:
         f = self.field

@@ -220,13 +220,9 @@ class Submodule:
         return self.basis.matrix_cols()
 
     def as_module(self) -> LeftModule:
-        mats = []
-        for act in self.parent.action:
-            cols = []
-            for v in self.basis.vectors:
-                c = self.basis.coords(act.apply(v))
-                cols.append(c)
-            mats.append(Matrix.from_cols(self.parent.algebra.field, cols, rows=self.dim))
+        mats = [self.basis.coords_matrix((act.apply(v) for v in self.basis.vectors),
+                                         "submodule is not stable under the action")
+                for act in self.parent.action]
         return LeftModule(self.parent.algebra, self.dim, mats)
 
     def __eq__(self, other) -> bool:
@@ -304,6 +300,10 @@ class HomBasis:
     def coords(self, f: Matrix) -> Optional[tuple]:
         return self.basis.coords(self.vectorize(f))
 
+    def coords_matrix(self, maps, broken: str) -> Matrix:
+        """Basis.coords_matrix of the vectorized maps."""
+        return self.basis.coords_matrix((self.vectorize(f) for f in maps), broken)
+
     def from_coords(self, coeffs: Sequence) -> Matrix:
         return self._reshape(self.basis.from_coords(coeffs))
 
@@ -354,18 +354,10 @@ def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
     if bim.left_algebra != x.algebra:
         raise ValueError("bimodule's left algebra does not act on the target module")
     hom = hom_space(bim.left_module(), x)
-    t_alg = bim.right_algebra
-    mats = []
-    for t in range(t_alg.dim):
-        ra = bim.right_action[t]
-        cols = []
-        for fmat in hom.matrices:
-            c = hom.coords(fmat @ ra)
-            if c is None:
-                raise AssertionError("hom space is not stable under the right action")
-            cols.append(c)
-        mats.append(Matrix.from_cols(t_alg.field, cols, rows=hom.dim))
-    return LeftModule(t_alg, hom.dim, mats), hom
+    mats = [hom.coords_matrix((fmat @ ra for fmat in hom.matrices),
+                              "hom space is not stable under the right action")
+            for ra in bim.right_action]
+    return LeftModule(bim.right_algebra, hom.dim, mats), hom
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

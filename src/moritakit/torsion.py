@@ -50,22 +50,11 @@ class TorsionTheory:
         self.ideal = ideal
         self.stable_ideal = stable_ideal
         self.exponent = exponent
-        left = []
-        right = []
         vecs = stable_ideal.basis
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            lcols = []
-            rcols = []
-            for v in vecs.vectors:
-                lc = vecs.coords(algebra.multiply(e, v))
-                rc = vecs.coords(algebra.multiply(v, e))
-                if lc is None or rc is None:
-                    raise AssertionError("stabilized ideal is not two-sided stable")
-                lcols.append(lc)
-                rcols.append(rc)
-            left.append(Matrix.from_cols(algebra.field, lcols, rows=vecs.dim))
-            right.append(Matrix.from_cols(algebra.field, rcols, rows=vecs.dim))
+        es = [algebra.basis_vector(i) for i in range(algebra.dim)]
+        broken = "stabilized ideal is not two-sided stable"
+        left = [vecs.coords_matrix((algebra.multiply(e, v) for v in vecs.vectors), broken) for e in es]
+        right = [vecs.coords_matrix((algebra.multiply(v, e) for v in vecs.vectors), broken) for e in es]
         self._bim = Bimodule(algebra, algebra, vecs.dim, left, right)
 
     @classmethod
@@ -122,18 +111,11 @@ def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
         raise ValueError("module is over the wrong algebra")
     f = tt.algebra.field
     h_mod, h = hom_module(tt.ideal_bimodule, x)
-    vecs = tt.stable_ideal.basis.vectors
-    cols = []
-    for k in range(x.dim):
-        mat_cols = [x.action_of(v).col(k) for v in vecs]
-        fk = Matrix.from_cols(f, mat_cols, rows=x.dim)
-        c = h.coords(fk)
-        if c is None:
-            raise AssertionError("alpha image escaped Hom_R(Iinf, X)")
-        cols.append(c)
-    alpha = Matrix.from_cols(f, cols, rows=h.dim)
-    closed = alpha.rows == alpha.cols and alpha.is_invertible()
-    return ClosednessResult(closed, alpha, h_mod, h)
+    acts = [x.action_of(v) for v in tt.stable_ideal.basis.vectors]
+    # column k is the map a |-> a.x_k, read in the coordinates of the hom
+    alpha = h.coords_matrix((Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim)
+                             for k in range(x.dim)), "alpha image escaped Hom_R(Iinf, X)")
+    return ClosednessResult(alpha.is_invertible(), alpha, h_mod, h)
 
 
 def is_closed(tt: TorsionTheory, x: LeftModule) -> bool:
@@ -205,7 +187,6 @@ def rel_injective_oracle(tt: TorsionTheory, target: LeftModule, ambient: LeftMod
     except BudgetExceeded:
         subs = sample_submodules(ambient, samples, seed)
         exhaustive = False
-    f = tt.algebra.field
     hom_amb = hom_space(ambient, target)
     failures = []
     for sub in subs:
@@ -217,13 +198,8 @@ def rel_injective_oracle(tt: TorsionTheory, target: LeftModule, ambient: LeftMod
         if hom_sub.dim == 0:
             continue
         incl = sub.basis.matrix_cols()
-        cols = []
-        for beta in hom_amb.matrices:
-            c = hom_sub.coords(beta @ incl)
-            if c is None:
-                raise AssertionError("restriction left the hom space")
-            cols.append(c)
-        restriction = Matrix.from_cols(f, cols, rows=hom_sub.dim)
+        restriction = hom_sub.coords_matrix((beta @ incl for beta in hom_amb.matrices),
+                                            "restriction left the hom space")
         missed = _vector_outside_column_span(restriction)
         if missed is not None:
             failures.append((sub.basis, hom_sub.from_coords(missed)))
@@ -260,7 +236,6 @@ def closed_via_eta(ctx: MoritaContext, x: LeftModule) -> bool:
     regular module must be a bijection Hom(R, X) -> Hom(M(x)N(x)R, X)."""
     if x.algebra != ctx.R:
         raise ValueError("module is over the wrong algebra")
-    f = ctx.R.field
     u = regular_module(ctx.R)
     em = eta_map(ctx, u)
     outer_mod = em.outer.as_left_module()
@@ -268,14 +243,9 @@ def closed_via_eta(ctx: MoritaContext, x: LeftModule) -> bool:
     h_fg = hom_space(outer_mod, x)
     if h_u.dim != h_fg.dim:
         return False
-    cols = []
-    for beta in h_u.matrices:
-        c = h_fg.coords(beta @ em.matrix)
-        if c is None:
-            raise AssertionError("composition with eta left the hom space")
-        cols.append(c)
-    mat = Matrix.from_cols(f, cols, rows=h_fg.dim)
-    return mat.rows == mat.cols and mat.is_invertible()
+    mat = h_fg.coords_matrix((beta @ em.matrix for beta in h_u.matrices),
+                             "composition with eta left the hom space")
+    return mat.is_invertible()
 
 
 def ideal_power_chain(tt: TorsionTheory, x: LeftModule) -> list:

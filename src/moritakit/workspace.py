@@ -14,7 +14,7 @@ from typing import Dict, Optional
 from .algebra import Algebra, Ideal, validate_algebra
 from .context import MoritaContext, raw_pairing, reverse_context, validate_context
 from .exactlin import Basis, Field, Matrix
-from .graded import FiniteGroup, GradedAlgebra, GradedModule
+from .graded import FiniteGroup, GradedAlgebra, GradedContext, GradedModule
 from .modules import Bimodule, LeftModule, validate_module
 
 
@@ -28,18 +28,18 @@ class WorkspaceError(ValueError):
 
 
 class Grading:
-    """A group together with degree lists for named workspace objects."""
+    """A group together with degree lists for named workspace objects, and
+    the graded algebras and contexts those degrees were checked on."""
 
-    __slots__ = ("group", "degrees", "graded_algebras")
+    __slots__ = ("group", "degrees", "graded_algebras", "contexts")
 
     def __init__(self, group: FiniteGroup, degrees: Dict[str, tuple],
-                 graded_algebras: Dict[str, GradedAlgebra]):
+                 graded_algebras: Dict[str, GradedAlgebra],
+                 contexts: Dict[str, GradedContext]):
         self.group = group
         self.degrees = degrees
         self.graded_algebras = graded_algebras
-
-    def covers(self, *names: str) -> bool:
-        return all(n in self.degrees for n in names)
+        self.contexts = contexts
 
 
 class CatalogRecipe:
@@ -87,8 +87,7 @@ class Workspace:
 
     def grading_for_context(self, context_name: str) -> Grading:
         """The unique grading covering all four objects of the context."""
-        names = self.context_names[context_name]
-        hits = [g for g in self.gradings.values() if g.covers(*names)]
+        hits = [g for g in self.gradings.values() if context_name in g.contexts]
         if not hits:
             raise WorkspaceError(
                 f"no grading covers context {context_name!r}", "gradings")
@@ -294,7 +293,16 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
                     GradedModule(graded_algebras[alg_name], ws.modules[name], degs)
                 except ValueError as e:
                     raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
-    return Grading(group, degrees, graded_algebras)
+    contexts = {}  # every context whose R, S, M and N all have degrees here
+    for cname, (r_name, s_name, m_name, n_name) in sorted(ws.context_names.items()):
+        if all(n in degrees for n in (r_name, s_name, m_name, n_name)):
+            try:
+                contexts[cname] = GradedContext(ws.contexts[cname], graded_algebras[r_name],
+                                                graded_algebras[s_name], degrees[m_name],
+                                                degrees[n_name])
+            except ValueError as e:
+                raise WorkspaceError(f"context {cname!r}: {e}", f"{location}.degrees") from None
+    return Grading(group, degrees, graded_algebras, contexts)
 
 
 def _algebra_name_of(ws: Workspace, a: Algebra) -> Optional[str]:

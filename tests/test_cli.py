@@ -7,6 +7,7 @@ import os
 import pytest
 
 from moritakit.cli import main
+from moritakit.exactlin import Basis
 
 WORKSPACE_DIR = os.path.join(os.path.dirname(__file__), "..", "workspaces")
 T2 = os.path.join(WORKSPACE_DIR, "t2_corner.json")
@@ -146,6 +147,34 @@ def test_negative_max_dim_is_usage_error(capsys, argv):
         main(list(argv))
     assert info.value.code == 2
     assert "--max-dim" in capsys.readouterr().err
+
+
+def test_negative_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["catalog", IDENTITY, "--budget", "-1"])
+    assert info.value.code == 2
+    assert "argument --budget: must be at least 0" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_three(capsys, monkeypatch):
+    # no vector lies in any span, so the first coordinate read breaks
+    monkeypatch.setattr(Basis, "coords", lambda self, v: None)
+    code, out, err = run(capsys, "closed", T2, "--module", "T2reg", "--ideal", "I")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal invariant broken: stabilized ideal is not two-sided stable\n"
+
+
+def test_validate_rejects_bimodule_degrees_that_break_the_grading(capsys, tmp_path):
+    with open(T2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["gradings"]["c2"]["degrees"]["M"] = [0, 0]
+    p = tmp_path / "bad_grading.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "gradings.c2.degrees" in err
+    assert "'t2corner'" in err
 
 
 def test_zero_max_dim_is_valid(capsys):

@@ -23,7 +23,13 @@ from moritakit.context import (
     validate_context,
 )
 from moritakit.exactlin import Basis, Field, Matrix, unit_vector
-from moritakit.modules import Bimodule, ideal_action_image, quotient_module, regular_module
+from moritakit.modules import (
+    Bimodule,
+    direct_sum,
+    ideal_action_image,
+    quotient_module,
+    regular_module,
+)
 
 GF2 = Field.gf(2)
 E22 = (GF2.zero, GF2.zero, GF2.one)
@@ -142,6 +148,32 @@ def test_raw_pairing_inverts_from_raw_maps(field):
         rebuilt = MoritaContext.from_raw_maps(ctx.R, ctx.S, ctx.M, ctx.N,
                                               raw, raw_pairing(reverse_context(ctx)))
         assert rebuilt.phi == ctx.phi and rebuilt.psi == ctx.psi
+
+
+@pytest.mark.parametrize("field", [Field.gf(2), Field.gf(3), Field.rationals()],
+                         ids=["GF2", "GF3", "Q"])
+def test_eta_on_pure_tensors_is_pairing_then_action(field):
+    # eta(m_i (x) n_j (x) x_k) = phi(m_i (x) n_j).x_k, with the pure tensor
+    # and phi(m_i (x) n_j) both built without raw_pairing or the sections
+    t2 = upper_triangular_algebra(field, 2)
+    m2 = full_matrix_algebra(field, 2)
+    corners = [corner_context(t2, (field.zero, field.zero, field.one)),
+               corner_context(t2, (field.one, field.zero, field.zero)),
+               corner_context(m2, (field.one, field.zero, field.zero, field.zero))]
+    for ctx in corners + [reverse_context(c) for c in corners]:
+        reg = regular_module(ctx.R)
+        top, _ = quotient_module(reg, ideal_action_image(trace_ideals(ctx)[0], reg).basis)
+        for x in (reg, top, direct_sum(reg, top)):
+            em = eta_map(ctx, x)
+            for i in range(ctx.M.dim):
+                m_i = unit_vector(field, ctx.M.dim, i)
+                for j in range(ctx.N.dim):
+                    n_j = unit_vector(field, ctx.N.dim, j)
+                    acts = x.action_of(ctx.phi.apply(ctx.MN.pure_tensor(m_i, n_j)))
+                    for k in range(x.dim):
+                        inner = em.inner.pure_tensor(n_j, unit_vector(field, x.dim, k))
+                        pure = em.outer.pure_tensor(m_i, inner)
+                        assert em.matrix.apply(pure) == acts.col(k)
 
 
 def test_validate_reports_compatibility_break(t2, t2_corner):

@@ -106,6 +106,21 @@ def test_basis_coords_roundtrip():
     assert b.coords((0, 0, 1)) is None
 
 
+def test_coords_matrix_reads_columns_and_names_the_broken_invariant():
+    b = Basis.span(GF5, 3, [(1, 2, 3), (0, 1, 4)])
+    m = b.coords_matrix([b.from_coords((2, 3)), b.from_coords((0, 1))], "unused")
+    assert m == Matrix.from_cols(GF5, [(2, 3), (0, 1)], rows=2)
+    with pytest.raises(AssertionError, match="image escaped the span"):
+        b.coords_matrix([b.from_coords((1, 1)), (0, 0, 1)], "image escaped the span")
+
+
+def test_coords_matrix_of_no_vectors_is_dim_by_zero():
+    b = Basis.span(QQ, 3, [(Fraction(1), Fraction(0), Fraction(2))])
+    m = b.coords_matrix([], "unused")
+    assert (m.rows, m.cols) == (1, 0)
+    assert Basis.zero(GF2, 2).coords_matrix([], "unused") == Matrix.zeros(GF2, 0, 0)
+
+
 def test_matrix_inverse():
     m = Matrix(GF5, [[1, 2], [3, 4]])
     assert (m @ m.inverse()) == Matrix.identity(GF5, 2)
