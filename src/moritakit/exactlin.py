@@ -84,9 +84,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.p is not None else 1 / a
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
@@ -518,9 +515,30 @@ class SubspaceOps(NamedTuple):
 
 
 def basis_sum(u: Basis, v: Basis) -> Basis:
+    """u + v by inserting v's vectors into u's RREF rows one at a time:
+    each is reduced at the current pivots, scaled to a leading 1 and
+    cleared out of the other rows, so u is never row-reduced again."""
     if u.ambient_dim != v.ambient_dim or u.field != v.field:
         raise ValueError("subspaces of different ambient spaces")
-    return Basis.span(u.field, u.ambient_dim, list(u.vectors) + list(v.vectors))
+    f = u.field
+    rows = dict(zip(u.pivots, u.vectors))
+    for w in v.vectors:
+        for p, r in rows.items():
+            c = w[p]
+            if not f.is_zero(c):
+                w = tuple([f.sub(a, f.mul(c, b)) for a, b in zip(w, r)])
+        lead = next((i for i, a in enumerate(w) if not f.is_zero(a)), None)
+        if lead is None:
+            continue
+        inv = f.inv(w[lead])
+        w = tuple([f.mul(inv, a) for a in w])
+        for p, r in list(rows.items()):
+            c = r[lead]
+            if not f.is_zero(c):
+                rows[p] = tuple([f.sub(a, f.mul(c, b)) for a, b in zip(r, w)])
+        rows[lead] = w
+    pivots = tuple(sorted(rows))
+    return Basis(f, u.ambient_dim, tuple(rows[p] for p in pivots), pivots)
 
 
 def basis_intersection(u: Basis, v: Basis) -> Basis:

@@ -477,6 +477,5 @@ def _graded_side(report, label, catalog, theory_here, theory_there, gctx: Graded
         report.record(subject, "image under hom functor is graded closed",
                       graded_closed_test(theory_there, fx), note=note)
         back = hom_functor_to_s_graded(rev, fx)
-        iso = is_graded_isomorphic(back, gx)
-        report.record(subject, "graded round trip isomorphic", iso.found,
-                      witness=iso.map_, note=note)
+        report.record_round_trip(subject, "graded round trip isomorphic",
+                                 is_graded_isomorphic(back, gx), note)

@@ -9,8 +9,8 @@ Conventions fixed here and relied on everywhere else:
     (left factor major), and the computed tensor basis is the non-pivot
     coordinate set of the balancing relation span, so tensor spaces are
     canonical and deterministic;
-  * submodule enumeration emits echelon bases in a fixed order (dimension,
-    then pivot columns lexicographically, then free entries).
+  * submodule enumeration emits RREF bases ordered by (dimension, RREF
+    vectors), whether the list is exhaustive or sampled.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from .exactlin import (
     Basis,
     Matrix,
     QuotientStructure,
+    basis_sum,
     closure,
     coefficient_search,
     kernel_basis,
     quotient_structure,
+    random_scalar,
     rank,
     vstack,
 )
@@ -521,94 +523,94 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
                          left_algebra, left_action, right_algebra, right_action)
 
 
-def _echelon_bases(field, n: int, k: int):
-    """All k-dimensional subspace bases of field^n in echelon order."""
-    for pivots in itertools.combinations(range(n), k):
-        free_positions = []
-        for row, p in enumerate(pivots):
-            for col in range(p + 1, n):
-                if col not in pivots:
-                    free_positions.append((row, col))
-        scalars = [field.of_int(t) for t in range(field.p)]
-        for assignment in itertools.product(scalars, repeat=len(free_positions)):
-            rows = []
-            for row, p in enumerate(pivots):
-                v = [field.zero] * n
-                v[p] = field.one
-                rows.append(v)
-            for (row, col), val in zip(free_positions, assignment):
-                rows[row][col] = val
-            yield Basis(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
-
-
-def enumerate_submodules(m: LeftModule, cap: Optional[int] = None,
-                         budget: int = DEFAULT_ENUM_BUDGET) -> list:
-    """Every submodule of m, exactly once, in a canonical order.
-
-    Generates all subspaces in echelon order and filters by action
-    stability.  Requires a prime field and p**dim within budget; raises
-    BudgetExceeded otherwise (callers switch to sampling and flag it).
-    """
-    field = m.algebra.field
-    if not field.is_prime_field:
-        raise BudgetExceeded("submodule enumeration needs a finite field")
-    if field.p ** m.dim > budget:
-        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds enumeration budget {budget}")
-    found = []
-    for k in range(m.dim + 1):
-        for basis in _echelon_bases(field, m.dim, k):
-            stable = True
-            for act in m.action:
-                for v in basis.vectors:
-                    if not basis.contains_vector(act.apply(v)):
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if stable:
-                found.append(Submodule(m, basis))
-                if cap is not None and len(found) > cap:
-                    raise BudgetExceeded(f"more than {cap} submodules")
-    return found
-
-
 def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
     """Closure of a single vector under the action."""
     span = Basis.span(m.algebra.field, m.dim, [tuple(v)])
     return closure(span, [act.apply for act in m.action])
 
 
-def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
-    """Every submodule of m via closures of cyclic submodules under sums.
+def _projective_points(field, n: int):
+    """One nonzero vector of field^n per line: first nonzero coordinate 1."""
+    scalars = [field.of_int(t) for t in range(field.p)]
+    for lead in range(n):
+        head = (field.zero,) * lead + (field.one,)
+        for tail in itertools.product(scalars, repeat=n - lead - 1):
+            yield head + tail
 
-    Exact for any module (each submodule is a sum of cyclic ones) and far
-    cheaper than subspace filtering when dim is large but the lattice is
-    small.  Cost is driven by the p**dim vector sweep, capped by budget.
+
+def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
+    """Every submodule of m, exactly once, ordered by (dim, RREF vectors).
+
+    A cover walk: each projective point v of m is closed once to C(v);
+    then from 0, every submodule L found is joined with C(v) for each
+    point v that vanishes on L's pivot coordinates.  This is exact: a
+    submodule X above L holds some x outside L, and x reduced by L's RREF
+    and rescaled is such a point w, with L < L + C(w) <= X, so a chain of
+    joins climbs from 0 to X.  Cost: the (p**dim - 1)/(p - 1) closures,
+    then one span per (submodule L, projective point of m/L).  Requires a
+    prime field and p**dim within budget; raises BudgetExceeded otherwise.
     """
     field = m.algebra.field
     if not field.is_prime_field:
-        raise BudgetExceeded("submodule lattice needs a finite field")
+        raise BudgetExceeded("submodule enumeration needs a finite field")
     if field.p ** m.dim > budget:
-        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds lattice budget {budget}")
-    scalars = [field.of_int(t) for t in range(field.p)]
-    cyclic = {Basis.zero(field, m.dim)}
-    for tup in itertools.product(scalars, repeat=m.dim):
-        if all(field.is_zero(t) for t in tup):
-            continue
-        cyclic.add(cyclic_submodule(m, tup))
-    lattice = set(cyclic)
-    frontier = list(cyclic)
+        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
+    # the closures of the points, grouped by the points' support bitmasks
+    by_support = {}
+    for v in _projective_points(field, m.dim):
+        support = sum(1 << i for i, c in enumerate(v) if not field.is_zero(c))
+        by_support.setdefault(support, set()).add(cyclic_submodule(m, v))
+    zero = Basis.zero(field, m.dim)
+    found = {zero}
+    frontier = [zero]
     while frontier:
         fresh = []
-        for a in frontier:
-            for b in cyclic:
-                s = Basis.span(field, m.dim, list(a.vectors) + list(b.vectors))
-                if s not in lattice:
-                    lattice.add(s)
-                    fresh.append(s)
+        for low in frontier:
+            free = (1 << m.dim) - 1 - sum(1 << p for p in low.pivots)
+            joins = set()
+            support = free
+            while support:  # every nonzero submask of free
+                joins.update(by_support.get(support, ()))
+                support = (support - 1) & free
+            for cyc in joins:
+                join = basis_sum(low, cyc)
+                if join not in found:
+                    found.add(join)
+                    fresh.append(join)
         frontier = fresh
-    ordered = sorted(lattice, key=lambda b: (b.dim, b.vectors))
-    return [Submodule(m, b) for b in ordered]
+    return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
+
+
+def enumerate_submodules(m: LeftModule, budget: int = DEFAULT_ENUM_BUDGET) -> list:
+    """submodule_lattice under the oracles' smaller default budget."""
+    return submodule_lattice(m, budget)
+
+
+def sample_submodules(m: LeftModule, samples: int, seed: int) -> list:
+    """0, m and the closures of seeded random one- or two-vector sets,
+    ordered like submodule_lattice."""
+    rng = random.Random(seed)
+    f = m.algebra.field
+    found = {Basis.zero(f, m.dim), Basis.full(f, m.dim)}
+    acts = [act.apply for act in m.action]
+    for _ in range(samples):
+        gens = [tuple(random_scalar(f, rng) for _ in range(m.dim))
+                for _ in range(rng.choice((1, 1, 2)))]
+        found.add(closure(Basis.span(f, m.dim, gens), acts))
+    return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
+
+
+def submodule_supply(m: LeftModule, budget: int, samples: Optional[int],
+                     seed: int) -> tuple:
+    """(subs, exhaustive): every submodule of m when the cover walk fits
+    budget, else sample_submodules with exhaustive False.  With samples
+    None the BudgetExceeded propagates instead."""
+    try:
+        return submodule_lattice(m, budget), True
+    except BudgetExceeded:
+        if samples is None:
+            raise
+        return sample_submodules(m, samples, seed), False
 
 
 class IsoResult:

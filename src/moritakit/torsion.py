@@ -10,26 +10,24 @@ the other convention would make alpha fail to be a module map.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple, Optional
 
 from .algebra import Algebra, Ideal, ideal_product, stabilize_ideal
 from .context import MoritaContext, eta_map
-from .exactlin import Basis, Matrix, closure, kernel_basis, random_scalar, unit_vector
+from .exactlin import Basis, Matrix, closure, kernel_basis, unit_vector
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     Bimodule,
-    BudgetExceeded,
     HomBasis,
     LeftModule,
     Submodule,
     annihilator,
-    enumerate_submodules,
     hom_module,
     hom_space,
     ideal_action_image,
     quotient_module,
     regular_module,
+    submodule_supply,
 )
 
 DEFAULT_ORACLE_SAMPLES = 256
@@ -181,12 +179,7 @@ def rel_injective_oracle(tt: TorsionTheory, target: LeftModule, ambient: LeftMod
     """
     if target.algebra != tt.algebra or ambient.algebra != tt.algebra:
         raise ValueError("oracle modules are over the wrong algebra")
-    try:
-        subs = enumerate_submodules(ambient, budget=budget)
-        exhaustive = True
-    except BudgetExceeded:
-        subs = sample_submodules(ambient, samples, seed)
-        exhaustive = False
+    subs, exhaustive = submodule_supply(ambient, budget, samples, seed)
     hom_amb = hom_space(ambient, target)
     failures = []
     for sub in subs:
@@ -216,19 +209,6 @@ def _vector_outside_column_span(m: Matrix) -> Optional[tuple]:
         if not span.contains_vector(e):
             return e
     raise AssertionError("span claims full rank but no missing vector found")
-
-
-def sample_submodules(m: LeftModule, samples: int, seed: int) -> list:
-    rng = random.Random(seed)
-    f = m.algebra.field
-    found = {Basis.zero(f, m.dim), Basis.full(f, m.dim)}
-    acts = [act.apply for act in m.action]
-    for _ in range(samples):
-        gens = [tuple(random_scalar(f, rng) for _ in range(m.dim))
-                for _ in range(rng.choice((1, 1, 2)))]
-        found.add(closure(Basis.span(f, m.dim, gens), acts))
-    ordered = sorted(found, key=lambda b: (b.dim, b.vectors))
-    return [Submodule(m, b) for b in ordered]
 
 
 def closed_via_eta(ctx: MoritaContext, x: LeftModule) -> bool:

@@ -28,7 +28,7 @@ from moritakit.equivalence import (
     verify_strict_equivalence,
 )
 from moritakit.exactlin import Field, Matrix
-from moritakit.modules import LeftModule, is_isomorphic, iso_invariant, regular_module
+from moritakit.modules import IsoResult, LeftModule, is_isomorphic, iso_invariant, regular_module
 from moritakit.torsion import localize
 
 GF2 = Field.gf(2)
@@ -324,6 +324,23 @@ def test_sampled_catalog_flags_report(t2, t2_corner, cat_t2, cat_corner_s):
     strict = verify_kato_muller(t2_corner, pretend_sampled, cat_corner_s, strict_sampling=True)
     assert not strict.passed
     assert all(v.passed for v in strict.verdicts)
+
+
+def test_sampled_round_trip_miss_is_flagged(t2_corner, cat_t2, cat_corner_s, monkeypatch):
+    # a sampled search that misses disproves nothing: the report says so
+    monkeypatch.setattr(equivalence, "is_isomorphic", lambda m, n: IsoResult(None, False))
+    report = verify_kato_muller(t2_corner, cat_t2, cat_corner_s)
+    trips = [v for v in report.verdicts if v.check == "round trip isomorphic"]
+    assert len(trips) == len(cat_t2) + len(cat_corner_s)
+    assert not any(v.passed for v in trips)
+    assert all(v.note.endswith("sampled search (seed 0)") for v in trips)
+    assert any(v.note == "localized first, now dim 1; sampled search (seed 0)" for v in trips)
+    assert report.flags == ["sampled iso search (seed 0)"]
+    # an exhaustive miss stays a plain failure
+    monkeypatch.setattr(equivalence, "is_isomorphic", lambda m, n: IsoResult(None, True))
+    report = verify_kato_muller(t2_corner, cat_t2, cat_corner_s)
+    assert report.flags == [] and not report.passed
+    assert not any("sampled" in v.note for v in report.verdicts)
 
 
 def test_user_catalog_roundtrip(t2, s1, s2):

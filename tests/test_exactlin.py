@@ -187,6 +187,19 @@ def test_sum_intersection_dimension_formula(a, b):
     assert ops.contains == u.contains(w)
 
 
+@given(matrices(max_dim=6))
+@settings(max_examples=100, deadline=None)
+def test_basis_sum_is_the_span_of_both(m):
+    # basis_sum inserts w's rows into u's RREF; RREF is canonical, so the
+    # result must be the span of both row sets, pivots included
+    half = m.rows // 2
+    u = Basis.span(m.field, m.cols, m.entries[:half])
+    w = Basis.span(m.field, m.cols, m.entries[half:])
+    total = Basis.span(m.field, m.cols, m.entries)
+    assert basis_sum(u, w) == total
+    assert basis_sum(u, w).pivots == total.pivots
+
+
 @given(matrices(max_dim=4))
 @settings(max_examples=100, deadline=None)
 def test_kernel_vectors_annihilate(m):

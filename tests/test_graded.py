@@ -1,5 +1,6 @@
 import pytest
 
+import moritakit.graded as graded
 from moritakit.algebra import Algebra, Ideal, full_matrix_algebra
 from moritakit.context import corner_context, trace_ideals
 from moritakit.equivalence import build_catalog, verify_kato_muller
@@ -21,7 +22,7 @@ from moritakit.graded import (
     suspension,
     verify_graded_kato_muller,
 )
-from moritakit.modules import LeftModule, hom_space, regular_module
+from moritakit.modules import IsoResult, LeftModule, hom_space, regular_module
 from moritakit.torsion import TorsionTheory, is_closed, torsion_submodule
 
 GF2 = Field.gf(2)
@@ -370,6 +371,17 @@ def test_graded_engine_passes_on_corner(graded_fixture):
     notes = [v.note for v in report.verdicts]
     assert "I = 2-dim, idempotent (exponent 1)" in notes
     assert "J = S (dim 1)" in notes
+
+
+def test_graded_sampled_round_trip_miss_is_flagged(graded_fixture, monkeypatch):
+    gctx, cat_r, cat_s = graded_fixture
+    monkeypatch.setattr(graded, "is_graded_isomorphic", lambda m, n: IsoResult(None, False))
+    report = verify_graded_kato_muller(gctx, cat_r, cat_s)
+    trips = [v for v in report.verdicts if v.check == "graded round trip isomorphic"]
+    assert len(trips) == len(cat_r) + len(cat_s)
+    assert not any(v.passed for v in trips)
+    assert all(v.note.endswith("sampled search (seed 0)") for v in trips)
+    assert "sampled iso search (seed 0)" in report.flags and report.sampled
 
 
 def test_graded_engine_records_suspension_invariance(graded_fixture):

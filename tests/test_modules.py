@@ -3,7 +3,8 @@ import random
 import pytest
 
 from moritakit.exactlin import Basis, Field, Matrix
-from moritakit.algebra import two_sided_ideal_closure
+from moritakit.algebra import two_sided_ideal_closure, upper_triangular_algebra
+from moritakit.equivalence import build_catalog
 from moritakit.modules import (
     BudgetExceeded,
     Bimodule,
@@ -169,6 +170,24 @@ def test_submodule_lattice_agrees(t2_regular, p2, s1, s2):
         via_enum = {s.basis for s in enumerate_submodules(mod)}
         via_lattice = {s.basis for s in submodule_lattice(mod)}
         assert via_enum == via_lattice
+
+
+def test_one_enumerator_agrees_with_bruteforce_beyond_gf2():
+    # over GF(3) and GF(5) a vector off the pivots must be rescaled to a
+    # projective point, which GF(2) never needs
+    mods = list(build_catalog(upper_triangular_algebra(Field.gf(3), 2), 3))
+    simple = next(m for m in mods if m.dim == 1)
+    mods.append(direct_sum(simple, direct_sum(simple, simple)))
+    mods += build_catalog(upper_triangular_algebra(Field.gf(5), 2), 2, budget=5 ** 6)
+    checked = 0
+    for mod in mods:
+        if mod.algebra.field.p ** mod.dim > 81:
+            continue
+        brute = brute_submodules(mod)
+        assert [s.basis for s in submodule_lattice(mod)] == brute
+        assert [s.basis for s in enumerate_submodules(mod)] == brute
+        checked += 1
+    assert checked == 21
 
 
 def test_enumeration_budget(t2, s1):
