@@ -49,6 +49,7 @@ from .torsion import (
 
 DEFAULT_CATALOG_SAMPLES = 64
 DEFAULT_NATURALITY_SAMPLES = 40
+_ORACLE_SAMPLES = 64
 
 
 class Catalog:
@@ -378,23 +379,41 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
 
 def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalog,
                            budget: int = DEFAULT_ENUM_BUDGET,
-                           samples: int = 64, seed: int = 0) -> OracleVerdict:
+                           samples: int = _ORACLE_SAMPLES, seed: int = 0) -> OracleVerdict:
     """Does every map from p_mod lift along quotients with ideal-killed
     kernels?  For each catalog module X and submodule K killed by the
     generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto."""
+    return _lifting_verdict(p_mod, *_lift_targets(tt, catalog, budget, samples, seed))
+
+
+def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int, samples: int,
+                  seed: int) -> tuple:
+    """(targets, exhaustive): for each catalog module X, X with the list of
+    (K, X/K, projection) over its submodules K killed by the ideal.  None of
+    it depends on the module tested, so one list serves every candidate."""
     f = tt.algebra.field
     exhaustive = True
-    failures = []
+    targets = []
     for x in catalog:
         if x.algebra != tt.algebra:
             raise ValueError("catalog module over the wrong algebra")
         ann = annihilator(x, tt.ideal.basis.vectors)
         inner_subs, complete = submodule_supply(ann.as_module(), budget, samples, seed)
         exhaustive = exhaustive and complete
-        hom_px = hom_space(p_mod, x)
+        quotients = []
         for sub in inner_subs:
             k_basis = Basis.span(f, x.dim, [ann.basis.from_coords(v) for v in sub.basis.vectors])
-            quo, proj = quotient_module(x, k_basis)
+            quotients.append((k_basis, *quotient_module(x, k_basis)))
+        targets.append((x, quotients))
+    return targets, exhaustive
+
+
+def _lifting_verdict(p_mod: LeftModule, targets, exhaustive: bool) -> OracleVerdict:
+    f = p_mod.algebra.field
+    failures = []
+    for x, quotients in targets:
+        hom_px = hom_space(p_mod, x)
+        for k_basis, quo, proj in quotients:
             hom_pq = hom_space(p_mod, quo)
             if hom_pq.dim == 0:
                 continue
@@ -405,14 +424,28 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
     return OracleVerdict(not failures, exhaustive, tuple(failures))
 
 
-def _projective_class_filter(report, tt, catalog, budget):
+def _shared_oracle(tt: TorsionTheory, catalog: Catalog, budget: int):
+    """p_mod -> is_I_projective_oracle(tt, p_mod, catalog, budget), with the
+    lift targets built on the first call and kept for the rest."""
+    built = None
+
+    def verdict(p_mod: LeftModule) -> OracleVerdict:
+        nonlocal built
+        if built is None:
+            built = _lift_targets(tt, catalog, budget, _ORACLE_SAMPLES, 0)
+        return _lifting_verdict(p_mod, *built)
+
+    return verdict
+
+
+def _projective_class_filter(report, tt, catalog, oracle):
     members = []
     ideal = tt.ideal
     for i, p in enumerate(catalog):
         full = ideal_action_image(ideal, p).basis.dim == p.dim
         if not full:
             continue
-        verdict = is_I_projective_oracle(tt, p, catalog, budget=budget)
+        verdict = oracle(p)
         if not verdict.exhaustive:
             report.flag("sampled projectivity oracle")
         if verdict:
@@ -429,21 +462,23 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
     report = Report("projective class equivalence", strict_sampling)
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
-    r_members = _projective_class_filter(report, t_i, catalog_r, budget)
-    s_members = _projective_class_filter(report, t_j, catalog_s, budget)
+    oracle_r = _shared_oracle(t_i, catalog_r, budget)
+    oracle_s = _shared_oracle(t_j, catalog_s, budget)
+    r_members = _projective_class_filter(report, t_i, catalog_r, oracle_r)
+    s_members = _projective_class_filter(report, t_j, catalog_s, oracle_s)
     report.record("R side", "projective class size", True,
                   note=f"{len(r_members)} of {len(catalog_r)} qualify")
     report.record("S side", "projective class size", True,
                   note=f"{len(s_members)} of {len(catalog_s)} qualify")
     # the S side is the R side of the reversed context, where rho is eta
-    for side, members, c, t_there, cat_there, unit in (
-            ("R", r_members, ctx, t_j, catalog_s, "eta"),
-            ("S", s_members, reverse_context(ctx), t_i, catalog_r, "rho")):
+    for side, members, c, t_there, oracle_there, unit in (
+            ("R", r_members, ctx, t_j, oracle_s, "eta"),
+            ("S", s_members, reverse_context(ctx), t_i, oracle_r, "rho")):
         for i, p in members:
             subject = f"{side}-member[{i}] (dim {p.dim})"
             gp = tensor_over(c.R, c.N, p).as_left_module()
             full = ideal_action_image(t_there.ideal, gp).basis.dim == gp.dim
-            proj = is_I_projective_oracle(t_there, gp, cat_there, budget=budget)
+            proj = oracle_there(gp)
             if not proj.exhaustive:
                 report.flag("sampled projectivity oracle")
             report.record(subject, "tensor image in the projective class", full and bool(proj))

@@ -9,15 +9,29 @@ Reduced row echelon form is the canonical form throughout: a Basis stores
 the RREF rows of the subspace it spans, which makes subspace equality plain
 entrywise equality and makes every derived construction (kernels, quotients,
 hom spaces, tensor quotients) deterministic.
+
+rref, and through it kernels, solving, ranks, inverses and spans, runs one
+elimination kernel per field on sparse rows: fraction-free integer
+Gauss-Jordan over Q, with Fractions made only for the final pivot rows, and
+inline % p over GF(p).  The RREF of a matrix is unique, so the kernels'
+output is the same canonical form any exact Gauss-Jordan gives; the
+textbook loop on Field methods is kept in the tests as their oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# Fractions are immutable, so QQ hands out one zero and one one; the Q
+# kernel skips entries that are this zero by identity before testing the rest.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -58,11 +72,11 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q_ONE
 
     def of_int(self, n: int) -> Scalar:
         return n % self.p if self.p is not None else Fraction(n)
@@ -82,7 +96,7 @@ class Field:
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.p is not None else 1 / a
+        return pow(a, -1, self.p) if self.p is not None else _Q_ONE / a
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
@@ -254,32 +268,13 @@ class Matrix:
         """Matrix-vector product, v being coordinates of the domain."""
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
-        f = self.field
-        out = []
-        for r in self.entries:
-            acc = f.zero
-            for a, b in zip(r, v):
-                if not f.is_zero(a) and not f.is_zero(b):
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return _dot_products(self.field, [v], self.entries)[0]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        ocols = other.transpose().entries
-        ent = []
-        for r in self.entries:
-            row = []
-            for c in ocols:
-                acc = f.zero
-                for a, b in zip(r, c):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            ent.append(tuple(row))
-        return Matrix(f, ent, cols=other.cols)
+        ent = _dot_products(self.field, self.entries, other.transpose().entries)
+        return Matrix(self.field, ent, cols=other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -327,6 +322,22 @@ class Matrix:
         }
 
 
+def _dot_products(f: Field, rows, cols) -> list:
+    """The tuples (r . c for c in cols), one for each r in rows, with one
+    path per field: over Q each row's nonzero entries are found once and
+    zero products are never formed; over GF(p) each dot product is summed
+    at C speed and reduced once."""
+    if f.p is None:
+        out = []
+        for r in rows:
+            nz = [(k, a) for k, a in enumerate(r) if a is not _Q_ZERO and a]
+            out.append(tuple([sum([a * b for k, a in nz if (b := c[k]) is not _Q_ZERO and b], _Q_ZERO)
+                              for c in cols]))
+        return out
+    p = f.p
+    return [tuple([sum(map(mul, r, c)) % p for c in cols]) for r in rows]
+
+
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
@@ -344,33 +355,120 @@ def rref(m: Matrix) -> tuple:
 
     Returns:
         (R, pivots): R is the RREF of m, pivots the tuple of pivot column
-        indices in increasing order.  Gauss-Jordan with exact arithmetic;
-        pivots are normalized to 1 and cleared above and below.
+        indices in increasing order.  Rows below the pivot rows are zero.
+        One exact kernel per field (_rref_mod_p, _rref_rational); the RREF
+        is unique, so both give the same R as any Gauss-Jordan would.
     """
     f = m.field
-    ent = [list(r) for r in m.entries]
-    pivots = []
-    prow = 0
-    for col in range(m.cols):
-        if prow >= m.rows:
-            break
-        sel = None
-        for r in range(prow, m.rows):
-            if not f.is_zero(ent[r][col]):
-                sel = r
-                break
-        if sel is None:
+    rows, pivots = _pivot_rows(f, m.entries, m.cols)
+    zero_row = (f.zero,) * m.cols
+    return Matrix(f, rows + [zero_row] * (m.rows - len(rows)), cols=m.cols), pivots
+
+
+def _pivot_rows(f: Field, rows, ncols: int) -> tuple:
+    """(nonzero RREF rows of the span of rows, pivots) by f's kernel."""
+    if f.p is None:
+        return _rref_rational(rows, ncols)
+    return _rref_mod_p(rows, ncols, f.p)
+
+
+def _rref_mod_p(entries, ncols: int, p: int) -> tuple:
+    """RREF over GF(p) on sparse rows {column: value}.  Each input row is
+    reduced at the current pivots, scaled to a leading 1 and cleared out of
+    the earlier pivot rows; a row update touches only the nonzero (j, b)
+    pairs of the pivot row it subtracts."""
+    piv = {}  # pivot column -> row with a 1 there and 0 at every other pivot
+    for row in entries:
+        w = {j: y for j, x in enumerate(row) if (y := x % p)}
+        for c in [c for c in w if c in piv]:
+            _subtract_mod_p(w, w[c], piv[c], p)
+        if not w:
             continue
-        ent[prow], ent[sel] = ent[sel], ent[prow]
-        inv = f.inv(ent[prow][col])
-        ent[prow] = [f.mul(inv, a) for a in ent[prow]]
-        for r in range(m.rows):
-            if r != prow and not f.is_zero(ent[r][col]):
-                c = ent[r][col]
-                ent[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(ent[r], ent[prow])]
-        pivots.append(col)
-        prow += 1
-    return Matrix(f, ent, cols=m.cols), tuple(pivots)
+        lead = min(w)
+        if w[lead] != 1:
+            inv = pow(w[lead], -1, p)
+            w = {j: x * inv % p for j, x in w.items()}
+        for r in piv.values():
+            a = r.get(lead)
+            if a:
+                _subtract_mod_p(r, a, w, p)
+        piv[lead] = w
+    pivots = tuple(sorted(piv))
+    rows = []
+    for c in pivots:
+        dense = [0] * ncols
+        for j, x in piv[c].items():
+            dense[j] = x
+        rows.append(tuple(dense))
+    return rows, pivots
+
+
+def _subtract_mod_p(w: dict, a: int, r: dict, p: int) -> None:
+    """w -= a r over GF(p), in place, at r's nonzero entries only."""
+    for j, b in r.items():
+        x = (w.get(j, 0) - a * b) % p
+        if x:
+            w[j] = x
+        else:
+            del w[j]
+
+
+def _primitive(w: dict) -> dict:
+    """w divided by the gcd of its entries (its content)."""
+    g = gcd(*w.values())
+    return w if g == 1 else {j: x // g for j, x in w.items()}
+
+
+def _rref_rational(entries, ncols: int) -> tuple:
+    """RREF over Q, fraction-free: each row's denominators are cleared
+    into Python ints, and rows stay primitive integer vectors throughout.
+    Eliminating column c of w with pivot row r sets w to
+    (r[c]/g) w - (w[c]/g) r, g = gcd(r[c], w[c]), touching only r's
+    nonzero columns besides the rescale; only the final pivot rows become
+    Fractions, x / (pivot entry)."""
+    piv = {}  # pivot column -> primitive int row, 0 at every other pivot
+    for row in entries:
+        w = {j: x for j, x in enumerate(row) if x is not _Q_ZERO and x}
+        if not w:
+            continue
+        den = lcm(*[x.denominator for x in w.values()])
+        w = _primitive({j: x.numerator * (den // x.denominator) for j, x in w.items()})
+        for c in [c for c in w if c in piv]:
+            w = _eliminate(w, piv[c], c)
+        if not w:
+            continue
+        lead = min(w)
+        for c, r in piv.items():
+            if lead in r:
+                piv[c] = _eliminate(r, w, lead)
+        piv[lead] = w
+    pivots = tuple(sorted(piv))
+    rows = []
+    for c in pivots:
+        r = piv[c]
+        d = r[c]
+        dense = [_Q_ZERO] * ncols
+        for j, x in r.items():
+            dense[j] = Fraction(x, d)
+        rows.append(tuple(dense))
+    return rows, pivots
+
+
+def _eliminate(w: dict, r: dict, c: int) -> dict:
+    """The primitive part of (r[c]/g) w - (w[c]/g) r, g = gcd(r[c], w[c]):
+    w with column c cleared by the integer row r."""
+    a, b = r[c], w[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        w = {j: a * x for j, x in w.items()}
+    for j, y in r.items():
+        x = w.get(j, 0) - b * y
+        if x:
+            w[j] = x
+        else:
+            del w[j]
+    return _primitive(w) if w else w
 
 
 def rank(m: Matrix) -> int:
@@ -452,8 +550,9 @@ class Basis:
         for vec, p in zip(self.vectors, self.pivots):
             c = r[p]
             if not f.is_zero(c):
-                for j in range(self.ambient_dim):
-                    r[j] = f.sub(r[j], f.mul(c, vec[j]))
+                for j, b in enumerate(vec):
+                    if b:
+                        r[j] = f.sub(r[j], f.mul(c, b))
         return tuple(r)
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
@@ -479,11 +578,13 @@ class Basis:
 
     def from_coords(self, coeffs: Sequence[Scalar]) -> tuple:
         f = self.field
-        out = zero_vector(f, self.ambient_dim)
+        out = [f.zero] * self.ambient_dim
         for c, vec in zip(coeffs, self.vectors):
             if not f.is_zero(c):
-                out = vec_add(f, out, vec_scale(f, c, vec))
-        return out
+                for j, b in enumerate(vec):
+                    if b:
+                        out[j] = f.add(out[j], f.mul(c, b))
+        return tuple(out)
 
     def contains(self, other: "Basis") -> bool:
         return all(self.contains_vector(v) for v in other.vectors)
@@ -515,30 +616,13 @@ class SubspaceOps(NamedTuple):
 
 
 def basis_sum(u: Basis, v: Basis) -> Basis:
-    """u + v by inserting v's vectors into u's RREF rows one at a time:
-    each is reduced at the current pivots, scaled to a leading 1 and
-    cleared out of the other rows, so u is never row-reduced again."""
+    """u + v: u's RREF rows and v's vectors through the field's kernel,
+    where u's rows pass without arithmetic (each is already zero at the
+    other pivots), so only v's vectors are eliminated."""
     if u.ambient_dim != v.ambient_dim or u.field != v.field:
         raise ValueError("subspaces of different ambient spaces")
-    f = u.field
-    rows = dict(zip(u.pivots, u.vectors))
-    for w in v.vectors:
-        for p, r in rows.items():
-            c = w[p]
-            if not f.is_zero(c):
-                w = tuple([f.sub(a, f.mul(c, b)) for a, b in zip(w, r)])
-        lead = next((i for i, a in enumerate(w) if not f.is_zero(a)), None)
-        if lead is None:
-            continue
-        inv = f.inv(w[lead])
-        w = tuple([f.mul(inv, a) for a in w])
-        for p, r in list(rows.items()):
-            c = r[lead]
-            if not f.is_zero(c):
-                rows[p] = tuple([f.sub(a, f.mul(c, b)) for a, b in zip(r, w)])
-        rows[lead] = w
-    pivots = tuple(sorted(rows))
-    return Basis(f, u.ambient_dim, tuple(rows[p] for p in pivots), pivots)
+    rows, pivots = _pivot_rows(u.field, u.vectors + v.vectors, u.ambient_dim)
+    return Basis(u.field, u.ambient_dim, tuple(rows), pivots)
 
 
 def basis_intersection(u: Basis, v: Basis) -> Basis:

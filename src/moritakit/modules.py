@@ -333,10 +333,13 @@ def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
         for r in range(td):
             for c in range(sd):
                 row = [f.zero] * nvars
-                for k in range(td):
-                    row[k * sd + c] = f.add(row[k * sd + c], At[r][k])
+                for k, a in enumerate(At[r]):
+                    if a:
+                        row[k * sd + c] = a
                 for k in range(sd):
-                    row[r * sd + k] = f.sub(row[r * sd + k], As[k][c])
+                    a = As[k][c]
+                    if a:
+                        row[r * sd + k] = f.sub(row[r * sd + k], a)
                 rows.append(row)
     if not rows:
         return Basis.full(f, nvars)

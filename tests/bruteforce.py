@@ -77,3 +77,28 @@ def brute_annihilator(module, ideal_vectors):
         if all(vec_is_zero(field, module.action_of(a).apply(v)) for a in ideal_vectors):
             kept.append(v)
     return Basis.span(field, module.dim, kept)
+
+
+def brute_rref(m):
+    """Textbook Gauss-Jordan on the field's own operations: pivots are
+    scaled to 1 and cleared above and below, one column at a time."""
+    f = m.field
+    ent = [list(r) for r in m.entries]
+    pivots = []
+    prow = 0
+    for col in range(m.cols):
+        if prow >= m.rows:
+            break
+        sel = next((r for r in range(prow, m.rows) if not f.is_zero(ent[r][col])), None)
+        if sel is None:
+            continue
+        ent[prow], ent[sel] = ent[sel], ent[prow]
+        inv = f.inv(ent[prow][col])
+        ent[prow] = [f.mul(inv, a) for a in ent[prow]]
+        for r in range(m.rows):
+            if r != prow and not f.is_zero(ent[r][col]):
+                c = ent[r][col]
+                ent[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(ent[r], ent[prow])]
+        pivots.append(col)
+        prow += 1
+    return Matrix(f, ent, cols=m.cols), tuple(pivots)

@@ -354,3 +354,26 @@ def test_report_failures_listing(t2_corner, cat_t2, cat_corner_s):
     report = verify_strict_equivalence(t2_corner, cat_t2, cat_corner_s)
     assert report.failures()
     assert all(not v.passed for v in report.failures())
+
+
+def test_projective_verifier_builds_each_lift_target_once(t2, t2_corner, monkeypatch):
+    # the lift targets (annihilator submodules and their quotients) do not
+    # depend on the candidate projective, so each side's are built once
+    cat_r = build_catalog(t2, 4)
+    cat_s = build_catalog(t2_corner.S, 4)
+    calls = []
+    supply = equivalence.submodule_supply
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return supply(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "submodule_supply", counted)
+    report = verify_projective_equivalence(t2_corner, cat_r, cat_s)
+    assert 0 < len(calls) <= len(cat_r) + len(cat_s)
+    # the shared targets give the public oracle's verdicts
+    t_i, _ = context_theories(t2_corner)
+    members = [i for i, p in enumerate(cat_r)
+               if equivalence.ideal_action_image(t_i.ideal, p).basis.dim == p.dim
+               and is_I_projective_oracle(t_i, p, cat_r)]
+    assert report.verdicts[0].note == f"{len(members)} of {len(cat_r)} qualify"
