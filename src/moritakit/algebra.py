@@ -18,9 +18,6 @@ from .exactlin import (
     closure,
     quotient_structure,
     unit_vector,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 
 
@@ -55,16 +52,24 @@ class Algebra:
         return unit_vector(self.field, self.dim, i)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
+        """x * y = sum of x_i y_j c[i][j], summed in plain arithmetic over
+        the nonzero coefficients only and reduced once over GF(p)."""
         f = self.field
-        out = zero_vector(f, self.dim)
+        out = [f.zero] * self.dim
         for i, a in enumerate(x):
-            if f.is_zero(a):
+            if not a:
                 continue
+            row = self.mul[i]
             for j, b in enumerate(y):
-                if f.is_zero(b):
+                if not b:
                     continue
-                out = vec_add(f, out, vec_scale(f, f.mul(a, b), self.mul[i][j]))
-        return out
+                ab = a * b
+                for k, c in enumerate(row[j]):
+                    if c:
+                        out[k] += ab * c
+        if f.p is not None:
+            return tuple(v % f.p for v in out)
+        return tuple(out)
 
     def _basis_left_mats(self) -> tuple:
         # left multiplication by e_i as a matrix: columns are e_i * e_j

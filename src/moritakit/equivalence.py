@@ -141,16 +141,33 @@ def _module_sort_key(m: LeftModule):
     return (m.dim, tuple(tuple(tuple(row) for row in a.entries) for a in m.action))
 
 
-def _keep_new_class(buckets: dict, key, mod, is_iso) -> bool:
+def _keep_new_class(buckets: dict, key, mod, is_iso) -> tuple:
     """Keep mod unless it is isomorphic to a kept module with the same
     invariant key; only those are searched, since a different key is
     already a proof of non-isomorphism.  The first module of a class stays
-    its representative."""
+    its representative.
+
+    Returns (kept, proven): proven is False when mod was kept although a
+    search against its bucket sampled and missed, which proves nothing."""
     bucket = buckets.setdefault(key, [])
-    if any(is_iso(r, mod).found for r in bucket):
-        return False
+    proven = True
+    for r in bucket:
+        res = is_iso(r, mod)
+        if res.found:
+            return False, True
+        proven = proven and res.exhaustive
     bucket.append(mod)
-    return True
+    return True, proven
+
+
+def _dedup_provenance(provenance: str, proven: bool) -> str:
+    """provenance, marked sampled when a kept class rests on a sampled iso
+    miss (searches run from seed 0)."""
+    if proven:
+        return provenance
+    if provenance.startswith("sampled("):
+        return provenance[:-1] + "; iso dedup seed=0)"
+    return "sampled(iso dedup seed=0)"
 
 
 def build_catalog(algebra: Algebra, max_dim: int,
@@ -161,11 +178,19 @@ def build_catalog(algebra: Algebra, max_dim: int,
     """One module per isomorphism class of dimension <= max_dim.
 
     Strategy: quotients of the free modules R^1 and R^2 by their
-    submodule lattices, deduplicated up to isomorphism, then closed under
-    direct sums within the dimension bound (sums of three or more small
-    pieces need not be quotients of R^2).  When the lattice budget is
-    exceeded and sampling is allowed, submodules are sampled instead and
-    the catalog is flagged.
+    submodules of codimension <= max_dim, deduplicated up to isomorphism,
+    then closed under direct sums within the dimension bound (sums of
+    three or more small pieces need not be quotients of R^2).  When the
+    lattice budget is exceeded and sampling is allowed, submodules are
+    sampled instead and the catalog is flagged.
+
+    Only those submodules are enumerated: under D = Hom_k(-, k) the
+    quotients of F of dim <= max_dim correspond to the submodules of D(F)
+    of dim <= max_dim, so submodule_lattice walks up from 0 in D(F) and
+    stops at max_dim (see there).  The walk costs one span per projective
+    point of F plus one per (small submodule, point) join, where the full
+    lattice of R^2 had joins up to dim 2 dim R; the quotients come in the
+    same (dim, RREF) order as before, so the catalog is the same.
 
     Deduplication searches for an isomorphism only between modules with
     equal iso_invariant keys (dim, rank of each basis action, dim End).
@@ -173,24 +198,26 @@ def build_catalog(algebra: Algebra, max_dim: int,
     algebra basis, so two modules with different keys are proven
     non-isomorphic without a search, and skipping those searches leaves
     the catalog exactly what comparing against every kept module gives:
-    still exhaustive up to max_dim when the lattices were.
+    still exhaustive up to max_dim when the submodule lists were.  A class
+    kept after a sampled search missed marks the catalog sampled.
     """
     reps = []
     buckets = {}
+    proven = True
 
     def add(mod: LeftModule) -> bool:
-        if mod.dim > max_dim:
-            return False
-        if not _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic):
-            return False
-        reps.append(mod)
-        return True
+        nonlocal proven
+        kept, exact = _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic)
+        if kept:
+            reps.append(mod)
+            proven = proven and exact
+        return kept
 
     reg = regular_module(algebra)
     sampled = False
     for free in (reg, direct_sum(reg, reg)):
         subs, exhaustive = submodule_supply(free, budget, samples if allow_sampling else None,
-                                            seed)
+                                            seed, max_codim=max_dim)
         sampled = sampled or not exhaustive
         for sub in subs:
             quo, _ = quotient_module(free, sub.basis)
@@ -215,7 +242,7 @@ def build_catalog(algebra: Algebra, max_dim: int,
 
     reps.sort(key=_module_sort_key)
     provenance = f"sampled(seed={seed})" if sampled else f"exhaustive-up-to-dim({max_dim})"
-    return Catalog(algebra, tuple(reps), provenance)
+    return Catalog(algebra, tuple(reps), _dedup_provenance(provenance, proven))
 
 
 def user_catalog(algebra: Algebra, modules) -> Catalog:

@@ -221,6 +221,18 @@ class Matrix:
         self.entries = tuple(ent)
 
     @classmethod
+    def _of(cls, field: Field, entries: tuple, cols: int) -> "Matrix":
+        """A Matrix on entries that are already a tuple of row tuples, each
+        of width cols: no copy and no check, for the results of operations
+        that build rows of the right shape themselves."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(entries)
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [unit_vector(field, n, i) for i in range(n)], cols=n)
 
@@ -234,8 +246,7 @@ class Matrix:
             if rows is None:
                 raise ValueError("a 0-column matrix needs an explicit row count")
             return cls(field, [()] * rows, cols=0)
-        height = len(cols[0])
-        return cls(field, [tuple(c[i] for c in cols) for i in range(height)], cols=len(cols))
+        return cls._of(field, tuple(zip(*cols)), len(cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -262,7 +273,9 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)], cols=self.rows)
+        if not self.entries:
+            return Matrix._of(self.field, ((),) * self.cols, 0)
+        return Matrix._of(self.field, tuple(zip(*self.entries)), self.rows)
 
     def apply(self, v: Sequence[Scalar]) -> tuple:
         """Matrix-vector product, v being coordinates of the domain."""
@@ -274,27 +287,29 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ent = _dot_products(self.field, self.entries, other.transpose().entries)
-        return Matrix(self.field, ent, cols=other.cols)
+        return Matrix._of(self.field, tuple(ent), other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         f = self.field
-        return Matrix(f, [vec_add(f, a, b) for a, b in zip(self.entries, other.entries)], cols=self.cols)
+        return Matrix._of(f, tuple([vec_add(f, a, b) for a, b in zip(self.entries, other.entries)]),
+                          self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         f = self.field
-        return Matrix(f, [vec_sub(f, a, b) for a, b in zip(self.entries, other.entries)], cols=self.cols)
+        return Matrix._of(f, tuple([vec_sub(f, a, b) for a, b in zip(self.entries, other.entries)]),
+                          self.cols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [tuple(f.neg(a) for a in r) for r in self.entries], cols=self.cols)
+        return Matrix._of(f, tuple([tuple(f.neg(a) for a in r) for r in self.entries]), self.cols)
 
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
-        return Matrix(f, [vec_scale(f, c, r) for r in self.entries], cols=self.cols)
+        return Matrix._of(f, tuple([vec_scale(f, c, r) for r in self.entries]), self.cols)
 
     def is_zero(self) -> bool:
         f = self.field
@@ -341,13 +356,14 @@ def _dot_products(f: Field, rows, cols) -> list:
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    return Matrix(a.field, [ra + rb for ra, rb in zip(a.entries, b.entries)], cols=a.cols + b.cols)
+    return Matrix._of(a.field, tuple([ra + rb for ra, rb in zip(a.entries, b.entries)]),
+                      a.cols + b.cols)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise ValueError("column count mismatch")
-    return Matrix(a.field, list(a.entries) + list(b.entries), cols=a.cols)
+    return Matrix._of(a.field, a.entries + b.entries, a.cols)
 
 
 def rref(m: Matrix) -> tuple:
@@ -362,7 +378,7 @@ def rref(m: Matrix) -> tuple:
     f = m.field
     rows, pivots = _pivot_rows(f, m.entries, m.cols)
     zero_row = (f.zero,) * m.cols
-    return Matrix(f, rows + [zero_row] * (m.rows - len(rows)), cols=m.cols), pivots
+    return Matrix._of(f, tuple(rows + [zero_row] * (m.rows - len(rows))), m.cols), pivots
 
 
 def _pivot_rows(f: Field, rows, ncols: int) -> tuple:

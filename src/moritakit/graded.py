@@ -20,6 +20,7 @@ from .context import MoritaContext, _corner, raw_pairing, reverse_context
 from .equivalence import (
     Catalog,
     Report,
+    _dedup_provenance,
     _keep_new_class,
     build_catalog,
     context_theories,
@@ -340,7 +341,8 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          allow_sampling: bool = False,
                          seed: int = 0) -> Catalog:
     """Every valid grading of every base isomorphism class, deduplicated
-    by graded isomorphism.  A sampled base catalog taints the provenance.
+    by graded isomorphism.  A sampled base catalog, or a class kept after
+    a sampled graded iso search missed, taints the provenance.
 
     A graded isomorphism is an isomorphism of the base modules, and the
     base representatives are pairwise non-isomorphic, so candidates are
@@ -351,6 +353,7 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
     order = galg.group.order
     reps = []
     buckets = {}
+    proven = True
     for index, mod in enumerate(base_cat):
         for assignment in itertools.product(range(order), repeat=mod.dim):
             try:
@@ -358,10 +361,12 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
             except ValueError:
                 continue
             key = (index, cand.component_dims())
-            if _keep_new_class(buckets, key, cand, is_graded_isomorphic):
+            kept, exact = _keep_new_class(buckets, key, cand, is_graded_isomorphic)
+            if kept:
                 reps.append(cand)
+                proven = proven and exact
     reps.sort(key=lambda g: (g.dim, g.degrees))
-    return Catalog(galg, tuple(reps), base_cat.provenance)
+    return Catalog(galg, tuple(reps), _dedup_provenance(base_cat.provenance, proven))
 
 
 class GradedContext:

@@ -526,10 +526,13 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
                          left_algebra, left_action, right_algebra, right_action)
 
 
-def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
-    """Closure of a single vector under the action."""
-    span = Basis.span(m.algebra.field, m.dim, [tuple(v)])
-    return closure(span, [act.apply for act in m.action])
+def cyclic_submodule(m: _Module, v: Sequence) -> Basis:
+    """The submodule generated by v, left or right, as one span of its
+    images under the basis action matrices: the span holds v, since the
+    unit acts as the identity, and it is stable, since each product of two
+    basis elements is a combination of basis elements.  (So m must satisfy
+    the module laws; validate_module checks them.)"""
+    return Basis.span(m.algebra.field, m.dim, [act.apply(v) for act in m.action])
 
 
 def _projective_points(field, n: int):
@@ -541,34 +544,31 @@ def _projective_points(field, n: int):
             yield head + tail
 
 
-def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
-    """Every submodule of m, exactly once, ordered by (dim, RREF vectors).
-
-    A cover walk: each projective point v of m is closed once to C(v);
-    then from 0, every submodule L found is joined with C(v) for each
-    point v that vanishes on L's pivot coordinates.  This is exact: a
-    submodule X above L holds some x outside L, and x reduced by L's RREF
-    and rescaled is such a point w, with L < L + C(w) <= X, so a chain of
-    joins climbs from 0 to X.  Cost: the (p**dim - 1)/(p - 1) closures,
-    then one span per (submodule L, projective point of m/L).  Requires a
-    prime field and p**dim within budget; raises BudgetExceeded otherwise.
-    """
+def _cover_walk(m: _Module, cap: int) -> set:
+    """Every subspace of dim <= cap stable under m's action, by a cover
+    walk: each projective point v of m is closed once to C(v); then from
+    0, every stable L of dim < cap is joined with each C(v) of dim <= cap
+    whose point v vanishes on L's pivot coordinates, and joins above cap
+    are dropped.  This is exact: a stable X above L holds some x outside
+    L, and x reduced by L's RREF and rescaled is such a point w, with
+    L < L + C(w) <= X, so a chain of joins, none above dim X, climbs from
+    0 to X."""
     field = m.algebra.field
-    if not field.is_prime_field:
-        raise BudgetExceeded("submodule enumeration needs a finite field")
-    if field.p ** m.dim > budget:
-        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
-    # the closures of the points, grouped by the points' support bitmasks
+    # the closures that fit the cap, grouped by their points' support bitmasks
     by_support = {}
     for v in _projective_points(field, m.dim):
-        support = sum(1 << i for i, c in enumerate(v) if not field.is_zero(c))
-        by_support.setdefault(support, set()).add(cyclic_submodule(m, v))
+        cyc = cyclic_submodule(m, v)
+        if cyc.dim <= cap:
+            support = sum(1 << i for i, c in enumerate(v) if c)
+            by_support.setdefault(support, set()).add(cyc)
     zero = Basis.zero(field, m.dim)
     found = {zero}
     frontier = [zero]
     while frontier:
         fresh = []
         for low in frontier:
+            if low.dim >= cap:
+                continue
             free = (1 << m.dim) - 1 - sum(1 << p for p in low.pivots)
             joins = set()
             support = free
@@ -577,10 +577,45 @@ def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> li
                 support = (support - 1) & free
             for cyc in joins:
                 join = basis_sum(low, cyc)
-                if join not in found:
+                if join.dim <= cap and join not in found:
                     found.add(join)
                     fresh.append(join)
         frontier = fresh
+    return found
+
+
+def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET,
+                      max_codim: Optional[int] = None) -> list:
+    """Every submodule of m of codimension <= max_codim (all of them when
+    max_codim is None), exactly once, ordered by (dim, RREF vectors).
+
+    Without a bound this is _cover_walk on m.  With one it is the same
+    walk on the dual D(m) = Hom_k(m, k), the right module whose action
+    matrices are the transposes, capped at max_codim, and each stable Y it
+    finds is sent to its annihilator Y^perp (one kernel_basis).  Y |-> Y^perp
+    reverses inclusion, has dim Y^perp = dim m - dim Y, and Y is stable
+    under every transpose exactly when Y^perp is stable under every action
+    matrix (y.(A x) = (A^T y).x), so the annihilators are exactly the
+    submodules of codimension <= max_codim: the quotients of dimension
+    <= max_dim that build_catalog keeps.
+
+    Cost: one span per projective point, (p**dim - 1)/(p - 1) of them,
+    then one span per (stable subspace L within the cap, projective point
+    of m/L whose closure fits the cap), plus one kernel per bounded
+    result.  Requires a prime field and p**dim within budget; raises
+    BudgetExceeded otherwise.
+    """
+    field = m.algebra.field
+    if not field.is_prime_field:
+        raise BudgetExceeded("submodule enumeration needs a finite field")
+    if field.p ** m.dim > budget:
+        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
+    if max_codim is None or max_codim >= m.dim:
+        found = _cover_walk(m, m.dim)
+    else:
+        dual = RightModule(m.algebra, m.dim, [act.transpose() for act in m.action])
+        found = [kernel_basis(Matrix(field, y.vectors, cols=m.dim))
+                 for y in _cover_walk(dual, max_codim)]
     return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
 
 
@@ -604,16 +639,20 @@ def sample_submodules(m: LeftModule, samples: int, seed: int) -> list:
 
 
 def submodule_supply(m: LeftModule, budget: int, samples: Optional[int],
-                     seed: int) -> tuple:
-    """(subs, exhaustive): every submodule of m when the cover walk fits
-    budget, else sample_submodules with exhaustive False.  With samples
-    None the BudgetExceeded propagates instead."""
+                     seed: int, max_codim: Optional[int] = None) -> tuple:
+    """(subs, exhaustive): every submodule of m of codimension <= max_codim
+    (None: no bound) when the cover walk fits budget, else the samples of
+    sample_submodules within that bound, with exhaustive False.  With
+    samples None the BudgetExceeded propagates instead."""
     try:
-        return submodule_lattice(m, budget), True
+        return submodule_lattice(m, budget, max_codim), True
     except BudgetExceeded:
         if samples is None:
             raise
-        return sample_submodules(m, samples, seed), False
+        subs = sample_submodules(m, samples, seed)
+        if max_codim is not None:
+            subs = [s for s in subs if m.dim - s.dim <= max_codim]
+        return subs, False
 
 
 class IsoResult:

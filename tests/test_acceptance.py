@@ -250,3 +250,13 @@ def test_acceptance_10_machine_reports_deterministic(tmp_path, capsys):
     assert b1 == b2
     assert json.loads(b1)["seed"] == 3
     announce(10, "machine reports are byte-identical across runs")
+
+
+def test_acceptance_11_three_vertex_catalog():
+    # the quotients of R and R^2 of dim <= 3 come from a walk in the duals
+    # capped at dim 3, not from the 14,025 submodules of R^2
+    with Timer(10.0) as t:
+        cat = build_catalog(upper_triangular_algebra(GF2, 3), 3)
+        assert cat.exhaustive
+        assert [sum(1 for m in cat if m.dim == d) for d in range(4)] == [1, 3, 8, 17]
+    announce(11, f"T3/GF(2) catalog to dim 3, Gabriel's A3 counts ({t.elapsed:.2f}s)")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moritakit.exactlin import QQ, Basis, Field
 from moritakit.algebra import (
@@ -166,3 +168,40 @@ def test_m2_is_simple(m2):
     for i in range(4):
         ideal = two_sided_ideal_closure(m2, [m2.basis_vector(i)])
         assert ideal.dim == 4
+
+
+def _dense_product(a, x, y):
+    """x * y summed over every structure-constant vector with Field ops."""
+    f = a.field
+    out = [f.zero] * a.dim
+    for i in range(a.dim):
+        for j in range(a.dim):
+            c = f.mul(x[i], y[j])
+            out = [f.add(o, f.mul(c, m)) for o, m in zip(out, a.mul[i][j])]
+    return tuple(out)
+
+
+@st.composite
+def products(draw):
+    """A random bilinear table (not necessarily associative) and two vectors."""
+    field = draw(st.sampled_from([GF2, Field.gf(3), QQ]))
+    if field.p is None:
+        scalar = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3),
+                                                         st.integers(1, 4)))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    n = draw(st.integers(0, 4))
+    vec = st.lists(scalar, min_size=n, max_size=n)
+    mul = draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = Algebra(field, n, mul, draw(vec))
+    return a, draw(vec), draw(vec)
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_multiply_matches_dense_formula(case):
+    a, x, y = case
+    got = a.multiply(x, y)
+    assert got == _dense_product(a, x, y)
+    if a.field.p is None:
+        assert all(type(v) is Fraction for v in got)

@@ -377,3 +377,25 @@ def test_projective_verifier_builds_each_lift_target_once(t2, t2_corner, monkeyp
                if equivalence.ideal_action_image(t_i.ideal, p).basis.dim == p.dim
                and is_I_projective_oracle(t_i, p, cat_r)]
     assert report.verdicts[0].note == f"{len(members)} of {len(cat_r)} qualify"
+
+
+def test_sampled_dedup_miss_marks_catalog_sampled(t2, monkeypatch):
+    # a kept class behind a sampled miss is not proven new
+    monkeypatch.setattr(equivalence, "is_isomorphic", lambda m, n: IsoResult(None, False))
+    cat = build_catalog(t2, 2)
+    assert not cat.exhaustive
+    assert cat.provenance == "sampled(iso dedup seed=0)"
+    cat = build_catalog(t2, 2, budget=3, allow_sampling=True, seed=5)
+    assert cat.provenance == "sampled(seed=5; iso dedup seed=0)"
+    report = equivalence.Report("catalog")
+    report.flag_sampled_catalogs(cat)
+    assert report.sampled
+
+
+def test_catalog_budget_still_bounds_the_walk():
+    from moritakit.modules import BudgetExceeded
+
+    # R^2 of T2/GF(5) has 5**6 > 4096 vectors, so the default budget holds
+    # however small max_dim is
+    with pytest.raises(BudgetExceeded):
+        build_catalog(upper_triangular_algebra(Field.gf(5), 2), 2)

@@ -405,3 +405,10 @@ def test_graded_engine_trivial_group_agrees_with_ungraded(t2):
     graded_round = [v.passed for v in greport.verdicts if v.check == "graded round trip isomorphic"]
     plain_round = [v.passed for v in report.verdicts if v.check == "round trip isomorphic"]
     assert graded_round == plain_round
+
+
+def test_graded_sampled_dedup_miss_marks_catalog_sampled(gt2, monkeypatch):
+    monkeypatch.setattr(graded, "is_graded_isomorphic", lambda a, b: IsoResult(None, False))
+    cat = build_graded_catalog(gt2, 2)
+    assert not cat.exhaustive
+    assert cat.provenance == "sampled(iso dedup seed=0)"

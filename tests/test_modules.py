@@ -20,7 +20,9 @@ from moritakit.modules import (
     quotient_module,
     regular_bimodule,
     regular_module,
+    sample_submodules,
     submodule_lattice,
+    submodule_supply,
     tensor_over,
     validate_module,
 )
@@ -258,3 +260,28 @@ def test_zero_module(t2, s1):
     assert is_isomorphic(zero, zero).found
     assert is_isomorphic(zero, s1).proven_none
     assert hom_space(zero, s1).dim == 0
+
+
+def _modules_beyond_gf2():
+    """The modules with p**dim <= 81 among the T2/GF(3) <= 3 and T2/GF(5)
+    <= 2 catalogs, plus a 3-dim semisimple GF(3) module."""
+    mods = list(build_catalog(upper_triangular_algebra(Field.gf(3), 2), 3))
+    simple = next(m for m in mods if m.dim == 1)
+    mods.append(direct_sum(simple, direct_sum(simple, simple)))
+    mods += build_catalog(upper_triangular_algebra(Field.gf(5), 2), 2, budget=5 ** 6)
+    return [m for m in mods if m.algebra.field.p ** m.dim <= 81]
+
+
+def test_bounded_supply_is_the_lattice_cut_at_each_codimension():
+    mods = _modules_beyond_gf2()
+    assert len(mods) == 21
+    for mod in mods:
+        brute = brute_submodules(mod)
+        for c in range(mod.dim + 1):
+            want = [b for b in brute if mod.dim - b.dim <= c]
+            subs, exhaustive = submodule_supply(mod, 81, None, 0, max_codim=c)
+            assert exhaustive and [s.basis for s in subs] == want
+            sampled, exhaustive = submodule_supply(mod, 0, 8, 0, max_codim=c)
+            assert not exhaustive
+            assert [s.basis for s in sampled] == [
+                s.basis for s in sample_submodules(mod, 8, 0) if mod.dim - s.dim <= c]
