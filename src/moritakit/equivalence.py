@@ -23,7 +23,7 @@ from .context import (
     rho_map,
     trace_ideals,
 )
-from .exactlin import Basis, Matrix, random_scalar
+from .exactlin import Basis, Matrix, hstack, random_scalar, vstack
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_LATTICE_BUDGET,
@@ -170,6 +170,64 @@ def _dedup_provenance(provenance: str, proven: bool) -> str:
     return "sampled(iso dedup seed=0)"
 
 
+def _free_square_automorphisms(algebra: Algebra) -> list:
+    """Generators of a subgroup of Aut_R(R^2), as block matrices on the
+    coordinates (x1, x2) of direct_sum(R, R): the swap, one transvection
+    (x1, x2) |-> (x1, x2 + x1 e_j) per algebra basis element, and
+    diag(c, 1) for each scalar c other than 0 and 1.  Right multiplications
+    commute with the left action, so each is a module automorphism."""
+    f = algebra.field
+    eye = Matrix.identity(f, algebra.dim)
+    zero = Matrix.zeros(f, algebra.dim, algebra.dim)
+
+    def block(a, b, c, d):
+        return vstack(hstack(a, b), hstack(c, d))
+
+    gens = [block(zero, eye, eye, zero)]
+    gens += [block(eye, zero, right, eye) for right in algebra._basis_right_mats()]
+    gens += [block(eye.scale(f.of_int(c)), zero, zero, eye) for c in range(2, f.p)]
+    return gens
+
+
+def _new_free_square_quotients(algebra: Algebra, subs: list) -> list:
+    """The members of subs, the exhaustive list of submodules L of R^2 of
+    codimension <= max_dim, whose quotient R^2/L is not already known to be
+    isomorphic to an earlier candidate of build_catalog.
+
+    Each L not yet seen is the first of its orbit under the automorphisms
+    of _free_square_automorphisms; a breadth-first search marks the whole
+    orbit (one span per member and generator), and every later member is
+    skipped, since R^2/gL is isomorphic to R^2/L.  An orbit is skipped
+    whole when a member contains a free line (a 1_R, b 1_R), (a:b) in
+    P^1(GF(p)): that member holds R(a, b), a free summand, so its quotient
+    is isomorphic to a quotient of R of the same codimension, which the R
+    pass before has already offered."""
+    f = algebra.field
+    unit = algebra.unit
+    lines = [tuple(f.zero for _ in unit) + unit]
+    lines += [unit + tuple(f.mul(f.of_int(b), u) for u in unit) for b in range(f.p)]
+    gens = _free_square_automorphisms(algebra)
+    listed = {sub.basis for sub in subs}
+    seen = set()
+    kept = []
+    for sub in subs:
+        if sub.basis in seen:
+            continue
+        seen.add(sub.basis)
+        orbit = [sub.basis]
+        for low in orbit:  # grows while it is walked: breadth first
+            for g in gens:
+                image = Basis.span(f, low.ambient_dim, [g.apply(v) for v in low.vectors])
+                if image not in seen:
+                    if image not in listed:
+                        raise AssertionError("automorphism image is not a listed submodule")
+                    seen.add(image)
+                    orbit.append(image)
+        if not any(member.contains_vector(v) for member in orbit for v in lines):
+            kept.append(sub)
+    return kept
+
+
 def build_catalog(algebra: Algebra, max_dim: int,
                   budget: int = DEFAULT_LATTICE_BUDGET,
                   allow_sampling: bool = False,
@@ -192,6 +250,20 @@ def build_catalog(algebra: Algebra, max_dim: int,
     lattice of R^2 had joins up to dim 2 dim R; the quotients come in the
     same (dim, RREF) order as before, so the catalog is the same.
 
+    Before dedup, the R^2 list is cut to one submodule L per orbit of a
+    subgroup of Aut_R(R^2) = GL_2(R^op) (swap, transvections by the basis
+    elements, diag(c, 1)), and orbits are dropped whole when a member holds
+    a free line (a 1_R, b 1_R): R^2/gL is isomorphic to R^2/L, and a
+    quotient by L containing R(a, b) is isomorphic to a quotient of R of the
+    same codimension.  So each dropped L has an earlier candidate with an
+    isomorphic quotient (the first of its orbit, or one of R), and is never
+    the first of its class.  Dedup keeps the first candidate of each class,
+    so the representatives, their order and the provenance are those of
+    deduplicating every candidate; only a sampled search that would have
+    missed on a dropped L, and kept a duplicate, is saved.  The argument
+    needs the whole orbit and every quotient of R on the lists, so sampled
+    supplies are not filtered.
+
     Deduplication searches for an isomorphism only between modules with
     equal iso_invariant keys (dim, rank of each basis action, dim End).
     Every entry of the key is preserved by N = P M P^-1 over the fixed
@@ -213,15 +285,18 @@ def build_catalog(algebra: Algebra, max_dim: int,
             proven = proven and exact
         return kept
 
+    def supply(free):
+        return submodule_supply(free, budget, samples if allow_sampling else None,
+                                seed, max_codim=max_dim)
+
     reg = regular_module(algebra)
-    sampled = False
-    for free in (reg, direct_sum(reg, reg)):
-        subs, exhaustive = submodule_supply(free, budget, samples if allow_sampling else None,
-                                            seed, max_codim=max_dim)
-        sampled = sampled or not exhaustive
-        for sub in subs:
-            quo, _ = quotient_module(free, sub.basis)
-            add(quo)
+    subs_r, exact_r = supply(reg)
+    subs_2, exact_2 = supply(direct_sum(reg, reg))
+    sampled = not (exact_r and exact_2)
+    if not sampled:
+        subs_2 = _new_free_square_quotients(algebra, subs_2)
+    for sub in subs_r + subs_2:
+        add(sub.quotient()[0])
 
     # Each sum reps[i] + reps[j] is tried once: the sums with j < tried[i]
     # are done.  reps only grows, so a sum that matched a kept class once

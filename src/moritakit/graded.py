@@ -37,7 +37,6 @@ from .modules import (
     _search_invertible,
     hom_module,
     hom_space,
-    quotient_module,
 )
 from .torsion import TorsionTheory, closedness_map, torsion_submodule
 
@@ -323,7 +322,7 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
     # quotient coordinates are the non-pivot standard coordinates, which
     # keep their degrees once the torsion submodule is checked graded
     _degrees_of(t.basis.vectors, gm.degrees, f, _NOT_GRADED)
-    quo, proj = quotient_module(gm.base, t.basis)
+    quo, proj = t.quotient()
     keep = [i for i in range(gm.dim) if i not in set(t.basis.pivots)]
     quo_degs = tuple(gm.degrees[i] for i in keep)
     res = closedness_map(tt, quo)

@@ -221,6 +221,13 @@ class Submodule:
     def inclusion(self) -> Matrix:
         return self.basis.matrix_cols()
 
+    def quotient(self) -> tuple:
+        """parent / self with its projection matrix, on the stability the
+        constructor asserted."""
+        q: QuotientStructure = quotient_structure(self.basis)
+        mats = [q.projection @ act @ q.section for act in self.parent.action]
+        return LeftModule(self.parent.algebra, q.dim, mats), q.projection
+
     def as_module(self) -> LeftModule:
         mats = [self.basis.coords_matrix((act.apply(v) for v in self.basis.vectors),
                                          "submodule is not stable under the action")
@@ -239,10 +246,7 @@ class Submodule:
 
 def quotient_module(m: LeftModule, sub: Basis) -> tuple:
     """M / span(sub) with its projection matrix; sub must be stable."""
-    Submodule(m, sub)  # stability assertion
-    q: QuotientStructure = quotient_structure(sub)
-    mats = [q.projection @ act @ q.section for act in m.action]
-    return LeftModule(m.algebra, q.dim, mats), q.projection
+    return Submodule(m, sub).quotient()
 
 
 def annihilator(m: LeftModule, vectors: Sequence[Sequence]) -> Submodule:

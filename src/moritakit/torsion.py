@@ -135,7 +135,7 @@ def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
     and its cokernel is torsion.
     """
     t = torsion_submodule(tt, x)
-    quo, proj = quotient_module(x, t.basis)
+    quo, proj = t.quotient()
     res = closedness_map(tt, quo)
     canonical = res.alpha @ proj
     loc = res.hom_module
@@ -183,7 +183,7 @@ def rel_injective_oracle(tt: TorsionTheory, target: LeftModule, ambient: LeftMod
     hom_amb = hom_space(ambient, target)
     failures = []
     for sub in subs:
-        quo, _ = quotient_module(ambient, sub.basis)
+        quo, _ = sub.quotient()
         if not is_torsion(tt, quo):
             continue
         sub_mod = sub.as_module()

@@ -10,6 +10,13 @@ from __future__ import annotations
 import itertools
 
 from moritakit.exactlin import Basis, Matrix, vec_is_zero
+from moritakit.modules import (
+    direct_sum,
+    is_isomorphic,
+    quotient_module,
+    regular_module,
+    submodule_lattice,
+)
 
 
 def all_vectors(field, n):
@@ -102,3 +109,48 @@ def brute_rref(m):
         pivots.append(col)
         prow += 1
     return Matrix(f, ent, cols=m.cols), tuple(pivots)
+
+
+def brute_catalog(algebra, max_dim):
+    """build_catalog with none of its shortcuts: every quotient of R and of
+    R^2 of dim <= max_dim, taken from the full submodule lattice, then the
+    sums of kept pairs in build_catalog's order until none is new.  Each
+    candidate is searched against every kept module, with no invariant key
+    and no orbit filter.  Returns (modules in catalog order, provenance)."""
+    reps = []
+    proven = True
+
+    def keep(mod):
+        nonlocal proven
+        misses_proven = True
+        for r in reps:
+            res = is_isomorphic(r, mod)
+            if res.found:
+                return False
+            misses_proven = misses_proven and res.exhaustive
+        reps.append(mod)
+        proven = proven and misses_proven
+        return True
+
+    reg = regular_module(algebra)
+    for free in (reg, direct_sum(reg, reg)):
+        for sub in submodule_lattice(free, budget=algebra.field.p ** free.dim):
+            if free.dim - sub.dim <= max_dim:
+                keep(quotient_module(free, sub.basis)[0])
+
+    done = set()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(reps)):
+            for j in range(len(reps)):
+                if (i, j) in done:
+                    continue
+                done.add((i, j))
+                a, b = reps[i], reps[j]
+                if a.dim > 0 and b.dim > 0 and a.dim + b.dim <= max_dim:
+                    changed = keep(direct_sum(a, b)) or changed
+
+    reps.sort(key=lambda m: (m.dim, tuple(a.entries for a in m.action)))
+    provenance = f"exhaustive-up-to-dim({max_dim})" if proven else "sampled(iso dedup seed=0)"
+    return tuple(reps), provenance

@@ -1,11 +1,13 @@
 """Engine tests: catalogs, the four verifiers, and their cross-agreements."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moritakit.equivalence as equivalence
-from moritakit.algebra import Algebra, upper_triangular_algebra
+from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
 from moritakit.context import (
     MoritaContext,
     compose_contexts,
@@ -28,8 +30,19 @@ from moritakit.equivalence import (
     verify_strict_equivalence,
 )
 from moritakit.exactlin import Field, Matrix
-from moritakit.modules import IsoResult, LeftModule, is_isomorphic, iso_invariant, regular_module
+from moritakit.modules import (
+    IsoResult,
+    LeftModule,
+    Submodule,
+    direct_sum,
+    is_isomorphic,
+    iso_invariant,
+    regular_module,
+    submodule_lattice,
+)
 from moritakit.torsion import localize
+
+from bruteforce import brute_catalog
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -399,3 +412,73 @@ def test_catalog_budget_still_bounds_the_walk():
     # however small max_dim is
     with pytest.raises(BudgetExceeded):
         build_catalog(upper_triangular_algebra(Field.gf(5), 2), 2)
+
+
+def _unimodular(n: int, seed: int) -> list:
+    """P = L U for unit-triangular L, U with entries in {-1, 0, 1}: an
+    integer matrix of determinant 1, so invertible over every GF(p)."""
+    rng = random.Random(seed)
+    low = [[1 if i == j else rng.randint(-1, 1) * (i > j) for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else rng.randint(-1, 1) * (i < j) for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("algebra, max_dim", [
+    pytest.param(upper_triangular_algebra(GF2, 2), 4, id="T2-GF2-4"),
+    pytest.param(upper_triangular_algebra(GF3, 2), 3, id="T2-GF3-3"),
+    pytest.param(full_matrix_algebra(GF2, 2), 4, id="M2-GF2-4"),
+])
+@pytest.mark.parametrize("basis_seed", [None, 1, 2], ids=["standard", "rebased1", "rebased2"])
+def test_catalog_matches_unfiltered_bruteforce(algebra, max_dim, basis_seed):
+    # the orbit filter and the invariant buckets skip only searches whose
+    # outcome is known, so the representatives, their order and the
+    # provenance are those of searching every candidate against every class
+    if basis_seed is not None:
+        algebra = _rebased(algebra, _unimodular(algebra.dim, basis_seed))
+    cat = build_catalog(algebra, max_dim)
+    modules, provenance = brute_catalog(algebra, max_dim)
+    assert cat.modules == modules
+    assert cat.provenance == provenance == f"exhaustive-up-to-dim({max_dim})"
+
+
+def _recorded_quotients(monkeypatch) -> list:
+    """Every Submodule whose quotient is taken from now on, in call order."""
+    calls = []
+    real = Submodule.quotient
+
+    def recording(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Submodule, "quotient", recording)
+    return calls
+
+
+def test_free_square_filter_fires(monkeypatch):
+    t2 = upper_triangular_algebra(GF2, 2)
+    calls = _recorded_quotients(monkeypatch)
+    cat = build_catalog(t2, 4)
+    assert len(cat) == 22
+    # 104 submodules of R^2 have codimension <= 4; without the filter every
+    # one of their quotients went to dedup
+    assert 0 < sum(1 for sub in calls if sub.parent.dim == 6) <= 20
+
+
+def test_free_square_filter_skips_only_known_quotients(monkeypatch):
+    t2 = upper_triangular_algebra(GF3, 2)
+    calls = _recorded_quotients(monkeypatch)
+    build_catalog(t2, 3)
+    monkeypatch.undo()
+    reg = regular_module(t2)
+    free = direct_sum(reg, reg)
+    offered = [sub.quotient()[0] for sub in calls if sub.parent == reg]
+    passed = {sub.basis for sub in calls if sub.parent == free}
+    skipped = 0
+    for sub in submodule_lattice(free, max_codim=3):
+        quo = sub.quotient()[0]
+        if sub.basis in passed:
+            offered.append(quo)
+            continue
+        skipped += 1
+        assert any(is_isomorphic(earlier, quo).found for earlier in offered)
+    assert len(passed) + skipped == 155 and skipped > 0
