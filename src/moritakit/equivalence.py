@@ -23,7 +23,7 @@ from .context import (
     rho_map,
     trace_ideals,
 )
-from .exactlin import Basis, Matrix, hstack, random_scalar, vstack
+from .exactlin import Basis, Matrix, _dot_products, _pivot_rows, hstack, random_scalar, vstack
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_LATTICE_BUDGET,
@@ -141,23 +141,28 @@ def _module_sort_key(m: LeftModule):
     return (m.dim, tuple(tuple(tuple(row) for row in a.entries) for a in m.action))
 
 
-def _keep_new_class(buckets: dict, key, mod, is_iso) -> tuple:
+def _keep_new_class(buckets: dict, key, mod, is_iso, searched=None) -> tuple:
     """Keep mod unless it is isomorphic to a kept module with the same
     invariant key; only those are searched, since a different key is
-    already a proof of non-isomorphism.  The first module of a class stays
-    its representative.
+    already a proof of non-isomorphism, and of them only the ones searched
+    (a predicate) accepts, when the caller has proven mod apart from the
+    rest.  The first module of a class stays its representative.
 
-    Returns (kept, proven): proven is False when mod was kept although a
-    search against its bucket sampled and missed, which proves nothing."""
+    Returns (match, proven): match is the kept module mod is isomorphic
+    to, or None when mod was kept; proven is False when mod was kept
+    although a search against its bucket sampled and missed, which proves
+    nothing."""
     bucket = buckets.setdefault(key, [])
     proven = True
     for r in bucket:
+        if searched is not None and not searched(r):
+            continue
         res = is_iso(r, mod)
         if res.found:
-            return False, True
+            return r, True
         proven = proven and res.exhaustive
     bucket.append(mod)
-    return True, proven
+    return None, proven
 
 
 def _dedup_provenance(provenance: str, proven: bool) -> str:
@@ -196,7 +201,7 @@ def _new_free_square_quotients(algebra: Algebra, subs: list) -> list:
 
     Each L not yet seen is the first of its orbit under the automorphisms
     of _free_square_automorphisms; a breadth-first search marks the whole
-    orbit (one span per member and generator), and every later member is
+    orbit (one RREF per member and generator), and every later member is
     skipped, since R^2/gL is isomorphic to R^2/L.  An orbit is skipped
     whole when a member contains a free line (a 1_R, b 1_R), (a:b) in
     P^1(GF(p)): that member holds R(a, b), a free summand, so its quotient
@@ -217,7 +222,8 @@ def _new_free_square_quotients(algebra: Algebra, subs: list) -> list:
         orbit = [sub.basis]
         for low in orbit:  # grows while it is walked: breadth first
             for g in gens:
-                image = Basis.span(f, low.ambient_dim, [g.apply(v) for v in low.vectors])
+                rows, pivots = _pivot_rows(f, _dot_products(f, low.vectors, g.entries), low.ambient_dim)
+                image = Basis(f, low.ambient_dim, tuple(rows), pivots)
                 if image not in seen:
                     if image not in listed:
                         raise AssertionError("automorphism image is not a listed submodule")
@@ -272,18 +278,42 @@ def build_catalog(algebra: Algebra, max_dim: int,
     the catalog exactly what comparing against every kept module gives:
     still exhaustive up to max_dim when the submodule lists were.  A class
     kept after a sampled search missed marks the catalog sampled.
+
+    The direct-sum closure decides most sums by Krull-Schmidt (a module of
+    finite length is a sum of indecomposables, unique up to isomorphism and
+    order).  A class with dim End = 1 is a brick: End = k has no idempotent
+    but 0 and 1, so a brick is indecomposable.  Each class known to be a
+    sum of bricks carries their multiset.  A sum of two such classes is
+    skipped when its multiset is already carried, since it is isomorphic to
+    that class by a permutation of summands; a new multiset proves it
+    non-isomorphic to every class that carries one, so it is searched only
+    against the other classes of its bucket, and a class it matches takes
+    its multiset.  A sum with a summand not known to be a sum of bricks
+    takes the full bucket search, and A + B is not offered after B + A.  Each skipped search has a known
+    answer, so with exhaustive searches the representatives, their order
+    and the provenance are those of searching every candidate; a sum that
+    Krull-Schmidt proves new needs no search, sampled or not.
     """
     reps = []
     buckets = {}
     proven = True
+    bricks = {}  # id of a class -> its multiset of bricks, sorted ids, when known
+    known = set()  # the multisets in bricks
 
-    def add(mod: LeftModule) -> bool:
+    def resolve(mod: LeftModule, multiset: tuple) -> None:
+        bricks[id(mod)] = multiset
+        known.add(multiset)
+
+    def add(mod: LeftModule, searched=None):
         nonlocal proven
-        kept, exact = _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic)
-        if kept:
+        key = iso_invariant(mod)
+        match, exact = _keep_new_class(buckets, key, mod, is_isomorphic, searched)
+        if match is None:
             reps.append(mod)
             proven = proven and exact
-        return kept
+            if key[-1] == 1:  # End(mod) = k: a brick
+                resolve(mod, (id(mod),))
+        return match
 
     def supply(free):
         return submodule_supply(free, budget, samples if allow_sampling else None,
@@ -299,9 +329,10 @@ def build_catalog(algebra: Algebra, max_dim: int,
         add(sub.quotient()[0])
 
     # Each sum reps[i] + reps[j] is tried once: the sums with j < tried[i]
-    # are done.  reps only grows, so a sum that matched a kept class once
-    # would match it again.
+    # are done, and a pair offered in the other order is skipped.  reps only
+    # grows, so a sum that matched a kept class once would match it again.
     tried = []
+    offered = set()
     changed = True
     while changed:
         changed = False
@@ -311,9 +342,20 @@ def build_catalog(algebra: Algebra, max_dim: int,
             start, tried[i] = tried[i], len(reps)
             for j in range(start, tried[i]):
                 a, b = reps[i], reps[j]
-                if a.dim + b.dim <= max_dim and a.dim > 0 and b.dim > 0:
-                    if add(direct_sum(a, b)):
-                        changed = True
+                if (j, i) in offered or not (a.dim + b.dim <= max_dim and a.dim > 0 and b.dim > 0):
+                    continue
+                offered.add((i, j))
+                parts = bricks.get(id(a)), bricks.get(id(b))
+                if None in parts:
+                    changed = add(direct_sum(a, b)) is None or changed
+                    continue
+                multiset = tuple(sorted(parts[0] + parts[1]))
+                if multiset in known:
+                    continue
+                total = direct_sum(a, b)
+                match = add(total, lambda r: id(r) not in bricks)
+                resolve(total if match is None else match, multiset)
+                changed = match is None or changed
 
     reps.sort(key=_module_sort_key)
     provenance = f"sampled(seed={seed})" if sampled else f"exhaustive-up-to-dim({max_dim})"

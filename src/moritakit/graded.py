@@ -360,8 +360,8 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
             except ValueError:
                 continue
             key = (index, cand.component_dims())
-            kept, exact = _keep_new_class(buckets, key, cand, is_graded_isomorphic)
-            if kept:
+            match, exact = _keep_new_class(buckets, key, cand, is_graded_isomorphic)
+            if match is None:
                 reps.append(cand)
                 proven = proven and exact
     reps.sort(key=lambda g: (g.dim, g.degrees))

@@ -24,6 +24,8 @@ from .exactlin import (
     Basis,
     Matrix,
     QuotientStructure,
+    _dot_products,
+    _pivot_rows,
     basis_sum,
     closure,
     coefficient_search,
@@ -207,10 +209,12 @@ class Submodule:
     def __init__(self, parent: LeftModule, basis: Basis):
         if basis.ambient_dim != parent.dim:
             raise ValueError("submodule basis in the wrong ambient space")
+        f = parent.algebra.field
+        rows = list(basis.vectors)
         for act in parent.action:
-            for v in basis.vectors:
-                if not basis.contains_vector(act.apply(v)):
-                    raise ValueError("subspace is not action-stable")
+            rows += _dot_products(f, basis.vectors, act.entries)
+        if len(_pivot_rows(f, rows, parent.dim)[1]) != basis.dim:
+            raise ValueError("subspace is not action-stable")
         self.parent = parent
         self.basis = basis
 

@@ -441,6 +441,70 @@ def test_catalog_matches_unfiltered_bruteforce(algebra, max_dim, basis_seed):
     assert cat.provenance == provenance == f"exhaustive-up-to-dim({max_dim})"
 
 
+def _radical_square_zero(f: Field, n: int) -> Algebra:
+    """k[x_1, ..., x_n]/(x_1, ..., x_n)^2 on the basis (1, x_1, ..., x_n)."""
+    d = n + 1
+    e = [tuple(f.one if k == i else f.zero for k in range(d)) for i in range(d)]
+    zero = (f.zero,) * d
+    mul = [[e[j] if i == 0 else e[i] if j == 0 else zero for j in range(d)] for i in range(d)]
+    return Algebra(f, d, mul, e[0])
+
+
+@pytest.mark.parametrize("algebra, max_dim", [
+    pytest.param(_radical_square_zero(GF2, 1), 4, id="GF2[x]/x^2-4"),
+    pytest.param(_radical_square_zero(GF2, 2), 3, id="GF2[x,y]/(x,y)^2-3"),
+])
+@pytest.mark.parametrize("basis_seed", [None, 3], ids=["standard", "rebased3"])
+def test_catalog_matches_bruteforce_beyond_bricks(algebra, max_dim, basis_seed):
+    # the regular module of a local algebra has dim End > 1, so these
+    # catalogs hold classes that are no sum of bricks: their sums take the
+    # full bucket search, and a sum of bricks is still searched against them
+    if basis_seed is not None:
+        algebra = _rebased(algebra, _unimodular(algebra.dim, basis_seed))
+    cat = build_catalog(algebra, max_dim)
+    modules, provenance = brute_catalog(algebra, max_dim)
+    assert cat.modules == modules
+    assert cat.provenance == provenance == f"exhaustive-up-to-dim({max_dim})"
+    reg = regular_module(algebra)  # indecomposable (R is local), End = R^op
+    assert iso_invariant(reg)[-1] > 1
+    assert any(is_isomorphic(m, reg).found for m in cat if m.dim == reg.dim)
+
+
+def test_catalog_never_searches_between_sums_of_bricks(monkeypatch):
+    # a sum of bricks is decided by its multiset of bricks (Krull-Schmidt):
+    # a known multiset is a duplicate, a new one is searched only against
+    # the classes not known to be sums of bricks
+    t2 = upper_triangular_algebra(GF2, 2)
+    sums = {}
+    real_sum = equivalence.direct_sum
+
+    def recording_sum(a, b):
+        total = real_sum(a, b)
+        sums[id(total)] = (total, a, b)
+        return total
+
+    def of_bricks(m) -> bool:
+        if id(m) in sums:
+            return all(of_bricks(x) for x in sums[id(m)][1:])
+        return iso_invariant(m)[-1] == 1
+
+    searches = []
+    real_iso = equivalence.is_isomorphic
+
+    def recording_iso(m, n):
+        searches.append((m, n))
+        return real_iso(m, n)
+
+    monkeypatch.setattr(equivalence, "direct_sum", recording_sum)
+    monkeypatch.setattr(equivalence, "is_isomorphic", recording_iso)
+    cat = build_catalog(t2, 4)
+    assert len(cat) == 22
+    assert 0 < len(searches) <= 45
+    for m, n in searches:
+        if id(m) in sums or id(n) in sums:
+            assert not (of_bricks(m) and of_bricks(n))
+
+
 def _recorded_quotients(monkeypatch) -> list:
     """Every Submodule whose quotient is taken from now on, in call order."""
     calls = []
