@@ -38,13 +38,6 @@ from .modules import DEFAULT_LATTICE_BUDGET, validate_module
 from .torsion import TorsionTheory, is_closed, is_torsion_free, localize, torsion_submodule
 from .workspace import WorkspaceError, matrix_to_json, parse_workspace
 
-COMMANDS = (
-    "validate", "trace", "strict", "torsion", "localize", "closed",
-    "equiv", "equiv-strict", "equiv-proj", "compose", "iso",
-    "graded-equiv", "catalog",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("workspace", help="path to a workspace JSON file")
@@ -67,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="moritakit",
         description="exact verification of context, torsion, and equivalence facts")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
+    for name in _HANDLERS:
         sub.add_parser(name, parents=[common], help=f"run the {name} check")
     return parser
 
@@ -86,7 +79,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ws = parse_workspace(args.workspace)
-        report, extra = _dispatch(args.command, ws, args)
+        report, extra = _HANDLERS[args.command](ws, args)
     except WorkspaceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -108,25 +101,6 @@ def main(argv=None) -> int:
 
 
 # ----------------------------------------------------------------- dispatch
-
-
-def _dispatch(command, ws, args):
-    handler = {
-        "validate": _cmd_validate,
-        "trace": _cmd_trace,
-        "strict": _cmd_strict,
-        "torsion": _cmd_torsion,
-        "localize": _cmd_localize,
-        "closed": _cmd_closed,
-        "equiv": _cmd_equiv,
-        "equiv-strict": _cmd_equiv_strict,
-        "equiv-proj": _cmd_equiv_proj,
-        "compose": _cmd_compose,
-        "iso": _cmd_iso,
-        "graded-equiv": _cmd_graded_equiv,
-        "catalog": _cmd_catalog,
-    }[command]
-    return handler(ws, args)
 
 
 def _one_context(ws, args):
@@ -333,6 +307,24 @@ def _cmd_catalog(ws, args):
              "dims: " + ", ".join(str(d) for d in dims),
              f"provenance: {cat.provenance}"]
     return report, extra
+
+
+# command -> handler(ws, args) returning (report, human-only lines); --help order
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "trace": _cmd_trace,
+    "strict": _cmd_strict,
+    "torsion": _cmd_torsion,
+    "localize": _cmd_localize,
+    "closed": _cmd_closed,
+    "equiv": _cmd_equiv,
+    "equiv-strict": _cmd_equiv_strict,
+    "equiv-proj": _cmd_equiv_proj,
+    "compose": _cmd_compose,
+    "iso": _cmd_iso,
+    "graded-equiv": _cmd_graded_equiv,
+    "catalog": _cmd_catalog,
+}
 
 
 # ----------------------------------------------------------------- reports

@@ -371,16 +371,14 @@ class ContextIsoResult:
         return self.u is None and self.exhaustive
 
 
-def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext,
-                        samples: int = DEFAULT_ISO_SAMPLES, seed: int = 0,
-                        exhaust: int = DEFAULT_ISO_EXHAUST) -> ContextIsoResult:
+def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> ContextIsoResult:
     """Search for bimodule isos u: M1 -> M2, v: N1 -> N2 carrying one
     pairing pair to the other: phi2 (u (x) v) = phi1, psi2 (v (x) u) = psi1.
 
     Trace ideals are isomorphism invariants, so unequal trace ideals are an
-    immediate proven 'none'.  For each invertible u-candidate (enumerated
-    with the module iso policy) the compatibility conditions are linear in
-    v, so v is solved for rather than searched.
+    immediate proven 'none'.  For each invertible u-candidate (module iso
+    policy with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES, from the seed)
+    the compatibility conditions are linear in v, so v is solved, not searched.
     """
     if c1.R != c2.R or c1.S != c2.S:
         raise ValueError("context isomorphism needs matching algebra pairs")
@@ -442,7 +440,8 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext,
         v = solve_v(u)
         return None if v is None else (u, v)
 
-    hit, exhaustive = coefficient_search(f, hom_u.dim, pair_for, exhaust, samples, rng)
+    hit, exhaustive = coefficient_search(f, hom_u.dim, pair_for, DEFAULT_ISO_EXHAUST,
+                                         DEFAULT_ISO_SAMPLES, rng)
     if hit is None:
         # a miss is a proof only when every search behind it was exhaustive
         return ContextIsoResult(None, None, exhaustive and v_exhaustive)

@@ -237,7 +237,6 @@ def _new_free_square_quotients(algebra: Algebra, subs: list) -> list:
 def build_catalog(algebra: Algebra, max_dim: int,
                   budget: int = DEFAULT_LATTICE_BUDGET,
                   allow_sampling: bool = False,
-                  samples: int = DEFAULT_CATALOG_SAMPLES,
                   seed: int = 0) -> Catalog:
     """One module per isomorphism class of dimension <= max_dim.
 
@@ -245,8 +244,8 @@ def build_catalog(algebra: Algebra, max_dim: int,
     submodules of codimension <= max_dim, deduplicated up to isomorphism,
     then closed under direct sums within the dimension bound (sums of
     three or more small pieces need not be quotients of R^2).  When the
-    lattice budget is exceeded and sampling is allowed, submodules are
-    sampled instead and the catalog is flagged.
+    lattice budget is exceeded and sampling is allowed, DEFAULT_CATALOG_SAMPLES
+    submodules are sampled from the seed and the catalog is flagged.
 
     Only those submodules are enumerated: under D = Hom_k(-, k) the
     quotients of F of dim <= max_dim correspond to the submodules of D(F)
@@ -316,7 +315,7 @@ def build_catalog(algebra: Algebra, max_dim: int,
         return match
 
     def supply(free):
-        return submodule_supply(free, budget, samples if allow_sampling else None,
+        return submodule_supply(free, budget, DEFAULT_CATALOG_SAMPLES if allow_sampling else None,
                                 seed, max_codim=max_dim)
 
     reg = regular_module(algebra)
@@ -388,12 +387,12 @@ def _eta_naturality_square(e1: NaturalMap, e2: NaturalMap, f: Matrix,
 
 
 def _sample_naturality(report: Report, maps, modules, field, eye_outer, eye_inner,
-                       label: str, rng, cap: int) -> None:
+                       label: str, rng) -> None:
     pairs = [(i, j) for i in range(len(modules)) for j in range(len(modules))]
     rng.shuffle(pairs)
     done = 0
     for i, j in pairs:
-        if done >= cap:
+        if done >= DEFAULT_NATURALITY_SAMPLES:
             break
         h = hom_space(modules[i], modules[j])
         if h.dim == 0:
@@ -408,11 +407,10 @@ def _sample_naturality(report: Report, maps, modules, field, eye_outer, eye_inne
 
 
 def verify_strict_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                              seed: int = 0, strict_sampling: bool = False,
-                              naturality: int = DEFAULT_NATURALITY_SAMPLES) -> Report:
+                              seed: int = 0, strict_sampling: bool = False) -> Report:
     """Surjective pairings force both composite functors to be naturally
     isomorphic to identities: eta and rho invertible on every catalog
-    module, naturality on sampled morphisms."""
+    module, naturality on DEFAULT_NATURALITY_SAMPLES seeded morphisms a side."""
     report = Report("strict context equivalence", strict_sampling)
     if not _check_precondition_strict(ctx, report):
         return report
@@ -428,8 +426,8 @@ def verify_strict_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s:
     rng = random.Random(seed)
     eye_m = Matrix.identity(f, ctx.M.dim)
     eye_n = Matrix.identity(f, ctx.N.dim)
-    _sample_naturality(report, etas, list(catalog_r), f, eye_m, eye_n, "R-module", rng, naturality)
-    _sample_naturality(report, rhos, list(catalog_s), f, eye_n, eye_m, "S-module", rng, naturality)
+    _sample_naturality(report, etas, list(catalog_r), f, eye_m, eye_n, "R-module", rng)
+    _sample_naturality(report, rhos, list(catalog_s), f, eye_n, eye_m, "S-module", rng)
     return report
 
 
@@ -521,20 +519,18 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
     return report
 
 
-def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalog,
-                           budget: int = DEFAULT_ENUM_BUDGET,
-                           samples: int = _ORACLE_SAMPLES, seed: int = 0) -> OracleVerdict:
+def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalog) -> OracleVerdict:
     """Does every map from p_mod lift along quotients with ideal-killed
     kernels?  For each catalog module X and submodule K killed by the
-    generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto."""
-    return _lifting_verdict(p_mod, *_lift_targets(tt, catalog, budget, samples, seed))
+    generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto.  The
+    K are enumerated up to DEFAULT_ENUM_BUDGET (see _lift_targets)."""
+    return _lifting_verdict(p_mod, *_lift_targets(tt, catalog, DEFAULT_ENUM_BUDGET))
 
 
-def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int, samples: int,
-                  seed: int) -> tuple:
-    """(targets, exhaustive): for each catalog module X, X with the list of
-    (K, X/K, projection) over its submodules K killed by the ideal.  None of
-    it depends on the module tested, so one list serves every candidate."""
+def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int) -> tuple:
+    """(targets, exhaustive): each catalog module X with (K, X/K, projection)
+    for its submodules K killed by the ideal, all within the budget, else
+    _ORACLE_SAMPLES from seed 0.  One list serves every candidate module."""
     f = tt.algebra.field
     exhaustive = True
     targets = []
@@ -542,7 +538,7 @@ def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int, samples: int
         if x.algebra != tt.algebra:
             raise ValueError("catalog module over the wrong algebra")
         ann = annihilator(x, tt.ideal.basis.vectors)
-        inner_subs, complete = submodule_supply(ann.as_module(), budget, samples, seed)
+        inner_subs, complete = submodule_supply(ann.as_module(), budget, _ORACLE_SAMPLES, 0)
         exhaustive = exhaustive and complete
         quotients = []
         for sub in inner_subs:
@@ -576,7 +572,7 @@ def _shared_oracle(tt: TorsionTheory, catalog: Catalog, budget: int):
     def verdict(p_mod: LeftModule) -> OracleVerdict:
         nonlocal built
         if built is None:
-            built = _lift_targets(tt, catalog, budget, _ORACLE_SAMPLES, 0)
+            built = _lift_targets(tt, catalog, budget)
         return _lifting_verdict(p_mod, *built)
 
     return verdict

@@ -146,10 +146,6 @@ def vec_add(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(field: Field, c: Scalar, v: Sequence[Scalar]) -> tuple:
     return tuple(field.mul(c, a) for a in v)
 
@@ -263,9 +259,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -296,13 +289,6 @@ class Matrix:
         return Matrix._of(f, tuple([vec_add(f, a, b) for a, b in zip(self.entries, other.entries)]),
                           self.cols)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix._of(f, tuple([vec_sub(f, a, b) for a, b in zip(self.entries, other.entries)]),
-                          self.cols)
-
     def __neg__(self) -> "Matrix":
         f = self.field
         return Matrix._of(f, tuple([tuple(f.neg(a) for a in r) for r in self.entries]), self.cols)
@@ -310,10 +296,6 @@ class Matrix:
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
         return Matrix._of(f, tuple([vec_scale(f, c, r) for r in self.entries]), self.cols)
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for r in self.entries for a in r)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and rank(self) == self.rows
@@ -327,14 +309,6 @@ class Matrix:
         if list(pivots) != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(self.field, [r[n:] for r in red.entries], cols=n)
-
-    def to_json(self) -> dict:
-        f = self.field
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[f.to_json(a) for a in r] for r in self.entries],
-        }
 
 
 def _dot_products(f: Field, rows, cols) -> list:

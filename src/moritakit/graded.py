@@ -28,9 +28,8 @@ from .equivalence import (
 )
 from .exactlin import Basis, Matrix, kernel_basis
 from .modules import (
-    DEFAULT_ISO_EXHAUST,
-    DEFAULT_ISO_SAMPLES,
     DEFAULT_LATTICE_BUDGET,
+    Bimodule,
     HomBasis,
     IsoResult,
     LeftModule,
@@ -273,11 +272,9 @@ def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tup
                        hom.basis.field, "hom basis vector mixes degrees; inputs are not graded")
 
 
-def is_graded_isomorphic(gm: GradedModule, gn: GradedModule,
-                         samples: int = DEFAULT_ISO_SAMPLES, seed: int = 0,
-                         exhaust: int = DEFAULT_ISO_EXHAUST) -> IsoResult:
+def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
     """Search for an invertible degree-preserving map (an identity-degree
-    hom), with the same coefficient search as the ungraded one."""
+    hom), by is_isomorphic's DEFAULT_ISO_EXHAUST / DEFAULT_ISO_SAMPLES search."""
     if gm.algebra != gn.algebra:
         raise ValueError("graded iso needs modules over the same graded algebra")
     if gm.dim != gn.dim or gm.component_dims() != gn.component_dims():
@@ -287,7 +284,7 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule,
     group = gm.algebra.group
     h = _hom_component(hom_space(gm.base, gn.base),
                        _hom_coord_degrees(group, gm.degrees, gn.degrees), group.identity)
-    return _search_invertible(h, samples, seed, exhaust)
+    return _search_invertible(h)
 
 
 _NOT_GRADED = "subspace is not graded: echelon basis vector mixes degrees"
@@ -368,6 +365,24 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
     return Catalog(galg, tuple(reps), _dedup_provenance(base_cat.provenance, proven))
 
 
+def check_bimodule_degrees(bim: Bimodule, graded_left: GradedAlgebra,
+                           graded_right: GradedAlgebra, degs: Sequence[int], name: str) -> None:
+    """Raise ValueError, naming the bimodule `name`, unless degs grade bim:
+    one degree per basis vector, and each basis element of degree g of the
+    left (right) algebra sends degree d to g.d (d.g)."""
+    group = graded_left.group
+    if len(degs) != bim.dim:
+        raise ValueError(f"{name}: one degree per basis vector is required")
+    for i, act in enumerate(bim.left_action):
+        j = _stray_column(act, [group.mul(graded_left.degrees[i], d) for d in degs], degs)
+        if j is not None:
+            raise ValueError(f"{name}: left action breaks the grading at ({i}, {j})")
+    for i, act in enumerate(bim.right_action):
+        j = _stray_column(act, [group.mul(d, graded_right.degrees[i]) for d in degs], degs)
+        if j is not None:
+            raise ValueError(f"{name}: right action breaks the grading at ({i}, {j})")
+
+
 class GradedContext:
     """A context whose algebras, bimodules, and pairings are all graded;
     grading compatibility is validated at construction.  The N and psi
@@ -389,17 +404,7 @@ class GradedContext:
         group = graded_r.group
         rev = reverse_graded_context(self)
         for g, name in ((self, "M"), (rev, "N")):
-            bim, degs = g.context.M, g.m_degrees
-            if len(degs) != bim.dim:
-                raise ValueError(f"{name}: one degree per basis vector is required")
-            for i, act in enumerate(bim.left_action):
-                j = _stray_column(act, [group.mul(g.graded_r.degrees[i], d) for d in degs], degs)
-                if j is not None:
-                    raise ValueError(f"{name}: left action breaks the grading at ({i}, {j})")
-            for i, act in enumerate(bim.right_action):
-                j = _stray_column(act, [group.mul(d, g.graded_s.degrees[i]) for d in degs], degs)
-                if j is not None:
-                    raise ValueError(f"{name}: right action breaks the grading at ({i}, {j})")
+            check_bimodule_degrees(g.context.M, g.graded_r, g.graded_s, g.m_degrees, name)
         for g, name in ((self, "phi"), (rev, "psi")):
             want = [group.mul(a, b) for a in g.m_degrees for b in g.n_degrees]
             col = _stray_column(raw_pairing(g.context), want, g.graded_r.degrees)

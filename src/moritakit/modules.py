@@ -391,8 +391,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class TensorProduct:
-    """A balanced tensor product M (x)_A N presented as a quotient of the
-    raw product space, with whatever outer actions the factors carry."""
+    """A balanced tensor product M (x)_A N of a bimodule M and a left module
+    or bimodule N, presented as a quotient of the raw product space."""
 
     __slots__ = (
         "middle",
@@ -443,12 +443,10 @@ class TensorProduct:
         return self.projection.apply(raw)
 
     def as_left_module(self) -> LeftModule:
-        if self.left_action is None:
-            raise ValueError("left factor carries no outer left action")
         return LeftModule(self.left_algebra, self.dim, self.left_action)
 
     def as_bimodule(self) -> Bimodule:
-        if self.left_action is None or self.right_action is None:
+        if self.right_action is None:
             raise ValueError("both outer actions are needed for a bimodule")
         return Bimodule(self.left_algebra, self.right_algebra, self.dim, self.left_action, self.right_action)
 
@@ -463,8 +461,8 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
 
     Args:
         middle: the algebra being tensored over.
-        left: RightModule over middle, or a Bimodule whose right algebra is
-            middle (its left algebra then descends to the product).
+        left: a Bimodule whose right algebra is middle (its left algebra
+            descends to the product).
         right: LeftModule over middle, or a Bimodule whose left algebra is
             middle (its right algebra descends).
 
@@ -472,16 +470,10 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
     (m.a) (x) n - m (x) (a.n) are spanned and the computed basis is the
     non-pivot coordinate set of their echelon form.
     """
-    if isinstance(left, Bimodule):
-        if left.right_algebra != middle:
-            raise ValueError("left factor's right algebra is not the middle algebra")
-        left_right_action = left.right_action
-    elif isinstance(left, RightModule):
-        if left.algebra != middle:
-            raise ValueError("left factor is not a right module over the middle algebra")
-        left_right_action = left.action
-    else:
-        raise ValueError(f"left factor must be a RightModule or Bimodule, got {type(left).__name__}")
+    if not isinstance(left, Bimodule):
+        raise ValueError(f"left factor must be a Bimodule, got {type(left).__name__}")
+    if left.right_algebra != middle:
+        raise ValueError("left factor's right algebra is not the middle algebra")
     if isinstance(right, Bimodule):
         if right.left_algebra != middle:
             raise ValueError("right factor's left algebra is not the middle algebra")
@@ -497,7 +489,7 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
     m, n = left.dim, right.dim
     rel_vecs = []
     for a in range(middle.dim):
-        ra = left_right_action[a]
+        ra = left.right_action[a]
         la = right_left_action[a]
         for i in range(m):
             mi_a = ra.col(i)
@@ -514,14 +506,11 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
     relations = Basis.span(f, m * n, rel_vecs)
     quot = quotient_structure(relations)
 
-    left_algebra = left_action = None
-    if isinstance(left, Bimodule):
-        left_algebra = left.left_algebra
-        eye_n = Matrix.identity(f, n)
-        left_action = tuple(
-            quot.projection @ kron(left.left_action[b], eye_n) @ quot.section
-            for b in range(left_algebra.dim)
-        )
+    eye_n = Matrix.identity(f, n)
+    left_action = tuple(
+        quot.projection @ kron(left.left_action[b], eye_n) @ quot.section
+        for b in range(left.left_algebra.dim)
+    )
     right_algebra = right_action = None
     if isinstance(right, Bimodule):
         right_algebra = right.right_algebra
@@ -531,7 +520,7 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
             for b in range(right_algebra.dim)
         )
     return TensorProduct(middle, left, right, relations, quot,
-                         left_algebra, left_action, right_algebra, right_action)
+                         left.left_algebra, left_action, right_algebra, right_action)
 
 
 def cyclic_submodule(m: _Module, v: Sequence) -> Basis:
@@ -698,8 +687,7 @@ def iso_invariant(m: LeftModule) -> tuple:
     return m.dim, tuple(rank(a) for a in m.action), hom_space(m, m).dim
 
 
-def is_isomorphic(m: LeftModule, n: LeftModule, samples: int = DEFAULT_ISO_SAMPLES,
-                  seed: int = 0, exhaust: int = DEFAULT_ISO_EXHAUST) -> IsoResult:
+def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     """Search the hom space for an invertible map.
 
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
@@ -717,12 +705,12 @@ def is_isomorphic(m: LeftModule, n: LeftModule, samples: int = DEFAULT_ISO_SAMPL
     ident = Matrix.identity(field, m.dim)
     if hom.coords(ident) is not None:
         return IsoResult(ident, True)
-    return _search_invertible(hom, samples, seed, exhaust)
+    return _search_invertible(hom)
 
 
-def _search_invertible(hom: HomBasis, samples: int, seed: int, exhaust: int) -> IsoResult:
+def _search_invertible(hom: HomBasis) -> IsoResult:
     """An invertible member of the hom space, found by coefficient_search
-    (exhaustive over small GF(p) spaces, else sampled from the seed)."""
+    with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES from seed 0."""
     if hom.dim == 0:
         return IsoResult(None, True)
 
@@ -731,6 +719,6 @@ def _search_invertible(hom: HomBasis, samples: int, seed: int, exhaust: int) -> 
         return cand if cand.is_invertible() else None
 
     field = hom.source.algebra.field
-    hit, exhaustive = coefficient_search(field, hom.dim, invertible, exhaust, samples,
-                                         random.Random(seed))
+    hit, exhaustive = coefficient_search(field, hom.dim, invertible, DEFAULT_ISO_EXHAUST,
+                                         DEFAULT_ISO_SAMPLES, random.Random(0))
     return IsoResult(hit, exhaustive)

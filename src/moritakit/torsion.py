@@ -167,19 +167,18 @@ class OracleVerdict:
 
 
 def rel_injective_oracle(tt: TorsionTheory, target: LeftModule, ambient: LeftModule,
-                         budget: int = DEFAULT_ENUM_BUDGET,
-                         samples: int = DEFAULT_ORACLE_SAMPLES,
-                         seed: int = 0) -> OracleVerdict:
+                         samples: int = DEFAULT_ORACLE_SAMPLES) -> OracleVerdict:
     """Does every map into target from a dense submodule of ambient extend?
 
-    A submodule qualifies when the quotient by it is torsion.  For each
-    qualifying submodule the restriction map Hom(ambient, target) ->
-    Hom(submodule, target) must be onto; a failure records the submodule
-    and a map with no extension.
+    The submodules of ambient are enumerated up to DEFAULT_ENUM_BUDGET, else
+    `samples` are drawn from seed 0.  A submodule qualifies when the quotient
+    by it is torsion.  For each qualifying submodule the restriction map
+    Hom(ambient, target) -> Hom(submodule, target) must be onto; a failure
+    records the submodule and a map with no extension.
     """
     if target.algebra != tt.algebra or ambient.algebra != tt.algebra:
         raise ValueError("oracle modules are over the wrong algebra")
-    subs, exhaustive = submodule_supply(ambient, budget, samples, seed)
+    subs, exhaustive = submodule_supply(ambient, DEFAULT_ENUM_BUDGET, samples, 0)
     hom_amb = hom_space(ambient, target)
     failures = []
     for sub in subs:

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 from .algebra import Algebra, Ideal, validate_algebra
 from .context import MoritaContext, raw_pairing, reverse_context, validate_context
 from .exactlin import Basis, Field, Matrix
-from .graded import FiniteGroup, GradedAlgebra, GradedContext, GradedModule
+from .graded import FiniteGroup, GradedAlgebra, GradedContext, GradedModule, check_bimodule_degrees
 from .modules import Bimodule, LeftModule, validate_module
 
 
@@ -62,11 +62,6 @@ class Workspace:
         self.context_names: Dict[str, tuple] = {}
         self.gradings: Dict[str, Grading] = {}
         self.catalogs: Dict[str, CatalogRecipe] = {}
-
-    def algebra(self, name: str) -> Algebra:
-        if name not in self.algebras:
-            raise WorkspaceError(f"unknown algebra {name!r}", "algebras")
-        return self.algebras[name]
 
     def left_module(self, name: str) -> LeftModule:
         if name in self.modules:
@@ -285,14 +280,6 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
                 graded_algebras[name] = GradedAlgebra(ws.algebras[name], group, degs)
             except ValueError as e:
                 raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
-    for name, degs in degrees.items():
-        if name in ws.modules:
-            alg_name = _algebra_name_of(ws, ws.modules[name].algebra)
-            if alg_name in graded_algebras:
-                try:
-                    GradedModule(graded_algebras[alg_name], ws.modules[name], degs)
-                except ValueError as e:
-                    raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
     contexts = {}  # every context whose R, S, M and N all have degrees here
     for cname, (r_name, s_name, m_name, n_name) in sorted(ws.context_names.items()):
         if all(n in degrees for n in (r_name, s_name, m_name, n_name)):
@@ -302,6 +289,24 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
                                                 degrees[n_name])
             except ValueError as e:
                 raise WorkspaceError(f"context {cname!r}: {e}", f"{location}.degrees") from None
+
+    def graded(a: Algebra) -> GradedAlgebra:
+        alg_name = _algebra_name_of(ws, a)
+        if alg_name not in graded_algebras:
+            raise ValueError(f"algebra {alg_name!r} has no degrees in this grading")
+        return graded_algebras[alg_name]
+
+    # after the contexts, so that a context's bimodule fails naming its context
+    for name, degs in degrees.items():
+        try:
+            if name in ws.modules:
+                GradedModule(graded(ws.modules[name].algebra), ws.modules[name], degs)
+            elif name in ws.bimodules:
+                bim = ws.bimodules[name]
+                check_bimodule_degrees(bim, graded(bim.left_algebra), graded(bim.right_algebra),
+                                       degs, name)
+        except ValueError as e:
+            raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
     return Grading(group, degrees, graded_algebras, contexts)
 
 

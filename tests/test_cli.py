@@ -282,3 +282,42 @@ def test_seed_recorded_in_report(capsys):
     _, out, _ = run(capsys, "iso", T2, "--context", "t2corner",
                     "--context", "t2corner", "--format", "machine", "--seed", "5")
     assert json.loads(out)["seed"] == 5
+
+
+def _t2_with_catalog_recipe(tmp_path, modules):
+    with open(T2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["catalogs"]["catR"] = {"algebra": "T2", "modules": modules}
+    p = tmp_path / "recipe.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_catalog_recipe_with_listed_modules(capsys, tmp_path):
+    path = _t2_with_catalog_recipe(tmp_path, ["S1", "S2", "T2reg"])
+    code, out, _ = run(capsys, "equiv", path, "--context", "t2corner", "--format", "machine")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["verdict_count"] == 16
+    assert summary["flags"] == ["sampled catalog: user-supplied"]
+
+
+def test_catalog_recipe_with_unknown_module_is_input_error(capsys, tmp_path):
+    path = _t2_with_catalog_recipe(tmp_path, ["S1", "ghost"])
+    code, out, err = run(capsys, "equiv", path, "--context", "t2corner")
+    assert code == 2
+    assert out == ""
+    assert "catalogs.catR.modules: unknown module 'ghost'" in err
+
+
+def test_equiv_proj_budget_zero_samples_and_flags(capsys):
+    code, out, _ = run(capsys, "equiv-proj", T2, "--context", "t2corner", "--budget", "0",
+                       "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["budget"] == 0
+    assert doc["summary"]["flags"] == ["sampled catalog: sampled(seed=0)",
+                                       "sampled projectivity oracle"]
+    code, _, _ = run(capsys, "equiv-proj", T2, "--context", "t2corner", "--budget", "0",
+                     "--strict-sampling")
+    assert code == 1

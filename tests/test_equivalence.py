@@ -39,6 +39,7 @@ from moritakit.modules import (
     iso_invariant,
     regular_module,
     submodule_lattice,
+    validate_module,
 )
 from moritakit.torsion import localize
 
@@ -468,6 +469,21 @@ def test_catalog_matches_bruteforce_beyond_bricks(algebra, max_dim, basis_seed):
     reg = regular_module(algebra)  # indecomposable (R is local), End = R^op
     assert iso_invariant(reg)[-1] > 1
     assert any(is_isomorphic(m, reg).found for m in cat if m.dim == reg.dim)
+
+
+@pytest.mark.xfail(strict=True, reason="build_catalog does not yet close under extensions "
+                   "by simples, so a module that needs three generators is missed")
+def test_catalog_holds_the_dual_of_the_regular_module():
+    # D(A) = Hom_k(A_A, k), with (a.f)(x) = f(xa): its action matrices are the
+    # transposes of right multiplication.  Over k[x,y,z]/(x,y,z)^2 it has a
+    # 3-dim top, so it is no quotient of R or R^2, and it is indecomposable.
+    a = _radical_square_zero(GF2, 3)
+    dual = LeftModule(a, a.dim, [a.right_mult_matrix(a.basis_vector(i)).transpose()
+                                 for i in range(a.dim)])
+    assert validate_module(dual) == []
+    cat = build_catalog(a, 4)
+    assert cat.provenance == "exhaustive-up-to-dim(4)"
+    assert any(is_isomorphic(m, dual).found for m in cat)
 
 
 def test_catalog_never_searches_between_sums_of_bricks(monkeypatch):

@@ -202,3 +202,39 @@ def test_grading_for_context_selection():
     assert g.degrees["M"] == (1, 0)
     with pytest.raises(WorkspaceError, match="no grading"):
         ws.grading_for_context("t2identity")
+
+
+def _t2_with_degrees(tmp_path, **changes):
+    # the shipped t2_corner document with some c2 degree lists replaced,
+    # or removed where the value is None
+    doc = builtin_workspaces()["t2_corner.json"]
+    degrees = doc["gradings"]["c2"]["degrees"]
+    for name, degs in changes.items():
+        if degs is None:
+            del degrees[name]
+        else:
+            degrees[name] = degs
+    return write_ws(tmp_path, doc)
+
+
+def test_module_degrees_need_a_graded_algebra(tmp_path):
+    path = _t2_with_degrees(tmp_path, T2=None, M=None, N=None, S1=None, S2=None,
+                            T2reg=[1, 1, 1])
+    with pytest.raises(WorkspaceError, match="'T2' has no degrees") as info:
+        parse_workspace(path)
+    assert info.value.location == "gradings.c2.degrees.T2reg"
+
+
+def test_bimodule_degrees_need_both_algebras_graded(tmp_path):
+    path = _t2_with_degrees(tmp_path, S=None)
+    with pytest.raises(WorkspaceError, match="'S' has no degrees") as info:
+        parse_workspace(path)
+    assert info.value.location == "gradings.c2.degrees.M"
+
+
+def test_bimodule_degrees_checked_outside_a_graded_context(tmp_path):
+    # Nid has no degrees, so no graded context covers Mid
+    path = _t2_with_degrees(tmp_path, Mid=[1, 1, 1])
+    with pytest.raises(WorkspaceError, match="left action breaks the grading") as info:
+        parse_workspace(path)
+    assert info.value.location == "gradings.c2.degrees.Mid"
