@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-dim", type=_non_negative_int, dest="max_dim",
                         help="catalog dimension bound, at least 0 (overrides workspace recipes)")
     common.add_argument("--budget", type=_non_negative_int,
-                        help="submodule enumeration budget, at least 0")
+                        help="submodule and Ext enumeration budget, at least 0")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled searches (recorded in reports)")
     common.add_argument("--strict-sampling", action="store_true", dest="strict_sampling",

@@ -23,18 +23,22 @@ from .context import (
     rho_map,
     trace_ideals,
 )
-from .exactlin import Basis, Matrix, _dot_products, _pivot_rows, hstack, random_scalar, vstack
+from .exactlin import Basis, Matrix, random_scalar
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_LATTICE_BUDGET,
+    BudgetExceeded,
     LeftModule,
+    _projective_points,
     annihilator,
     direct_sum,
+    extension_space,
     hom_module,
     hom_space,
     ideal_action_image,
     is_isomorphic,
     iso_invariant,
+    middle_term,
     quotient_module,
     regular_module,
     submodule_supply,
@@ -141,12 +145,11 @@ def _module_sort_key(m: LeftModule):
     return (m.dim, tuple(tuple(tuple(row) for row in a.entries) for a in m.action))
 
 
-def _keep_new_class(buckets: dict, key, mod, is_iso, searched=None) -> tuple:
+def _keep_new_class(buckets: dict, key, mod, is_iso) -> tuple:
     """Keep mod unless it is isomorphic to a kept module with the same
     invariant key; only those are searched, since a different key is
-    already a proof of non-isomorphism, and of them only the ones searched
-    (a predicate) accepts, when the caller has proven mod apart from the
-    rest.  The first module of a class stays its representative.
+    already a proof of non-isomorphism.  The first module of a class stays
+    its representative.
 
     Returns (match, proven): match is the kept module mod is isomorphic
     to, or None when mod was kept; proven is False when mod was kept
@@ -155,8 +158,6 @@ def _keep_new_class(buckets: dict, key, mod, is_iso, searched=None) -> tuple:
     bucket = buckets.setdefault(key, [])
     proven = True
     for r in bucket:
-        if searched is not None and not searched(r):
-            continue
         res = is_iso(r, mod)
         if res.found:
             return r, True
@@ -175,189 +176,91 @@ def _dedup_provenance(provenance: str, proven: bool) -> str:
     return "sampled(iso dedup seed=0)"
 
 
-def _free_square_automorphisms(algebra: Algebra) -> list:
-    """Generators of a subgroup of Aut_R(R^2), as block matrices on the
-    coordinates (x1, x2) of direct_sum(R, R): the swap, one transvection
-    (x1, x2) |-> (x1, x2 + x1 e_j) per algebra basis element, and
-    diag(c, 1) for each scalar c other than 0 and 1.  Right multiplications
-    commute with the left action, so each is a module automorphism."""
-    f = algebra.field
-    eye = Matrix.identity(f, algebra.dim)
-    zero = Matrix.zeros(f, algebra.dim, algebra.dim)
-
-    def block(a, b, c, d):
-        return vstack(hstack(a, b), hstack(c, d))
-
-    gens = [block(zero, eye, eye, zero)]
-    gens += [block(eye, zero, right, eye) for right in algebra._basis_right_mats()]
-    gens += [block(eye.scale(f.of_int(c)), zero, zero, eye) for c in range(2, f.p)]
-    return gens
-
-
-def _new_free_square_quotients(algebra: Algebra, subs: list) -> list:
-    """The members of subs, the exhaustive list of submodules L of R^2 of
-    codimension <= max_dim, whose quotient R^2/L is not already known to be
-    isomorphic to an earlier candidate of build_catalog.
-
-    Each L not yet seen is the first of its orbit under the automorphisms
-    of _free_square_automorphisms; a breadth-first search marks the whole
-    orbit (one RREF per member and generator), and every later member is
-    skipped, since R^2/gL is isomorphic to R^2/L.  An orbit is skipped
-    whole when a member contains a free line (a 1_R, b 1_R), (a:b) in
-    P^1(GF(p)): that member holds R(a, b), a free summand, so its quotient
-    is isomorphic to a quotient of R of the same codimension, which the R
-    pass before has already offered."""
-    f = algebra.field
-    unit = algebra.unit
-    lines = [tuple(f.zero for _ in unit) + unit]
-    lines += [unit + tuple(f.mul(f.of_int(b), u) for u in unit) for b in range(f.p)]
-    gens = _free_square_automorphisms(algebra)
-    listed = {sub.basis for sub in subs}
-    seen = set()
-    kept = []
-    for sub in subs:
-        if sub.basis in seen:
-            continue
-        seen.add(sub.basis)
-        orbit = [sub.basis]
-        for low in orbit:  # grows while it is walked: breadth first
-            for g in gens:
-                rows, pivots = _pivot_rows(f, _dot_products(f, low.vectors, g.entries), low.ambient_dim)
-                image = Basis(f, low.ambient_dim, tuple(rows), pivots)
-                if image not in seen:
-                    if image not in listed:
-                        raise AssertionError("automorphism image is not a listed submodule")
-                    seen.add(image)
-                    orbit.append(image)
-        if not any(member.contains_vector(v) for member in orbit for v in lines):
-            kept.append(sub)
-    return kept
-
-
 def build_catalog(algebra: Algebra, max_dim: int,
                   budget: int = DEFAULT_LATTICE_BUDGET,
                   allow_sampling: bool = False,
                   seed: int = 0) -> Catalog:
     """One module per isomorphism class of dimension <= max_dim.
 
-    Strategy: quotients of the free modules R^1 and R^2 by their
-    submodules of codimension <= max_dim, deduplicated up to isomorphism,
-    then closed under direct sums within the dimension bound (sums of
-    three or more small pieces need not be quotients of R^2).  When the
-    lattice budget is exceeded and sampling is allowed, DEFAULT_CATALOG_SAMPLES
-    submodules are sampled from the seed and the catalog is flagged.
+    Candidates come in two steps, and each is deduplicated on arrival:
+      1. the quotients R/L of dim <= max_dim, in the (dim, RREF) order of
+         the submodules L of R;
+      2. for each kept class T, in the order kept (classes kept later are
+         walked too), and each simple S, in the same order, with
+         dim S + dim T <= max_dim: the split extension, direct_sum with the
+         earlier-kept class first, then one middle_term per projective
+         point of extension_space(S, T).  The simples are the quotients of
+         step 1 whose only submodules are 0 and themselves.
 
-    Only those submodules are enumerated: under D = Hom_k(-, k) the
-    quotients of F of dim <= max_dim correspond to the submodules of D(F)
-    of dim <= max_dim, so submodule_lattice walks up from 0 in D(F) and
-    stops at max_dim (see there).  The walk costs one span per projective
-    point of F plus one per (small submodule, point) join, where the full
-    lattice of R^2 had joins up to dim 2 dim R; the quotients come in the
-    same (dim, RREF) order as before, so the catalog is the same.
-
-    Before dedup, the R^2 list is cut to one submodule L per orbit of a
-    subgroup of Aut_R(R^2) = GL_2(R^op) (swap, transvections by the basis
-    elements, diag(c, 1)), and orbits are dropped whole when a member holds
-    a free line (a 1_R, b 1_R): R^2/gL is isomorphic to R^2/L, and a
-    quotient by L containing R(a, b) is isomorphic to a quotient of R of the
-    same codimension.  So each dropped L has an earlier candidate with an
-    isomorphic quotient (the first of its orbit, or one of R), and is never
-    the first of its class.  Dedup keeps the first candidate of each class,
-    so the representatives, their order and the provenance are those of
-    deduplicating every candidate; only a sampled search that would have
-    missed on a dropped L, and kept a duplicate, is saved.  The argument
-    needs the whole orbit and every quotient of R on the lists, so sampled
-    supplies are not filtered.
+    This is complete, by induction on dimension: a nonzero module M has a
+    simple submodule S, which is cyclic and so is isomorphic to a simple
+    of step 1; M/S is isomorphic to a kept class T of smaller dim; and in a
+    basis through S, M acts as [[rho_S, f], [0, rho_T]] for a derivation f.
+    Adding an inner derivation to f and rescaling it by a nonzero scalar
+    both give isomorphic middle terms, so the zero class and one point per
+    line of a complement of B^1 in Z^1 cover M.
 
     Deduplication searches for an isomorphism only between modules with
     equal iso_invariant keys (dim, rank of each basis action, dim End).
     Every entry of the key is preserved by N = P M P^-1 over the fixed
-    algebra basis, so two modules with different keys are proven
-    non-isomorphic without a search, and skipping those searches leaves
-    the catalog exactly what comparing against every kept module gives:
-    still exhaustive up to max_dim when the submodule lists were.  A class
-    kept after a sampled search missed marks the catalog sampled.
+    algebra basis, so a different key proves non-isomorphism, and the
+    catalog is exactly what comparing against every kept module gives.  The
+    first candidate of each class stays its representative, and the
+    representatives are sorted by (dim, action matrices).
 
-    The direct-sum closure decides most sums by Krull-Schmidt (a module of
-    finite length is a sum of indecomposables, unique up to isomorphism and
-    order).  A class with dim End = 1 is a brick: End = k has no idempotent
-    but 0 and 1, so a brick is indecomposable.  Each class known to be a
-    sum of bricks carries their multiset.  A sum of two such classes is
-    skipped when its multiset is already carried, since it is isomorphic to
-    that class by a permutation of summands; a new multiset proves it
-    non-isomorphic to every class that carries one, so it is searched only
-    against the other classes of its bucket, and a class it matches takes
-    its multiset.  A sum with a summand not known to be a sum of bricks
-    takes the full bucket search, and A + B is not offered after B + A.  Each skipped search has a known
-    answer, so with exhaustive searches the representatives, their order
-    and the provenance are those of searching every candidate; a sum that
-    Krull-Schmidt proves new needs no search, sampled or not.
+    budget bounds p**dim R for the submodule walks, and p**e for each
+    Ext^1 space of dim e.  Past it, or over Q, with allow_sampling the walk
+    takes sample_submodules and an Ext space DEFAULT_CATALOG_SAMPLES
+    seeded classes, and the catalog is sampled(seed=...); without it
+    BudgetExceeded is raised.  A class kept after a sampled iso search
+    missed also marks the catalog sampled.
     """
+    field = algebra.field
+    samples = DEFAULT_CATALOG_SAMPLES if allow_sampling else None
+    rng = random.Random(seed)
     reps = []
     buckets = {}
-    proven = True
-    bricks = {}  # id of a class -> its multiset of bricks, sorted ids, when known
-    known = set()  # the multisets in bricks
+    proven = exact = True
 
-    def resolve(mod: LeftModule, multiset: tuple) -> None:
-        bricks[id(mod)] = multiset
-        known.add(multiset)
-
-    def add(mod: LeftModule, searched=None):
+    def add(mod: LeftModule) -> None:
         nonlocal proven
-        key = iso_invariant(mod)
-        match, exact = _keep_new_class(buckets, key, mod, is_isomorphic, searched)
+        match, miss_proven = _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic)
         if match is None:
             reps.append(mod)
-            proven = proven and exact
-            if key[-1] == 1:  # End(mod) = k: a brick
-                resolve(mod, (id(mod),))
-        return match
+            proven = proven and miss_proven
 
-    def supply(free):
-        return submodule_supply(free, budget, DEFAULT_CATALOG_SAMPLES if allow_sampling else None,
-                                seed, max_codim=max_dim)
+    def supply(mod: LeftModule) -> list:
+        nonlocal exact
+        subs, exhaustive = submodule_supply(mod, budget, samples, seed)
+        exact = exact and exhaustive
+        return subs
+
+    def classes(e: int):
+        nonlocal exact
+        if field.is_prime_field and field.p ** e <= budget:
+            return _projective_points(field, e)
+        if samples is None:
+            raise BudgetExceeded(f"an Ext space of dim {e} exceeds catalog budget {budget}")
+        exact = False
+        draws = ([random_scalar(field, rng) for _ in range(e)] for _ in range(samples))
+        return [c for c in draws if any(c)]
 
     reg = regular_module(algebra)
-    subs_r, exact_r = supply(reg)
-    subs_2, exact_2 = supply(direct_sum(reg, reg))
-    sampled = not (exact_r and exact_2)
-    if not sampled:
-        subs_2 = _new_free_square_quotients(algebra, subs_2)
-    for sub in subs_r + subs_2:
-        add(sub.quotient()[0])
-
-    # Each sum reps[i] + reps[j] is tried once: the sums with j < tried[i]
-    # are done, and a pair offered in the other order is skipped.  reps only
-    # grows, so a sum that matched a kept class once would match it again.
-    tried = []
-    offered = set()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reps)):
-            if i == len(tried):
-                tried.append(0)
-            start, tried[i] = tried[i], len(reps)
-            for j in range(start, tried[i]):
-                a, b = reps[i], reps[j]
-                if (j, i) in offered or not (a.dim + b.dim <= max_dim and a.dim > 0 and b.dim > 0):
-                    continue
-                offered.add((i, j))
-                parts = bricks.get(id(a)), bricks.get(id(b))
-                if None in parts:
-                    changed = add(direct_sum(a, b)) is None or changed
-                    continue
-                multiset = tuple(sorted(parts[0] + parts[1]))
-                if multiset in known:
-                    continue
-                total = direct_sum(a, b)
-                match = add(total, lambda r: id(r) not in bricks)
-                resolve(total if match is None else match, multiset)
-                changed = match is None or changed
+    for sub in supply(reg):
+        if reg.dim - sub.dim <= max_dim:
+            add(sub.quotient()[0])
+    simples = [(j, s) for j, s in enumerate(reps) if s.dim > 0 and len(supply(s)) == 2]
+    for i, t in enumerate(reps):  # reps grows while it is walked
+        for j, s in simples:
+            if t.dim == 0 or s.dim + t.dim > max_dim:
+                continue
+            add(direct_sum(s, t) if j < i else direct_sum(t, s))
+            ext = extension_space(s, t)
+            for coeffs in classes(ext.dim):
+                add(middle_term(s, t, ext.from_coords(coeffs)))
 
     reps.sort(key=_module_sort_key)
-    provenance = f"sampled(seed={seed})" if sampled else f"exhaustive-up-to-dim({max_dim})"
+    provenance = f"exhaustive-up-to-dim({max_dim})" if exact else f"sampled(seed={seed})"
     return Catalog(algebra, tuple(reps), _dedup_provenance(provenance, proven))
 
 

@@ -29,6 +29,7 @@ from .exactlin import (
     basis_sum,
     closure,
     coefficient_search,
+    hstack,
     kernel_basis,
     quotient_structure,
     random_scalar,
@@ -221,9 +222,6 @@ class Submodule:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def inclusion(self) -> Matrix:
-        return self.basis.matrix_cols()
 
     def quotient(self) -> tuple:
         """parent / self with its projection matrix, on the stability the
@@ -523,12 +521,12 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
                          left.left_algebra, left_action, right_algebra, right_action)
 
 
-def cyclic_submodule(m: _Module, v: Sequence) -> Basis:
-    """The submodule generated by v, left or right, as one span of its
-    images under the basis action matrices: the span holds v, since the
-    unit acts as the identity, and it is stable, since each product of two
-    basis elements is a combination of basis elements.  (So m must satisfy
-    the module laws; validate_module checks them.)"""
+def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
+    """The submodule generated by v, as one span of its images under the
+    basis action matrices: the span holds v, since the unit acts as the
+    identity, and it is stable, since each product of two basis elements is
+    a combination of basis elements.  (So m must satisfy the module laws;
+    validate_module checks them.)"""
     return Basis.span(m.algebra.field, m.dim, [act.apply(v) for act in m.action])
 
 
@@ -541,31 +539,36 @@ def _projective_points(field, n: int):
             yield head + tail
 
 
-def _cover_walk(m: _Module, cap: int) -> set:
-    """Every subspace of dim <= cap stable under m's action, by a cover
-    walk: each projective point v of m is closed once to C(v); then from
-    0, every stable L of dim < cap is joined with each C(v) of dim <= cap
-    whose point v vanishes on L's pivot coordinates, and joins above cap
-    are dropped.  This is exact: a stable X above L holds some x outside
-    L, and x reduced by L's RREF and rescaled is such a point w, with
-    L < L + C(w) <= X, so a chain of joins, none above dim X, climbs from
-    0 to X."""
+def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> list:
+    """Every submodule of m exactly once, ordered by (dim, RREF vectors).
+
+    A cover walk: each projective point v of m is closed once to C(v);
+    then from 0, every submodule L is joined with each C(v) whose point v
+    vanishes on L's pivot coordinates.  This is exact: a submodule X above
+    L holds some x outside L, and x reduced by L's RREF and rescaled is
+    such a point w, with L < L + C(w) <= X, so a chain of joins climbs from
+    0 to X.
+
+    Cost: one span per projective point, (p**dim - 1)/(p - 1) of them,
+    then one span per (submodule L, projective point of m/L).  Requires a
+    prime field and p**dim within budget; raises BudgetExceeded otherwise.
+    """
     field = m.algebra.field
-    # the closures that fit the cap, grouped by their points' support bitmasks
+    if not field.is_prime_field:
+        raise BudgetExceeded("submodule enumeration needs a finite field")
+    if field.p ** m.dim > budget:
+        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
+    # the closures, grouped by their points' support bitmasks
     by_support = {}
     for v in _projective_points(field, m.dim):
-        cyc = cyclic_submodule(m, v)
-        if cyc.dim <= cap:
-            support = sum(1 << i for i, c in enumerate(v) if c)
-            by_support.setdefault(support, set()).add(cyc)
+        support = sum(1 << i for i, c in enumerate(v) if c)
+        by_support.setdefault(support, set()).add(cyclic_submodule(m, v))
     zero = Basis.zero(field, m.dim)
     found = {zero}
     frontier = [zero]
     while frontier:
         fresh = []
         for low in frontier:
-            if low.dim >= cap:
-                continue
             free = (1 << m.dim) - 1 - sum(1 << p for p in low.pivots)
             joins = set()
             support = free
@@ -574,45 +577,10 @@ def _cover_walk(m: _Module, cap: int) -> set:
                 support = (support - 1) & free
             for cyc in joins:
                 join = basis_sum(low, cyc)
-                if join.dim <= cap and join not in found:
+                if join not in found:
                     found.add(join)
                     fresh.append(join)
         frontier = fresh
-    return found
-
-
-def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET,
-                      max_codim: Optional[int] = None) -> list:
-    """Every submodule of m of codimension <= max_codim (all of them when
-    max_codim is None), exactly once, ordered by (dim, RREF vectors).
-
-    Without a bound this is _cover_walk on m.  With one it is the same
-    walk on the dual D(m) = Hom_k(m, k), the right module whose action
-    matrices are the transposes, capped at max_codim, and each stable Y it
-    finds is sent to its annihilator Y^perp (one kernel_basis).  Y |-> Y^perp
-    reverses inclusion, has dim Y^perp = dim m - dim Y, and Y is stable
-    under every transpose exactly when Y^perp is stable under every action
-    matrix (y.(A x) = (A^T y).x), so the annihilators are exactly the
-    submodules of codimension <= max_codim: the quotients of dimension
-    <= max_dim that build_catalog keeps.
-
-    Cost: one span per projective point, (p**dim - 1)/(p - 1) of them,
-    then one span per (stable subspace L within the cap, projective point
-    of m/L whose closure fits the cap), plus one kernel per bounded
-    result.  Requires a prime field and p**dim within budget; raises
-    BudgetExceeded otherwise.
-    """
-    field = m.algebra.field
-    if not field.is_prime_field:
-        raise BudgetExceeded("submodule enumeration needs a finite field")
-    if field.p ** m.dim > budget:
-        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
-    if max_codim is None or max_codim >= m.dim:
-        found = _cover_walk(m, m.dim)
-    else:
-        dual = RightModule(m.algebra, m.dim, [act.transpose() for act in m.action])
-        found = [kernel_basis(Matrix(field, y.vectors, cols=m.dim))
-                 for y in _cover_walk(dual, max_codim)]
     return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
 
 
@@ -635,21 +603,66 @@ def sample_submodules(m: LeftModule, samples: int, seed: int) -> list:
     return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
 
 
-def submodule_supply(m: LeftModule, budget: int, samples: Optional[int],
-                     seed: int, max_codim: Optional[int] = None) -> tuple:
-    """(subs, exhaustive): every submodule of m of codimension <= max_codim
-    (None: no bound) when the cover walk fits budget, else the samples of
-    sample_submodules within that bound, with exhaustive False.  With
-    samples None the BudgetExceeded propagates instead."""
+def submodule_supply(m: LeftModule, budget: int, samples: Optional[int], seed: int) -> tuple:
+    """(subs, exhaustive): every submodule of m when the cover walk fits
+    budget, else the samples of sample_submodules, with exhaustive False.
+    With samples None the BudgetExceeded propagates instead."""
     try:
-        return submodule_lattice(m, budget, max_codim), True
+        return submodule_lattice(m, budget), True
     except BudgetExceeded:
         if samples is None:
             raise
-        subs = sample_submodules(m, samples, seed)
-        if max_codim is not None:
-            subs = [s for s in subs if m.dim - s.dim <= max_codim]
-        return subs, False
+        return sample_submodules(m, samples, seed), False
+
+
+def extension_space(s: LeftModule, t: LeftModule) -> Basis:
+    """A complement of B^1 in Z^1, a copy of Ext^1(T, S).
+
+    Z^1 is the space of derivations f: A -> Hom_k(T, S), with
+    f(ab) = rho_S(a) f(b) + f(a) rho_T(b), vectorized as f(e_0), f(e_1), ...
+    over the algebra basis, each an (s x t) block read row-major: one
+    kernel_basis over the structure constants.  B^1 is spanned by the inner
+    derivations a |-> rho_S(a) h - h rho_T(a), and each f in Z^1 is
+    reduced by B^1's RREF, so the span is a complement.  f and f + inner
+    give isomorphic middle terms (middle_term), and the zero class gives
+    S + T."""
+    alg = s.algebra
+    f = alg.field
+    td = t.dim
+    block = s.dim * td
+    nvars = alg.dim * block
+    rows = []
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        for r, c in itertools.product(range(s.dim), range(td)):
+            row = [f.zero] * nvars
+            terms = [(j * block + q * td + c, s.action[i].entries[r][q]) for q in range(s.dim)]
+            terms += [(i * block + r * td + q, t.action[j].entries[q][c]) for q in range(td)]
+            terms += [(k * block + r * td + c, f.neg(x)) for k, x in enumerate(alg.mul[i][j])]
+            for at, x in terms:
+                row[at] = f.add(row[at], x)
+            rows.append(row)
+    cocycles = kernel_basis(Matrix(f, rows, cols=nvars))
+    units = [Matrix(f, [[f.one if (x, y) == (r, c) else f.zero for y in range(td)]
+                        for x in range(s.dim)], cols=td)
+             for r, c in itertools.product(range(s.dim), range(td))]
+    inner = Basis.span(f, nvars, [[x for a, b in zip(s.action, t.action)
+                                   for row in (a @ h + -(h @ b)).entries for x in row]
+                                  for h in units])
+    return Basis.span(f, nvars, [inner.reduce(z) for z in cocycles.vectors])
+
+
+def middle_term(s: LeftModule, t: LeftModule, cocycle: Sequence) -> LeftModule:
+    """The extension of T by S that a derivation of extension_space gives:
+    k^s + k^t with a acting as [[rho_S(a), f(a)], [0, rho_T(a)]]."""
+    f = s.algebra.field
+    block = s.dim * t.dim
+    lower = Matrix.zeros(f, t.dim, s.dim)
+    mats = []
+    for i, (a, b) in enumerate(zip(s.action, t.action)):
+        fa = cocycle[i * block:(i + 1) * block]
+        fa = Matrix(f, [fa[r * t.dim:(r + 1) * t.dim] for r in range(s.dim)], cols=t.dim)
+        mats.append(vstack(hstack(a, fa), hstack(lower, b)))
+    return LeftModule(s.algebra, s.dim + t.dim, mats)
 
 
 class IsoResult:

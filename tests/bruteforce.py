@@ -11,8 +11,11 @@ import itertools
 
 from moritakit.exactlin import Basis, Matrix, vec_is_zero
 from moritakit.modules import (
+    _projective_points,
     direct_sum,
+    extension_space,
     is_isomorphic,
+    middle_term,
     quotient_module,
     regular_module,
     submodule_lattice,
@@ -112,11 +115,16 @@ def brute_rref(m):
 
 
 def brute_catalog(algebra, max_dim):
-    """build_catalog with none of its shortcuts: every quotient of R and of
-    R^2 of dim <= max_dim, taken from the full submodule lattice, then the
-    sums of kept pairs in build_catalog's order until none is new.  Each
-    candidate is searched against every kept module, with no invariant key
-    and no orbit filter.  Returns (modules in catalog order, provenance)."""
+    """build_catalog's candidate stream with no invariant key: every
+    quotient of R of dim <= max_dim, taken from the full submodule lattice,
+    then for each kept class T and each simple S (a kept quotient whose
+    only submodules are 0 and itself), both in the order kept, the split
+    sum with the earlier-kept class first and the library's middle terms,
+    one per projective point of its extension space.  Each candidate is
+    searched against every kept module.  This checks that the key skips
+    only known answers; it shares the stream, so it is no check of
+    completeness (count_module_classes is).  Returns (modules in catalog
+    order, provenance)."""
     reps = []
     proven = True
 
@@ -126,31 +134,97 @@ def brute_catalog(algebra, max_dim):
         for r in reps:
             res = is_isomorphic(r, mod)
             if res.found:
-                return False
+                return
             misses_proven = misses_proven and res.exhaustive
         reps.append(mod)
         proven = proven and misses_proven
-        return True
 
     reg = regular_module(algebra)
-    for free in (reg, direct_sum(reg, reg)):
-        for sub in submodule_lattice(free, budget=algebra.field.p ** free.dim):
-            if free.dim - sub.dim <= max_dim:
-                keep(quotient_module(free, sub.basis)[0])
-
-    done = set()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reps)):
-            for j in range(len(reps)):
-                if (i, j) in done:
-                    continue
-                done.add((i, j))
-                a, b = reps[i], reps[j]
-                if a.dim > 0 and b.dim > 0 and a.dim + b.dim <= max_dim:
-                    changed = keep(direct_sum(a, b)) or changed
+    for sub in submodule_lattice(reg, budget=algebra.field.p ** reg.dim):
+        if reg.dim - sub.dim <= max_dim:
+            keep(quotient_module(reg, sub.basis)[0])
+    simples = [(j, s) for j, s in enumerate(reps) if s.dim > 0 and len(brute_submodules(s)) == 2]
+    for i, t in enumerate(reps):
+        for j, s in simples:
+            if t.dim > 0 and s.dim + t.dim <= max_dim:
+                keep(direct_sum(s, t) if j < i else direct_sum(t, s))
+                ext = extension_space(s, t)
+                for coeffs in _projective_points(algebra.field, ext.dim):
+                    keep(middle_term(s, t, ext.from_coords(coeffs)))
 
     reps.sort(key=lambda m: (m.dim, tuple(a.entries for a in m.action)))
     provenance = f"exhaustive-up-to-dim({max_dim})" if proven else "sampled(iso dedup seed=0)"
     return tuple(reps), provenance
+
+
+def _mat_mul(p, a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a)
+
+
+def _mat_combination(p, coeffs, mats, d):
+    """sum of c * mats[k] over the nonzero coefficients c = coeffs[k]."""
+    out = [[0] * d for _ in range(d)]
+    for k, c in enumerate(coeffs):
+        if c % p:
+            for r in range(d):
+                for s in range(d):
+                    out[r][s] = (out[r][s] + c * mats[k][r][s]) % p
+    return tuple(tuple(row) for row in out)
+
+
+def module_actions(algebra, d):
+    """Every tuple of d x d action matrices over GF(p), one per algebra
+    basis element, that satisfies rho(1) = I and rho(a) rho(b) = rho(ab),
+    by filtering.  The first basis element in the unit's support is solved
+    from rho(1) = I; every other one ranges over all d x d matrices, and a
+    law is checked as soon as every matrix it names is chosen.  Over
+    k[x_1, ..., x_n]/(x_1, ..., x_n)^2 on the basis (1, x_1, ..., x_n) that
+    leaves only the radical generators varying."""
+    p, m = algebra.field.p, algebra.dim
+    unit = algebra.unit
+    fixed = next(k for k in range(m) if unit[k])
+    varying = [k for k in range(m) if k != fixed]
+    mats = [a.entries for a in all_matrices(algebra.field, d, d)]
+    eye = tuple(tuple(int(r == s) for s in range(d)) for r in range(d))
+    out = []
+
+    def laws_hold(rho, pairs):
+        return all(_mat_mul(p, rho[i], rho[j]) == _mat_combination(p, algebra.mul[i][j], rho, d)
+                   for i, j in pairs)
+
+    def grow(rho, t):
+        if t == len(varying):
+            # rho(fixed) = (I - sum of the other u_k rho(e_k)) / u_fixed
+            inv = pow(unit[fixed], p - 2, p)
+            rest = _mat_combination(p, [0 if k == fixed else -c * inv for k, c in enumerate(unit)], rho, d)
+            rho[fixed] = _mat_combination(p, [inv, 1], [eye, rest], d)
+            if laws_hold(rho, itertools.product(range(m), repeat=2)):
+                out.append(tuple(rho[k] for k in range(m)))
+            return
+        chosen = set(varying[:t + 1])
+        pairs = [(i, j) for i in chosen for j in chosen if varying[t] in (i, j)
+                 and all(k in chosen for k, c in enumerate(algebra.mul[i][j]) if c)]
+        for a in mats:
+            grown = {**rho, varying[t]: a}
+            if laws_hold(grown, pairs):
+                grow(grown, t + 1)
+
+    grow({}, 0)
+    return out
+
+
+def count_module_classes(algebra, d):
+    """The number of d-dim modules up to isomorphism: the orbits of
+    module_actions under simultaneous conjugation by GL_d(GF(p))."""
+    p = algebra.field.p
+    gl = [((), ())]
+    if d:
+        gl = [(g.entries, g.inverse().entries) for g in all_matrices(algebra.field, d, d)
+              if g.is_invertible()]
+    seen = set()
+    classes = 0
+    for acts in module_actions(algebra, d):
+        if acts not in seen:
+            classes += 1
+            seen.update(tuple(_mat_mul(p, _mat_mul(p, g, a), g_inv) for a in acts) for g, g_inv in gl)
+    return classes

@@ -253,8 +253,8 @@ def test_acceptance_10_machine_reports_deterministic(tmp_path, capsys):
 
 
 def test_acceptance_11_three_vertex_catalog():
-    # the quotients of R and R^2 of dim <= 3 come from a walk in the duals
-    # capped at dim 3, not from the 14,025 submodules of R^2
+    # the quotients of R, then the extensions of each kept class by the
+    # three simples: no walk over the 14,025 submodules of R^2
     with Timer(10.0) as t:
         cat = build_catalog(upper_triangular_algebra(GF2, 3), 3)
         assert cat.exhaustive

@@ -235,7 +235,7 @@ def test_strict_sampling_fails_sampled_run(capsys):
 
 def test_catalog_strict_sampling_fails_sampled_catalog(capsys):
     code, out, _ = run(capsys, "catalog", T2, "--module", "T2reg", "--max-dim", "2",
-                       "--budget", "8", "--strict-sampling", "--format", "machine")
+                       "--budget", "4", "--strict-sampling", "--format", "machine")
     assert code == 1
     summary = json.loads(out)["summary"]
     assert "sampled catalog: sampled(seed=0)" in summary["flags"]
