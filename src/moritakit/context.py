@@ -24,6 +24,7 @@ from .exactlin import (
     Basis,
     Matrix,
     coefficient_search,
+    invertible_search,
     kernel_basis,
     solve,
     vec_add,
@@ -377,8 +378,11 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
 
     Trace ideals are isomorphism invariants, so unequal trace ideals are an
     immediate proven 'none'.  For each invertible u-candidate (module iso
-    policy with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES, from the seed)
-    the compatibility conditions are linear in v, so v is solved, not searched.
+    policy with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES, from the seed:
+    invertible_search, whose exhaustive sweep skips singular u before any
+    v is solved or drawn) the compatibility conditions are linear in v, so
+    v is solved, not searched; only degenerate pairings leave an affine
+    space of v to search by coefficient_search.
     """
     if c1.R != c2.R or c1.S != c2.S:
         raise ValueError("context isomorphism needs matching algebra pairs")
@@ -440,8 +444,8 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
         v = solve_v(u)
         return None if v is None else (u, v)
 
-    hit, exhaustive = coefficient_search(f, hom_u.dim, pair_for, DEFAULT_ISO_EXHAUST,
-                                         DEFAULT_ISO_SAMPLES, rng)
+    hit, exhaustive = invertible_search(f, hom_u.matrices, pair_for, DEFAULT_ISO_EXHAUST,
+                                        DEFAULT_ISO_SAMPLES, rng)
     if hit is None:
         # a miss is a proof only when every search behind it was exhaustive
         return ContextIsoResult(None, None, exhaustive and v_exhaustive)

@@ -169,7 +169,9 @@ def coefficient_search(field: Field, dim: int, accept: Callable, exhaust: int,
     p**dim <= exhaust every nonzero tuple is tried in lexicographic order,
     so a miss is a proof that no tuple is accepted; otherwise `samples`
     tuples are drawn with random_scalar from the caller's rng, and a miss
-    proves nothing.
+    proves nothing.  A search for an invertible combination of matrices
+    runs this policy through invertible_search, whose sweep skips the
+    singular tuples.
 
     Returns:
         (hit, exhaustive): the first accepted hit or None, and whether the
@@ -189,6 +191,87 @@ def coefficient_search(field: Field, dim: int, accept: Callable, exhaust: int,
         if hit is not None:
             return hit, False
     return None, False
+
+
+def invertible_search(field: Field, maps: Sequence[Matrix], accept: Callable, exhaust: int,
+                      samples: int, rng) -> tuple:
+    """coefficient_search over the combinations sum c_i maps[i] of square
+    matrices, for an accept() that rejects every singular combination.
+
+    The exhaustive branch offers accept() only the tuples of
+    invertible_combinations: the same tuples in the same order, less
+    singular ones, so the first hit is the sweep's and a miss is still a
+    proof.  The sampled branch is coefficient_search's, draws unchanged.
+    """
+    if field.is_prime_field and field.p ** len(maps) <= exhaust:
+        for coeffs in invertible_combinations(field, maps):
+            hit = accept(coeffs)
+            if hit is not None:
+                return hit, True
+        return None, True
+    return coefficient_search(field, len(maps), accept, exhaust, samples, rng)
+
+
+def invertible_combinations(field: Field, maps: Sequence[Matrix]):
+    """Yield, in lexicographic order, every coefficient tuple c over GF(p)
+    whose combination sum c_i maps[i] of the n x n matrices is invertible.
+
+    A depth-first walk over the coordinates.  At depth j with partial sum
+    P, every completion is P + Q, Q in the span of maps[j:], and agrees
+    with P on K_j, the common kernel of maps[j:].  So when P is not
+    injective on K_j, or P^T on the common kernel of the transposes, the
+    whole subtree is singular and is skipped.  K_j grows with j, and at a
+    leaf it is the whole space, where the same test is invertibility.
+    """
+    k, p, n = len(maps), field.p, maps[0].rows
+    mats = [m.entries for m in maps]
+    right = _common_kernels(field, mats, n)
+    left = _common_kernels(field, [m.transpose().entries for m in maps], n)
+    if right[0] or left[0]:
+        return  # every combination kills a common kernel vector
+
+    def walk(j, total, prefix):
+        # invariant: total is injective on right[j], total^T on left[j]
+        if j == k:
+            yield prefix
+            return
+        h = mats[j]
+        for c in range(p):
+            nxt = total if c == 0 else tuple(
+                [tuple([(a + c * b) % p for a, b in zip(rt, rh)]) for rt, rh in zip(total, h)])
+            # where a kernel did not grow, total's test carries over; at a
+            # leaf the right test alone decides invertibility
+            if len(right[j + 1]) > len(right[j]) and not _injective_on(field, nxt, right[j + 1]):
+                continue
+            if j + 1 < k and len(left[j + 1]) > len(left[j]) and not _injective_on(
+                    field, tuple(zip(*nxt)), left[j + 1]):
+                continue
+            yield from walk(j + 1, nxt, prefix + (c,))
+
+    yield from walk(0, ((0,) * n,) * n, ())
+
+
+def _common_kernels(field: Field, mats, n: int) -> list:
+    """[K_0, ..., K_k]: K_j the basis vectors of the common right kernel of
+    mats[j:], intersected from the end, so K_k is the whole space; once
+    one is 0 the earlier ones are 0 too."""
+    out = [tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])]
+    rows = []
+    for m in reversed(mats):
+        if not out[-1]:
+            out.append(())
+            continue
+        rows, pivots = _pivot_rows(field, rows + list(m), n)  # rows pass unchanged
+        at = dict(zip(pivots, rows))
+        out.append(tuple([tuple([1 if j == c else -at[j][c] % field.p if j in at else 0
+                                 for j in range(n)]) for c in range(n) if c not in at]))
+    return out[::-1]
+
+
+def _injective_on(field: Field, rows, basis) -> bool:
+    """Whether the matrix with these rows is injective on the span of the
+    independent vectors basis: their images have full rank."""
+    return len(_pivot_rows(field, _dot_products(field, basis, rows), len(rows))[1]) == len(basis)
 
 
 class Matrix:

@@ -28,8 +28,8 @@ from .exactlin import (
     _pivot_rows,
     basis_sum,
     closure,
-    coefficient_search,
     hstack,
+    invertible_search,
     kernel_basis,
     quotient_structure,
     random_scalar,
@@ -704,8 +704,10 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     """Search the hom space for an invertible map.
 
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
-    tried first when it lies in the hom space; then the coefficient search,
-    whose miss is a proof only when that search was exhaustive.
+    tried first when it lies in the hom space; then _search_invertible,
+    whose miss is a proof only when that search was exhaustive.  The
+    exhaustive search returns the first invertible map in lexicographic
+    coefficient order, so the witness does not depend on the pruning.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism search across different algebras")
@@ -722,8 +724,10 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
 
 
 def _search_invertible(hom: HomBasis) -> IsoResult:
-    """An invertible member of the hom space, found by coefficient_search
-    with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES from seed 0."""
+    """An invertible member of the hom space, found by invertible_search
+    with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES from seed 0: the first
+    invertible map of the lexicographic sweep, whose singular subtrees are
+    skipped, so a map is built only for the hit; or a sampled draw."""
     if hom.dim == 0:
         return IsoResult(None, True)
 
@@ -732,6 +736,6 @@ def _search_invertible(hom: HomBasis) -> IsoResult:
         return cand if cand.is_invertible() else None
 
     field = hom.source.algebra.field
-    hit, exhaustive = coefficient_search(field, hom.dim, invertible, DEFAULT_ISO_EXHAUST,
-                                         DEFAULT_ISO_SAMPLES, random.Random(0))
+    hit, exhaustive = invertible_search(field, hom.matrices, invertible, DEFAULT_ISO_EXHAUST,
+                                        DEFAULT_ISO_SAMPLES, random.Random(0))
     return IsoResult(hit, exhaustive)

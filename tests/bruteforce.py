@@ -8,9 +8,12 @@ instance small enough to brute-force.
 from __future__ import annotations
 
 import itertools
+import random
 
-from moritakit.exactlin import Basis, Matrix, vec_is_zero
+from moritakit.exactlin import Basis, Matrix, coefficient_search, vec_is_zero
 from moritakit.modules import (
+    DEFAULT_ISO_EXHAUST,
+    DEFAULT_ISO_SAMPLES,
     _projective_points,
     direct_sum,
     extension_space,
@@ -76,6 +79,37 @@ def brute_hom(source, target):
     for f in all_matrices(field, target.dim, source.dim):
         if all((f @ a) == (b @ f) for a, b in zip(source.action, target.action)):
             out.append(f)
+    return out
+
+
+def first_invertible_lex(hom):
+    """(map, exhaustive) of the plain sweep: coefficient_search under the
+    iso policy (DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, seed 0), every
+    tuple built with from_coords and tested with is_invertible, none
+    skipped."""
+    if hom.dim == 0:
+        return None, True
+
+    def invertible(coeffs):
+        cand = hom.from_coords(coeffs)
+        return cand if cand.is_invertible() else None
+
+    return coefficient_search(hom.source.algebra.field, hom.dim, invertible,
+                              DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, random.Random(0))
+
+
+def invertible_tuples_lex(field, maps):
+    """Every nonzero coefficient tuple over GF(p), in lexicographic order,
+    whose combination of the square matrices maps is invertible, by
+    filtering."""
+    n = maps[0].rows
+    out = []
+    for coeffs in itertools.product(range(field.p), repeat=len(maps)):
+        total = Matrix.zeros(field, n, n)
+        for c, m in zip(coeffs, maps):
+            total = total + m.scale(c)
+        if any(coeffs) and total.is_invertible():
+            out.append(coeffs)
     return out
 
 

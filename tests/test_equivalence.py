@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moritakit.equivalence as equivalence
+import moritakit.exactlin as exactlin
+import moritakit.graded as graded
+import moritakit.modules as modules
 from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
 from moritakit.context import (
     MoritaContext,
@@ -39,9 +42,10 @@ from moritakit.modules import (
     regular_module,
     validate_module,
 )
+from moritakit.graded import FiniteGroup, GradedAlgebra, build_graded_catalog
 from moritakit.torsion import localize
 
-from bruteforce import brute_catalog, count_module_classes
+from bruteforce import brute_catalog, count_module_classes, first_invertible_lex
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -544,3 +548,51 @@ def test_catalog_never_searches_between_sums_of_bricks(monkeypatch):
     for m, n in searches:
         if id(m) in sums or id(n) in sums:
             assert not (of_bricks(m) and of_bricks(n))
+
+
+@pytest.mark.parametrize("build, has_misses", [
+    pytest.param(lambda: build_catalog(upper_triangular_algebra(GF2, 2), 4), False, id="T2-GF2-4"),
+    pytest.param(lambda: build_catalog(_rebased(upper_triangular_algebra(GF2, 2), _unimodular(3, 7)), 4),
+                 False, id="T2-GF2-4-rebased7"),
+    pytest.param(lambda: build_catalog(_radical_square_zero(GF2, 2), 4), True, id="GF2[x,y]/(x,y)^2-4"),
+    pytest.param(lambda: build_graded_catalog(
+        GradedAlgebra(upper_triangular_algebra(GF2, 2), FiniteGroup.cyclic(2), (0, 1, 0)), 3),
+                 True, id="C2-graded-T2-3"),
+])
+def test_iso_search_matches_the_plain_lex_sweep(monkeypatch, build, has_misses):
+    # the pruned sweep returns the plain sweep's first invertible map and
+    # flag on every search of a build, hits and proofs of none alike
+    searches = []
+    real = modules._search_invertible
+
+    def recording(hom):
+        res = real(hom)
+        searches.append((hom, res))
+        return res
+
+    monkeypatch.setattr(modules, "_search_invertible", recording)
+    monkeypatch.setattr(graded, "_search_invertible", recording)
+    build()
+    assert searches
+    for hom, res in searches:
+        assert (res.map_, res.exhaustive) == first_invertible_lex(hom)
+    if has_misses:
+        assert any(res.proven_none for _, res in searches)
+
+
+def test_catalog_iso_sweep_tests_few_maps(monkeypatch):
+    # at a leaf of the walk the common kernel is the whole space, and the
+    # injectivity test there is the invertibility test of one map; the plain
+    # sweep of T2/GF(2) <= 4 tests 1,941 maps
+    tested = []
+    real = exactlin._injective_on
+
+    def counting(field, rows, basis):
+        if len(basis) == len(rows):
+            tested.append(rows)
+        return real(field, rows, basis)
+
+    monkeypatch.setattr(exactlin, "_injective_on", counting)
+    cat = build_catalog(upper_triangular_algebra(GF2, 2), 4)
+    assert len(cat) == 22
+    assert 0 < len(tested) <= 194

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moritakit.exactlin import (
@@ -12,6 +12,8 @@ from moritakit.exactlin import (
     basis_intersection,
     basis_sum,
     hstack,
+    invertible_combinations,
+    invertible_search,
     kernel_basis,
     quotient_structure,
     rank,
@@ -20,6 +22,8 @@ from moritakit.exactlin import (
     subspace_ops,
     unit_vector,
 )
+
+from bruteforce import invertible_tuples_lex
 
 GF2 = Field.gf(2)
 GF5 = Field.gf(5)
@@ -240,3 +244,53 @@ def test_basis_sum_intersection_frozen():
 def test_hstack_shape_errors():
     with pytest.raises(ValueError):
         hstack(Matrix.identity(GF2, 2), Matrix.identity(GF2, 3))
+
+
+@st.composite
+def matrix_spaces(draw):
+    """(field, basis) of a random subspace of the d x d matrices over GF(2)
+    or GF(3), d <= 4, with p**k <= 256 for the k basis maps.  Some spaces
+    share a kernel vector (one zero column) or a left kernel vector (one
+    zero row), so that no member is invertible."""
+    p = draw(st.sampled_from([2, 3]))
+    field = Field.gf(p)
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(d * d, 8 if p == 2 else 5)))
+    kill = draw(st.sampled_from([None, "column", "row"]))
+    at = draw(st.integers(0, d - 1))
+    flat = []
+    for _ in range(k):
+        rows = [draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) for _ in range(d)]
+        if kill == "column":
+            rows = [r[:at] + [0] + r[at + 1:] for r in rows]
+        elif kill == "row":
+            rows[at] = [0] * d
+        flat.append(tuple(x for r in rows for x in r))
+    basis = Basis.span(field, d * d, flat)
+    assume(basis.dim > 0)
+    return field, [Matrix(field, [v[r * d:(r + 1) * d] for r in range(d)]) for v in basis.vectors]
+
+
+@given(matrix_spaces())
+@settings(max_examples=150, deadline=None)
+def test_invertible_combinations_is_the_filtered_lex_order(space):
+    # the walk skips only singular subtrees, so it yields every invertible
+    # tuple, in the plain sweep's order
+    field, maps = space
+    assert list(invertible_combinations(field, maps)) == invertible_tuples_lex(field, maps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_invertible_combinations_reach_the_last_tuple(d):
+    # the diagonal units: every proper sub-sum kills a unit vector, and only
+    # their full sum, the identity, is invertible
+    units = [Matrix(GF2, [[int(r == c == i) for c in range(d)] for r in range(d)]) for i in range(d)]
+    assert list(invertible_combinations(GF2, units)) == [(1,) * d]
+
+
+def test_invertible_search_miss_is_a_proof():
+    # both maps kill (0, 1): a shared kernel vector, so the walk stops at
+    # the root and the exhaustive miss proves that no member is invertible
+    maps = [Matrix(GF5, [[1, 0], [0, 0]]), Matrix(GF5, [[0, 0], [1, 0]])]
+    assert list(invertible_combinations(GF5, maps)) == invertible_tuples_lex(GF5, maps) == []
+    assert invertible_search(GF5, maps, lambda c: c, 4096, 512, None) == (None, True)
