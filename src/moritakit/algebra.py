@@ -22,7 +22,7 @@ from .exactlin import (
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "mul", "unit", "_left_mats", "_right_mats")
+    __slots__ = ("field", "dim", "mul", "unit", "_left_mats", "_right_mats", "_gens")
 
     def __init__(self, field: Field, dim: int, mul: Sequence[Sequence[Sequence]], unit: Sequence):
         if dim < 0:
@@ -47,6 +47,7 @@ class Algebra:
         self.unit = tuple(unit)
         self._left_mats = None
         self._right_mats = None
+        self._gens = None
 
     def basis_vector(self, i: int) -> tuple:
         return unit_vector(self.field, self.dim, i)
@@ -87,6 +88,35 @@ class Algebra:
                 for i in range(self.dim)
             )
         return self._right_mats
+
+    def generator_indices(self) -> tuple:
+        """Basis indices G, none redundant, whose elements generate the
+        algebra as a unital algebra: the basis is walked keeping each e_i
+        outside the closure of span{1} under left multiplication by the kept
+        ones, then each kept index the others still generate is dropped."""
+        if self._gens is None:
+            mats = self._basis_left_mats()
+
+            def generated(gens, start):
+                return closure(start, [mats[g].apply for g in gens])
+
+            kept, before, span = [], [], Basis.span(self.field, self.dim, [self.unit])
+            for i in range(self.dim):
+                if not span.contains_vector(self.basis_vector(i)):
+                    kept.append(i)
+                    before.append(span)
+                    span = generated(kept, span)
+            if span.dim != self.dim:
+                raise AssertionError("generators do not span the algebra")
+            # the last kept index lies outside what the ones before it
+            # generate; the others are tested from the back, so the ones
+            # before kept[j] are all still there and generate before[j]
+            for j in reversed(range(len(kept) - 1)):
+                rest = kept[:j] + kept[j + 1:]
+                if generated(rest, before[j]).dim == self.dim:
+                    kept = rest
+            self._gens = tuple(kept)
+        return self._gens
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """The matrix of x |-> a*x."""

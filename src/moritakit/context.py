@@ -347,11 +347,13 @@ def _composite_pairing(first: MoritaContext, second: MoritaContext,
 
 
 def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:
-    """Maps intertwining both the left and the right actions."""
+    """Maps intertwining both the left and the right actions, solved on the
+    generators of each algebra, which intertwine all of it."""
     if a.left_algebra != b.left_algebra or a.right_algebra != b.right_algebra:
         raise ValueError("bimodules over different algebra pairs")
-    basis = _intertwiners(a.left_algebra.field, a.dim, b.dim,
-                          zip(a.left_action + a.right_action, b.left_action + b.right_action))
+    pairs = [(a.left_action[g], b.left_action[g]) for g in a.left_algebra.generator_indices()]
+    pairs += [(a.right_action[g], b.right_action[g]) for g in a.right_algebra.generator_indices()]
+    basis = _intertwiners(a.left_algebra.field, a.dim, b.dim, pairs)
     return HomBasis(a.left_module(), b.left_module(), basis)
 
 

@@ -203,7 +203,9 @@ def direct_sum(a: LeftModule, b: LeftModule) -> LeftModule:
 
 
 class Submodule:
-    """An action-stable subspace of a LeftModule; stability is asserted."""
+    """An action-stable subspace of a LeftModule; stability is asserted
+    under the algebra's generators, since a subspace stable under them is
+    stable under the subalgebra they generate."""
 
     __slots__ = ("parent", "basis")
 
@@ -212,8 +214,8 @@ class Submodule:
             raise ValueError("submodule basis in the wrong ambient space")
         f = parent.algebra.field
         rows = list(basis.vectors)
-        for act in parent.action:
-            rows += _dot_products(f, basis.vectors, act.entries)
+        for g in parent.algebra.generator_indices():
+            rows += _dot_products(f, basis.vectors, parent.action[g].entries)
         if len(_pivot_rows(f, rows, parent.dim)[1]) != basis.dim:
             raise ValueError("subspace is not action-stable")
         self.parent = parent
@@ -320,18 +322,22 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
     """Solve the intertwining equations for all maps source -> target.
 
     A map is a (target.dim x source.dim) matrix F with
-    target.action[a] @ F = F @ source.action[a] for every algebra basis a.
+    target.action[g] @ F = F @ source.action[g] for every algebra generator
+    g (Algebra.generator_indices): the a with a.F = F.a form a unital
+    subalgebra, so one holding the generators is all of A.
     """
     if source.algebra != target.algebra:
         raise ValueError("hom between modules over different algebras")
     basis = _intertwiners(source.algebra.field, source.dim, target.dim,
-                          zip(source.action, target.action))
+                          [(source.action[g], target.action[g])
+                           for g in source.algebra.generator_indices()])
     return HomBasis(source, target, basis)
 
 
 def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
     """Vectorized (td x sd) matrices F with At @ F = F @ As for every pair
-    (As, At) of source and target action matrices."""
+    (As, At) of source and target action matrices, given for the algebra's
+    generators only; no pairs (a 1-dim algebra) leave every linear map."""
     nvars = sd * td
     rows = []
     for mat_s, mat_t in action_pairs:
@@ -465,8 +471,10 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
             middle (its right algebra descends).
 
     The raw basis is (i, j) |-> i*dim(right)+j; the balancing relations
-    (m.a) (x) n - m (x) (a.n) are spanned and the computed basis is the
-    non-pivot coordinate set of their echelon form.
+    (m.a) (x) n - m (x) (a.n) are spanned for the generators a of middle
+    only, since the relations of ab lie in those of a plus those of b, and
+    the computed basis is the non-pivot coordinate set of their echelon
+    form.
     """
     if not isinstance(left, Bimodule):
         raise ValueError(f"left factor must be a Bimodule, got {type(left).__name__}")
@@ -486,7 +494,7 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
     f = middle.field
     m, n = left.dim, right.dim
     rel_vecs = []
-    for a in range(middle.dim):
+    for a in middle.generator_indices():
         ra = left.right_action[a]
         la = right_left_action[a]
         for i in range(m):

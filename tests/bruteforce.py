@@ -10,14 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from moritakit.exactlin import Basis, Matrix, coefficient_search, vec_is_zero
+from moritakit.exactlin import Basis, Matrix, coefficient_search, kernel_basis, vec_is_zero
 from moritakit.modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
+    Bimodule,
     _projective_points,
     direct_sum,
     extension_space,
     is_isomorphic,
+    kron,
     middle_term,
     quotient_module,
     regular_module,
@@ -80,6 +82,45 @@ def brute_hom(source, target):
         if all((f @ a) == (b @ f) for a, b in zip(source.action, target.action)):
             out.append(f)
     return out
+
+
+def _actions(m):
+    """Every action matrix of a LeftModule, or of a Bimodule's two sides."""
+    return m.left_action + m.right_action if isinstance(m, Bimodule) else m.action
+
+
+def hom_all_basis(source, target):
+    """Vectorized (row-major) maps F with At F = F As for every algebra
+    basis element, not only the generators: one equation per entry (r, c)
+    of At F - F As, and the common kernel of all of them."""
+    field = (source.left_algebra if isinstance(source, Bimodule) else source.algebra).field
+    sd, td = source.dim, target.dim
+    rows = []
+    for a_s, a_t in zip(_actions(source), _actions(target)):
+        for r, c in itertools.product(range(td), range(sd)):
+            row = [field.zero] * (sd * td)
+            for k, x in enumerate(a_t.entries[r]):  # (At F)[r][c]
+                if x:
+                    row[k * sd + c] = field.add(row[k * sd + c], x)
+            for k in range(sd):  # (F As)[r][c]
+                if a_s.entries[k][c]:
+                    row[r * sd + k] = field.sub(row[r * sd + k], a_s.entries[k][c])
+            rows.append(row)
+    if not rows:
+        return Basis.full(field, sd * td)
+    return kernel_basis(Matrix(field, rows, cols=sd * td))
+
+
+def tensor_relations_all_basis(middle, left, right):
+    """The balancing relations (m.a) (x) n - m (x) (a.n) of left (x) right
+    for every basis element a of middle: the columns of
+    R_a (x) I - I (x) L_a, in the raw basis (i, j) |-> i*dim(right)+j."""
+    field = middle.field
+    right_left = right.left_action if isinstance(right, Bimodule) else right.action
+    eye_m, eye_n = Matrix.identity(field, left.dim), Matrix.identity(field, right.dim)
+    cols = [col for ra, la in zip(left.right_action, right_left)
+            for col in (kron(ra, eye_n) + -kron(eye_m, la)).columns()]
+    return Basis.span(field, left.dim * right.dim, cols)
 
 
 def first_invertible_lex(hom):
