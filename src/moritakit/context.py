@@ -23,11 +23,9 @@ from .algebra import Algebra, Ideal, subalgebra_on_basis
 from .exactlin import (
     Basis,
     Matrix,
-    coefficient_search,
     invertible_search,
     kernel_basis,
     solve,
-    vec_add,
 )
 from .modules import (
     DEFAULT_ISO_EXHAUST,
@@ -378,13 +376,12 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
     """Search for bimodule isos u: M1 -> M2, v: N1 -> N2 carrying one
     pairing pair to the other: phi2 (u (x) v) = phi1, psi2 (v (x) u) = psi1.
 
-    Trace ideals are isomorphism invariants, so unequal trace ideals are an
-    immediate proven 'none'.  For each invertible u-candidate (module iso
-    policy with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES, from the seed:
-    invertible_search, whose exhaustive sweep skips singular u before any
-    v is solved or drawn) the compatibility conditions are linear in v, so
-    v is solved, not searched; only degenerate pairings leave an affine
-    space of v to search by coefficient_search.
+    Unequal trace ideals (isomorphism invariants) or dims, or a zero
+    bimodule Hom, are an immediate proven 'none'.  invertible_search offers
+    the invertible u (DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, from the
+    seed); for each the conditions are linear in v, so v is solved.  Only
+    degenerate pairings leave slack: a singular particular solution v is
+    the base of a second invertible_search over v + ker (256, 64, same rng).
     """
     if c1.R != c2.R or c1.S != c2.S:
         raise ValueError("context isomorphism needs matching algebra pairs")
@@ -406,10 +403,8 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
     rng = random.Random(seed)
     v_exhaustive = True
 
-    def solve_v(u: Matrix) -> Optional[Matrix]:
+    def pair_for(coeffs, u: Matrix) -> Optional[tuple]:
         nonlocal v_exhaustive
-        if not u.is_invertible():
-            return None
         # solve for v: stack phi2 (u (x) v_b) and psi2 (v_b (x) u) over the
         # v-basis, match against phi1 / psi1
         cols = []
@@ -426,24 +421,13 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
             return None
         v = hom_v.from_coords(sol)
         if v.is_invertible():
-            return v
-        # degenerate pairings leave slack: walk the affine solution space
-        # for an invertible representative
-        ker = kernel_basis(system)
-        if ker.dim == 0:
+            return u, v
+        # degenerate pairings leave slack: walk v + ker for an invertible v
+        slack = [hom_v.from_coords(k) for k in kernel_basis(system).vectors]
+        if not slack:
             return None
-
-        def shifted(combo):
-            cand = hom_v.from_coords(vec_add(f, sol, ker.from_coords(combo)))
-            return cand if cand.is_invertible() else None
-
-        v, exhaustive = coefficient_search(f, ker.dim, shifted, 256, 64, rng)
+        v, exhaustive = invertible_search(f, slack, lambda c, m: m, 256, 64, rng, base=v)
         v_exhaustive = v_exhaustive and exhaustive
-        return v
-
-    def pair_for(coeffs):
-        u = hom_u.from_coords(coeffs)
-        v = solve_v(u)
         return None if v is None else (u, v)
 
     hit, exhaustive = invertible_search(f, hom_u.matrices, pair_for, DEFAULT_ISO_EXHAUST,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, Ideal
 from .context import (
     MoritaContext,
     NaturalMap,
@@ -270,16 +270,17 @@ def user_catalog(algebra: Algebra, modules) -> Catalog:
 
 def _check_precondition_strict(ctx: MoritaContext, report: Report) -> bool:
     i, j = trace_ideals(ctx)
-    ok = True
-    if i.dim < ctx.R.dim:
-        report.record("context", "pairing into R surjective",
-                      False, note=f"trace ideal has dim {i.dim} < {ctx.R.dim}")
-        ok = False
-    if j.dim < ctx.S.dim:
-        report.record("context", "pairing into S surjective",
-                      False, note=f"trace ideal has dim {j.dim} < {ctx.S.dim}")
-        ok = False
-    return ok
+    onto_r = _pairing_onto(report, "R", i, ctx.R)
+    return _pairing_onto(report, "S", j, ctx.S) and onto_r
+
+
+def _pairing_onto(report: Report, side: str, ideal: Ideal, algebra: Algebra) -> bool:
+    """Whether the trace ideal is the whole algebra, a failure recorded."""
+    if ideal.dim < algebra.dim:
+        report.record("context", f"pairing into {side} surjective", False,
+                      note=f"trace ideal has dim {ideal.dim} < {algebra.dim}")
+        return False
+    return True
 
 
 def _eta_naturality_square(e1: NaturalMap, e2: NaturalMap, f: Matrix,
@@ -405,9 +406,7 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
     the evaluation counit M (x) Hom_R(M, X) -> X is an isomorphism."""
     report = Report("surjective pairing embedding", strict_sampling)
     i, j = trace_ideals(ctx)
-    if i.dim < ctx.R.dim:
-        report.record("context", "pairing into R surjective", False,
-                      note=f"trace ideal has dim {i.dim} < {ctx.R.dim}")
+    if not _pairing_onto(report, "R", i, ctx.R):
         return report
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = TorsionTheory.from_ideal(ctx.R, i), TorsionTheory.from_ideal(ctx.S, j)

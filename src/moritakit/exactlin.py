@@ -20,7 +20,6 @@ textbook loop on Field methods is kept in the tests as their oracle.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -161,60 +160,52 @@ def random_scalar(field: Field, rng) -> Scalar:
     return field.of_int(rng.randint(-3, 3))
 
 
-def coefficient_search(field: Field, dim: int, accept: Callable, exhaust: int,
-                       samples: int, rng) -> tuple:
-    """Look for a coefficient tuple of length dim that accept() takes.
-
-    accept(coeffs) returns a hit or None.  Policy: over GF(p) with
-    p**dim <= exhaust every nonzero tuple is tried in lexicographic order,
-    so a miss is a proof that no tuple is accepted; otherwise `samples`
-    tuples are drawn with random_scalar from the caller's rng, and a miss
-    proves nothing.  A search for an invertible combination of matrices
-    runs this policy through invertible_search, whose sweep skips the
-    singular tuples.
-
-    Returns:
-        (hit, exhaustive): the first accepted hit or None, and whether the
-        search was the exhaustive sweep.
-    """
-    if field.is_prime_field and field.p ** dim <= exhaust:
-        scalars = [field.of_int(t) for t in range(field.p)]
-        tuples = itertools.product(scalars, repeat=dim)
-        next(tuples)  # the zero tuple comes first
-        for coeffs in tuples:
-            hit = accept(coeffs)
-            if hit is not None:
-                return hit, True
-        return None, True
-    for _ in range(samples):
-        hit = accept([random_scalar(field, rng) for _ in range(dim)])
-        if hit is not None:
-            return hit, False
-    return None, False
-
-
 def invertible_search(field: Field, maps: Sequence[Matrix], accept: Callable, exhaust: int,
-                      samples: int, rng) -> tuple:
-    """coefficient_search over the combinations sum c_i maps[i] of square
-    matrices, for an accept() that rejects every singular combination.
+                      samples: int, rng, base: Optional[Matrix] = None) -> tuple:
+    """(hit, exhaustive): the first hit of accept(c, matrix) over the
+    tuples c whose member base + sum c_i maps[i] (base None: zero) of n x n
+    matrices is invertible, or None; accept() sees only invertible members.
 
-    The exhaustive branch offers accept() only the tuples of
-    invertible_combinations: the same tuples in the same order, less
-    singular ones, so the first hit is the sweep's and a miss is still a
-    proof.  The sampled branch is coefficient_search's, draws unchanged.
+    Over GF(p) with p**len(maps) <= exhaust, _invertible_walk offers every
+    such tuple in lexicographic order, so a miss is a proof; otherwise
+    `samples` draws of random_scalar from the caller's rng are offered, and
+    a miss proves nothing.  Each member is formed once, zero coefficients
+    skipped.
     """
-    if field.is_prime_field and field.p ** len(maps) <= exhaust:
-        for coeffs in invertible_combinations(field, maps):
-            hit = accept(coeffs)
-            if hit is not None:
-                return hit, True
-        return None, True
-    return coefficient_search(field, len(maps), accept, exhaust, samples, rng)
+    exhaustive = field.is_prime_field and field.p ** len(maps) <= exhaust
+    members = (_invertible_walk(field, maps, base) if exhaustive
+               else _invertible_draws(field, maps, base, samples, rng))
+    for coeffs, total in members:
+        hit = accept(coeffs, Matrix._of(field, total, maps[0].rows))
+        if hit is not None:
+            return hit, exhaustive
+    return None, exhaustive
 
 
 def invertible_combinations(field: Field, maps: Sequence[Matrix]):
-    """Yield, in lexicographic order, every coefficient tuple c over GF(p)
-    whose combination sum c_i maps[i] of the n x n matrices is invertible.
+    """Every coefficient tuple over GF(p) whose combination sum c_i maps[i]
+    is invertible, in lexicographic order (_invertible_walk from zero)."""
+    return (coeffs for coeffs, _ in _invertible_walk(field, maps, None))
+
+
+def _invertible_draws(field: Field, maps: Sequence[Matrix], base: Optional[Matrix], samples: int, rng):
+    """Yield (c, rows of base + sum c_i maps[i]) for each of `samples`
+    seeded draws c whose member is invertible, drawing lazily."""
+    n = maps[0].rows
+    start = ((field.zero,) * n,) * n if base is None else base.entries
+    for _ in range(samples):
+        coeffs = [random_scalar(field, rng) for _ in maps]
+        total = start
+        for c, m in zip(coeffs, maps):
+            if c:
+                total = _plus_multiple(field.p, total, c, m.entries)
+        if Matrix._of(field, total, n).is_invertible():
+            yield coeffs, total
+
+
+def _invertible_walk(field: Field, maps: Sequence[Matrix], base: Optional[Matrix]):
+    """Yield (c, rows of base + sum c_i maps[i]) over GF(p), in
+    lexicographic order of c, for every tuple whose member is invertible.
 
     A depth-first walk over the coordinates.  At depth j with partial sum
     P, every completion is P + Q, Q in the span of maps[j:], and agrees
@@ -227,18 +218,21 @@ def invertible_combinations(field: Field, maps: Sequence[Matrix]):
     mats = [m.entries for m in maps]
     right = _common_kernels(field, mats, n)
     left = _common_kernels(field, [m.transpose().entries for m in maps], n)
-    if right[0] or left[0]:
-        return  # every combination kills a common kernel vector
+    root = ((0,) * n,) * n if base is None else base.entries
+    # the root's P is the base; a zero base passes exactly when both common
+    # kernels are 0, which needs no elimination
+    if (right[0] or left[0]) if base is None else not (
+            _injective_on(field, root, right[0]) and _injective_on(field, tuple(zip(*root)), left[0])):
+        return
 
     def walk(j, total, prefix):
         # invariant: total is injective on right[j], total^T on left[j]
         if j == k:
-            yield prefix
+            yield prefix, total
             return
         h = mats[j]
         for c in range(p):
-            nxt = total if c == 0 else tuple(
-                [tuple([(a + c * b) % p for a, b in zip(rt, rh)]) for rt, rh in zip(total, h)])
+            nxt = total if c == 0 else _plus_multiple(p, total, c, h)
             # where a kernel did not grow, total's test carries over; at a
             # leaf the right test alone decides invertibility
             if len(right[j + 1]) > len(right[j]) and not _injective_on(field, nxt, right[j + 1]):
@@ -248,7 +242,14 @@ def invertible_combinations(field: Field, maps: Sequence[Matrix]):
                 continue
             yield from walk(j + 1, nxt, prefix + (c,))
 
-    yield from walk(0, ((0,) * n,) * n, ())
+    yield from walk(0, root, ())
+
+
+def _plus_multiple(p: Optional[int], total: tuple, c: Scalar, h: tuple) -> tuple:
+    """Rows of total + c h: mod p over GF(p); over Q (p None) h's zeros skipped."""
+    if p is None:
+        return tuple([tuple([a + c * b if b else a for a, b in zip(rt, rh)]) for rt, rh in zip(total, h)])
+    return tuple([tuple([(a + c * b) % p for a, b in zip(rt, rh)]) for rt, rh in zip(total, h)])
 
 
 def _common_kernels(field: Field, mats, n: int) -> list:
@@ -723,16 +724,18 @@ def subspace_ops(u: Basis, v: Basis) -> SubspaceOps:
 
 def closure(space: Basis, operators: Sequence[Callable]) -> Basis:
     """Smallest subspace containing space and stable under every operator
-    (each a linear map of vectors): re-span the images until nothing new
-    appears."""
-    while True:
-        vecs = list(space.vectors)
-        for op in operators:
-            vecs.extend(op(v) for v in space.vectors)
-        grown = Basis.span(space.field, space.ambient_dim, vecs)
-        if grown == space:
-            return space
-        space = grown
+    (each a linear map of vectors), as a work list: each round spans the
+    space with the images of only its RREF rows whose pivots are new.  A
+    subspace's pivots are among any superspace's, so those rows span the
+    new space modulo the old, whose images are in already; the closure is
+    unique, so its Basis is the one that re-spanning every image gives."""
+    f, n = space.field, space.ambient_dim
+    new = space.vectors
+    while new:
+        rows, pivots = _pivot_rows(f, list(space.vectors) + [op(v) for op in operators for v in new], n)
+        new = [r for r, c in zip(rows, pivots) if c not in space.pivots]
+        space = Basis(f, n, tuple(rows), pivots)
+    return space
 
 
 class QuotientStructure(NamedTuple):

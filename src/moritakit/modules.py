@@ -185,21 +185,13 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def direct_sum(a: LeftModule, b: LeftModule) -> LeftModule:
+    """a + b, each action the block diagonal of a's and b's."""
     if a.algebra != b.algebra:
         raise ValueError("direct sum over different algebras")
     f = a.algebra.field
-    n = a.dim + b.dim
-    mats = []
-    for i in range(a.algebra.dim):
-        m = [[f.zero] * n for _ in range(n)]
-        for r in range(a.dim):
-            for c in range(a.dim):
-                m[r][c] = a.action[i].entries[r][c]
-        for r in range(b.dim):
-            for c in range(b.dim):
-                m[a.dim + r][a.dim + c] = b.action[i].entries[r][c]
-        mats.append(Matrix(f, m, cols=n))
-    return LeftModule(a.algebra, n, mats)
+    upper, lower = Matrix.zeros(f, a.dim, b.dim), Matrix.zeros(f, b.dim, a.dim)
+    mats = [vstack(hstack(x, upper), hstack(lower, y)) for x, y in zip(a.action, b.action)]
+    return LeftModule(a.algebra, a.dim + b.dim, mats)
 
 
 class Submodule:
@@ -735,15 +727,9 @@ def _search_invertible(hom: HomBasis) -> IsoResult:
     """An invertible member of the hom space, found by invertible_search
     with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES from seed 0: the first
     invertible map of the lexicographic sweep, whose singular subtrees are
-    skipped, so a map is built only for the hit; or a sampled draw."""
+    skipped, so a map is formed only for the hit; or a sampled draw."""
     if hom.dim == 0:
         return IsoResult(None, True)
-
-    def invertible(coeffs):
-        cand = hom.from_coords(coeffs)
-        return cand if cand.is_invertible() else None
-
-    field = hom.source.algebra.field
-    hit, exhaustive = invertible_search(field, hom.matrices, invertible, DEFAULT_ISO_EXHAUST,
-                                        DEFAULT_ISO_SAMPLES, random.Random(0))
+    hit, exhaustive = invertible_search(hom.source.algebra.field, hom.matrices, lambda c, m: m,
+                                        DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, random.Random(0))
     return IsoResult(hit, exhaustive)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from moritakit.exactlin import Basis, Matrix, coefficient_search, kernel_basis, vec_is_zero
+from moritakit.context import bimodule_hom_space
+from moritakit.exactlin import Basis, Matrix, kernel_basis, random_scalar, vec_is_zero
 from moritakit.modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
@@ -124,19 +125,48 @@ def tensor_relations_all_basis(middle, left, right):
 
 
 def first_invertible_lex(hom):
-    """(map, exhaustive) of the plain sweep: coefficient_search under the
-    iso policy (DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, seed 0), every
-    tuple built with from_coords and tested with is_invertible, none
-    skipped."""
+    """(map, exhaustive) of the plain sweep under the iso policy
+    (DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, seed 0): every
+    coefficient tuple in lexicographic order, or the seeded draws, each
+    built with from_coords and tested with is_invertible, none skipped."""
     if hom.dim == 0:
         return None, True
-
-    def invertible(coeffs):
+    field = hom.source.algebra.field
+    if field.is_prime_field and field.p ** hom.dim <= DEFAULT_ISO_EXHAUST:
+        tuples, exhaustive = itertools.product(range(field.p), repeat=hom.dim), True
+    else:
+        rng = random.Random(0)
+        tuples = ([random_scalar(field, rng) for _ in range(hom.dim)]
+                  for _ in range(DEFAULT_ISO_SAMPLES))
+        exhaustive = False
+    for coeffs in tuples:
         cand = hom.from_coords(coeffs)
-        return cand if cand.is_invertible() else None
+        if cand.is_invertible():
+            return cand, exhaustive
+    return None, exhaustive
 
-    return coefficient_search(hom.source.algebra.field, hom.dim, invertible,
-                              DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, random.Random(0))
+
+def first_context_iso_lex(c1, c2):
+    """(u, v) of the plain sweep for a context isomorphism: the first
+    invertible u of the bimodule Hom(M1, M2) in lexicographic coefficient
+    order, with the first invertible v of Hom(N1, N2) in that order that
+    carries c1's pairings to c2's, checked on the induced maps; or
+    (None, None).  Only for hom spaces small enough to sweep whole."""
+    field = c1.R.field
+    hom_u, hom_v = bimodule_hom_space(c1.M, c2.M), bimodule_hom_space(c1.N, c2.N)
+
+    def invertibles(hom):
+        for coeffs in itertools.product(range(field.p), repeat=hom.dim):
+            cand = hom.from_coords(coeffs)
+            if cand.is_invertible():
+                yield cand
+
+    for u in invertibles(hom_u):
+        for v in invertibles(hom_v):
+            if (c2.phi @ c1.MN.induced_map(c2.MN, u, v) == c1.phi
+                    and c2.psi @ c1.NM.induced_map(c2.NM, v, u) == c1.psi):
+                return u, v
+    return None, None
 
 
 def invertible_tuples_lex(field, maps):

@@ -31,6 +31,8 @@ from moritakit.modules import (
     regular_module,
 )
 
+from bruteforce import first_context_iso_lex
+
 GF2 = Field.gf(2)
 E22 = (GF2.zero, GF2.zero, GF2.one)
 E11_M2 = (GF2.one, GF2.zero, GF2.zero, GF2.zero)
@@ -353,3 +355,102 @@ def test_bimodule_hom_space_of_corner_m(t2_corner):
     # M = (column of T2 at e22) has a 1-dimensional bimodule endo space
     assert h.dim == 1
     assert h.matrices[0].is_invertible()
+
+
+# GF(2)[x]/(x^2) on the basis (1, x); its bimodules below have x acting
+# the same on both sides, and every pairing of them lands in span(x)
+DUAL = Algebra(GF2, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
+
+
+def _dual_bimodule(*parts):
+    """The direct sum of the parts, "A" the algebra (x the shift) and "k"
+    the simple (x zero), as a DUAL-bimodule."""
+    d = sum(2 if part == "A" else 1 for part in parts)
+    x = [[0] * d for _ in range(d)]
+    at = 0
+    for part in parts:
+        if part == "A":
+            x[at + 1][at] = 1
+        at += 2 if part == "A" else 1
+    acts = [Matrix.identity(GF2, d), Matrix(GF2, x)]
+    return Bimodule(DUAL, DUAL, d, acts, acts)
+
+
+def _dual_context(m, n, phi_x=None, psi_x=None):
+    """The context on m and n whose pairings send the raw basis pairs to
+    phi_x[j] x and psi_x[j] x; zero pairings when not given."""
+    width = m.dim * n.dim
+    phi_x, psi_x = phi_x or [0] * width, psi_x or [0] * width
+    ctx = MoritaContext.from_raw_maps(DUAL, DUAL, m, n, Matrix(GF2, [[0] * width, phi_x]),
+                                      Matrix(GF2, [[0] * width, psi_x]))
+    assert validate_context(ctx) == []
+    return ctx
+
+
+def test_context_iso_matches_the_lex_sweep_on_zero_pairings():
+    # zero pairings leave every v free: the particular solution is 0 and the
+    # slack is the whole Hom(N1, N2) in its own coordinates, so the v-walk
+    # is the lex sweep of that Hom space
+    ns = [_dual_bimodule(*parts) for parts in ("Ak", "kkk", "AA", "Akk", "kkkk")]
+    outcomes = set()
+    for m in (_dual_bimodule("k"), _dual_bimodule("A")):
+        for n1 in ns:
+            for n2 in ns:
+                if n1.dim != n2.dim or bimodule_hom_space(n1, n2).dim > 8:
+                    continue
+                c1, c2 = _dual_context(m, n1), _dual_context(m, n2)
+                res = contexts_isomorphic(c1, c2)
+                assert (res.u, res.v) == first_context_iso_lex(c1, c2)
+                assert res.exhaustive
+                outcomes.add(res.found)
+    assert outcomes == {True, False}
+
+
+def test_context_iso_unequal_dims_are_a_proven_none(monkeypatch):
+    # both trace ideals are 0, so only the dims of N tell the contexts apart
+    monkeypatch.setattr(context, "bimodule_hom_space", None)
+    m = _dual_bimodule("k")
+    res = contexts_isomorphic(_dual_context(m, _dual_bimodule("k")),
+                              _dual_context(m, _dual_bimodule("k", "k")))
+    assert res.proven_none
+
+
+def test_context_iso_zero_bimodule_hom_is_a_proven_none(t2):
+    # M1 and M2 are the simple bimodules at the two vertices of T2: no map
+    # between them intertwines the left actions
+    def simple(vertex):
+        acts = [Matrix(GF2, [[int(i == vertex)]]) for i in (0, 1, 2)]
+        return Bimodule(t2, t2, 1, acts, acts)
+
+    n = simple(0)
+    c1, c2 = (MoritaContext.from_raw_maps(t2, t2, m, n, Matrix.zeros(GF2, 3, 1),
+                                          Matrix.zeros(GF2, 3, 1)) for m in (simple(0), simple(2)))
+    assert validate_context(c1) == [] and validate_context(c2) == []
+    assert bimodule_hom_space(c1.M, c2.M).dim == 0
+    res = contexts_isomorphic(c1, c2)
+    assert res.proven_none
+
+
+def test_context_iso_exits_on_unsolvable_and_on_rigid_singular_v(monkeypatch):
+    # M = k and N = k^2 pair through functionals l, l' on N: phi(m (x) n)
+    # = l(n) x and psi(n (x) m) = l'(n) x.  c_a has l = l' = (1, 0), c_b
+    # has l = (1, 0), l' = (0, 1).  Carrying c_b to c_a asks l(v n) for
+    # both functionals at once: no v solves it.  Carrying c_a to c_b fixes
+    # both rows of v to (1, 0): one solution, singular, with no slack.
+    m, n = _dual_bimodule("k"), _dual_bimodule("k", "k")
+    c_a = _dual_context(m, n, [1, 0], [1, 0])
+    c_b = _dual_context(m, n, [1, 0], [0, 1])
+    assert trace_ideals(c_a)[0].basis == trace_ideals(c_b)[0].basis
+    assert trace_ideals(c_a)[1].basis == trace_ideals(c_b)[1].basis
+    solved, slack = [], []
+    real_solve, real_kernel = context.solve, context.kernel_basis
+    monkeypatch.setattr(context, "solve", lambda a, b: solved.append(real_solve(a, b)) or solved[-1])
+    monkeypatch.setattr(context, "kernel_basis", lambda a: slack.append(real_kernel(a)) or slack[-1])
+
+    assert contexts_isomorphic(c_b, c_a).proven_none
+    assert solved == [None] and slack == []
+
+    solved.clear()
+    assert contexts_isomorphic(c_a, c_b).proven_none
+    assert len(solved) == 1 and solved[0] is not None
+    assert [k.dim for k in slack] == [0]

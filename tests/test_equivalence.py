@@ -596,3 +596,20 @@ def test_catalog_iso_sweep_tests_few_maps(monkeypatch):
     cat = build_catalog(upper_triangular_algebra(GF2, 2), 4)
     assert len(cat) == 22
     assert 0 < len(tested) <= 194
+
+
+def test_strict_verifier_names_the_s_side(t2_corner, cat_t2, cat_corner_s):
+    # reversed, the corner's proper trace ideal lies in S; a zero pairing
+    # fails both sides, and each is recorded
+    report = verify_strict_equivalence(reverse_context(t2_corner), cat_corner_s, cat_t2)
+    assert [tuple(v) for v in report.verdicts] == [
+        ("context", "pairing into S surjective", False, None, "trace ideal has dim 2 < 3")]
+    zero = MoritaContext(t2_corner.R, t2_corner.S, t2_corner.M, t2_corner.N,
+                         Matrix.zeros(GF2, 3, t2_corner.MN.dim), Matrix.zeros(GF2, 1, t2_corner.NM.dim))
+    report = verify_strict_equivalence(zero, cat_t2, cat_corner_s)
+    assert [(v.check, v.note) for v in report.verdicts] == [
+        ("pairing into R surjective", "trace ideal has dim 0 < 3"),
+        ("pairing into S surjective", "trace ideal has dim 0 < 1")]
+    assert not report.passed
+    one_epi = verify_one_epi(zero, cat_t2, cat_corner_s)
+    assert one_epi.verdicts == report.verdicts[:1]
