@@ -15,6 +15,7 @@ from .exactlin import (
     Field,
     Matrix,
     QuotientStructure,
+    _combination,
     closure,
     quotient_structure,
     unit_vector,
@@ -120,21 +121,11 @@ class Algebra:
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """The matrix of x |-> a*x."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(a):
-            if not f.is_zero(c):
-                out = out + self._basis_left_mats()[i].scale(c)
-        return out
+        return _combination(self.field, a, self._basis_left_mats(), self.dim)
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:
         """The matrix of x |-> x*a."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(a):
-            if not f.is_zero(c):
-                out = out + self._basis_right_mats()[i].scale(c)
-        return out
+        return _combination(self.field, a, self._basis_right_mats(), self.dim)
 
     def __eq__(self, other) -> bool:
         return (

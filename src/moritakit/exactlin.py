@@ -11,11 +11,14 @@ entrywise equality and makes every derived construction (kernels, quotients,
 hom spaces, tensor quotients) deterministic.
 
 rref, and through it kernels, solving, ranks, inverses and spans, runs one
-elimination kernel per field on sparse rows: fraction-free integer
-Gauss-Jordan over Q, with Fractions made only for the final pivot rows, and
-inline % p over GF(p).  The RREF of a matrix is unique, so the kernels'
-output is the same canonical form any exact Gauss-Jordan gives; the
-textbook loop on Field methods is kept in the tests as their oracle.
+elimination kernel per field on sparse rows {column: value}: fraction-free
+integer Gauss-Jordan over Q, with Fractions made only for the final pivot
+rows, and inline % p over GF(p).  _pivot_rows is the entry for dense rows
+and makes each row sparse once; the hom and Ext solves write their
+equations as sparse rows and go in through sparse_kernel_basis.  The RREF
+of a matrix is unique, so the kernels' output is the same canonical form
+any exact Gauss-Jordan gives; the textbook loop on Field methods is kept in
+the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -252,6 +255,19 @@ def _plus_multiple(p: Optional[int], total: tuple, c: Scalar, h: tuple) -> tuple
     return tuple([tuple([(a + c * b) % p for a, b in zip(rt, rh)]) for rt, rh in zip(total, h)])
 
 
+def _combination(field: Field, coeffs: Sequence[Scalar], mats: Sequence[Matrix], n: int) -> Matrix:
+    """sum c_i mats[i] of n x n matrices, the rows summed once by
+    _plus_multiple, zero coefficients skipped; a lone coefficient 1 gives
+    its matrix itself, which is immutable."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    total = ((field.zero,) * n,) * n
+    for c, m in terms:
+        total = _plus_multiple(field.p, total, c, m.entries)
+    return Matrix._of(field, total, n)
+
+
 def _common_kernels(field: Field, mats, n: int) -> list:
     """[K_0, ..., K_k]: K_j the basis vectors of the common right kernel of
     mats[j:], intersected from the end, so K_k is the whole space; once
@@ -440,7 +456,15 @@ def rref(m: Matrix) -> tuple:
 
 
 def _pivot_rows(f: Field, rows, ncols: int) -> tuple:
-    """(nonzero RREF rows of the span of rows, pivots) by f's kernel."""
+    """(nonzero RREF rows of the span of dense rows, pivots): the dense
+    entry to the kernels, which makes each row sparse once."""
+    return _sparse_pivot_rows(f, [{j: x for j, x in enumerate(r) if x is not _Q_ZERO and x}
+                                  for r in rows], ncols)
+
+
+def _sparse_pivot_rows(f: Field, rows, ncols: int) -> tuple:
+    """(dense nonzero RREF rows, pivots) of sparse rows {column: value}
+    by f's kernel; values may be zero, and over GF(p) any int."""
     if f.p is None:
         return _rref_rational(rows, ncols)
     return _rref_mod_p(rows, ncols, f.p)
@@ -453,7 +477,7 @@ def _rref_mod_p(entries, ncols: int, p: int) -> tuple:
     pairs of the pivot row it subtracts."""
     piv = {}  # pivot column -> row with a 1 there and 0 at every other pivot
     for row in entries:
-        w = {j: y for j, x in enumerate(row) if (y := x % p)}
+        w = {j: y for j, x in row.items() if (y := x % p)}
         for c in [c for c in w if c in piv]:
             _subtract_mod_p(w, w[c], piv[c], p)
         if not w:
@@ -494,19 +518,20 @@ def _primitive(w: dict) -> dict:
 
 
 def _rref_rational(entries, ncols: int) -> tuple:
-    """RREF over Q, fraction-free: each row's denominators are cleared
-    into Python ints, and rows stay primitive integer vectors throughout.
+    """RREF over Q on sparse rows {column: value}, fraction-free: each
+    row's denominators are cleared into Python ints, and rows stay
+    primitive integer vectors throughout.
     Eliminating column c of w with pivot row r sets w to
     (r[c]/g) w - (w[c]/g) r, g = gcd(r[c], w[c]), touching only r's
     nonzero columns besides the rescale; only the final pivot rows become
     Fractions, x / (pivot entry)."""
     piv = {}  # pivot column -> primitive int row, 0 at every other pivot
     for row in entries:
-        w = {j: x for j, x in enumerate(row) if x is not _Q_ZERO and x}
+        den = lcm(*[x.denominator for x in row.values()])
+        w = {j: n for j, x in row.items() if (n := x.numerator * (den // x.denominator))}
         if not w:
             continue
-        den = lcm(*[x.denominator for x in w.values()])
-        w = _primitive({j: x.numerator * (den // x.denominator) for j, x in w.items()})
+        w = _primitive(w)
         for c in [c for c in w if c in piv]:
             w = _eliminate(w, piv[c], c)
         if not w:
@@ -551,17 +576,22 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> "Basis":
     """Canonical basis of the right kernel {x : m@x = 0}."""
-    red, pivots = rref(m)
-    f = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
-    vecs = []
-    for c in free:
-        v = [f.zero] * m.cols
-        v[c] = f.one
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(red.entries[i][c])
-        vecs.append(tuple(v))
-    return Basis.span(f, m.cols, vecs)
+    return _kernel(m.field, *_pivot_rows(m.field, m.entries, m.cols), m.cols)
+
+
+def sparse_kernel_basis(f: Field, rows, ncols: int) -> "Basis":
+    """kernel_basis of the matrix with these sparse rows {column: value}."""
+    return _kernel(f, *_sparse_pivot_rows(f, rows, ncols), ncols)
+
+
+def _kernel(f: Field, rows, pivots: tuple, ncols: int) -> "Basis":
+    """The kernel of RREF rows with these pivots, in canonical form: the
+    span of e_c - sum_i rows[i][c] e_pivots[i] over the free columns c."""
+    taken = set(pivots)
+    vecs = [{**{p: -r[c] for p, r in zip(pivots, rows) if r[c]}, c: 1}
+            for c in range(ncols) if c not in taken]
+    red, kernel_pivots = _sparse_pivot_rows(f, vecs, ncols)
+    return Basis(f, ncols, tuple(red), kernel_pivots)
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:

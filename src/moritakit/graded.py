@@ -36,6 +36,7 @@ from .modules import (
     _search_invertible,
     hom_module,
     hom_space,
+    hom_structure,
 )
 from .torsion import TorsionTheory, closedness_map, torsion_submodule
 
@@ -326,7 +327,7 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
     res = closedness_map(tt, quo)
     src_degs = ideal_degrees(tt, galg)
     loc_degs = degrees_for_hom_basis(res.hom, galg.group, src_degs, quo_degs)
-    return GradedModule(galg, res.hom_module, loc_degs)
+    return GradedModule(galg, hom_structure(tt.ideal_bimodule, res.hom), loc_degs)
 
 
 # graded catalogs are plain catalogs whose members are GradedModules

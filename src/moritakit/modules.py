@@ -24,6 +24,7 @@ from .exactlin import (
     Basis,
     Matrix,
     QuotientStructure,
+    _combination,
     _dot_products,
     _pivot_rows,
     basis_sum,
@@ -34,6 +35,7 @@ from .exactlin import (
     quotient_structure,
     random_scalar,
     rank,
+    sparse_kernel_basis,
     vstack,
 )
 
@@ -62,7 +64,7 @@ class _Module:
         self.action = tuple(action)
 
     def action_of(self, a_vec: Sequence) -> Matrix:
-        return _combine(self.algebra, self.dim, self.action, a_vec)
+        return _combination(self.algebra.field, a_vec, self.action, self.dim)
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,15 +136,6 @@ def _check_action_shape(algebra: Algebra, dim: int, action) -> None:
     for i, m in enumerate(action):
         if m.rows != dim or m.cols != dim:
             raise ValueError(f"action matrix {i} is {m.rows}x{m.cols}, want {dim}x{dim}")
-
-
-def _combine(algebra: Algebra, dim: int, mats: tuple, a_vec: Sequence) -> Matrix:
-    f = algebra.field
-    out = Matrix.zeros(f, dim, dim)
-    for i, c in enumerate(a_vec):
-        if not f.is_zero(c):
-            out = out + mats[i].scale(c)
-    return out
 
 
 def validate_module(m: Union[LeftModule, RightModule, Bimodule]) -> list:
@@ -329,25 +322,21 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
 def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
     """Vectorized (td x sd) matrices F with At @ F = F @ As for every pair
     (As, At) of source and target action matrices, given for the algebra's
-    generators only; no pairs (a 1-dim algebra) leave every linear map."""
-    nvars = sd * td
+    generators only; no pairs (a 1-dim algebra) leave every linear map.
+    Equation (r, c) is the sparse row sum_k At[r][k] F[k][c] -
+    sum_k F[r][k] As[k][c], built from the nonzeros of row r of At and
+    column c of As, and sparse_kernel_basis solves them."""
     rows = []
     for mat_s, mat_t in action_pairs:
-        As, At = mat_s.entries, mat_t.entries
-        for r in range(td):
-            for c in range(sd):
-                row = [f.zero] * nvars
-                for k, a in enumerate(At[r]):
-                    if a:
-                        row[k * sd + c] = a
-                for k in range(sd):
-                    a = As[k][c]
-                    if a:
-                        row[r * sd + k] = f.sub(row[r * sd + k], a)
+        s_cols = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*mat_s.entries)]
+        t_rows = [[(k * sd, a) for k, a in enumerate(row) if a] for row in mat_t.entries]
+        for r, t_row in enumerate(t_rows):
+            for c, s_col in enumerate(s_cols):
+                row = {k + c: a for k, a in t_row}
+                for k, a in s_col:
+                    row[r * sd + k] = row.get(r * sd + k, 0) - a
                 rows.append(row)
-    if not rows:
-        return Basis.full(f, nvars)
-    return kernel_basis(Matrix(f, rows, cols=nvars))
+    return sparse_kernel_basis(f, rows, sd * td)
 
 
 def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
@@ -358,15 +347,21 @@ def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
 
     Returns:
         (module, hom) where module is the left T-module on the hom basis
-        coordinates and hom is the underlying HomBasis.
+        coordinates (hom_structure) and hom is the underlying HomBasis.
     """
     if bim.left_algebra != x.algebra:
         raise ValueError("bimodule's left algebra does not act on the target module")
     hom = hom_space(bim.left_module(), x)
+    return hom_structure(bim, hom), hom
+
+
+def hom_structure(bim: Bimodule, hom: HomBasis) -> LeftModule:
+    """The left T-module on the coordinates of hom = Hom_R(A, X), for the
+    (R, T)-bimodule A: t acts as f |-> f(- . t)."""
     mats = [hom.coords_matrix((fmat @ ra for fmat in hom.matrices),
                               "hom space is not stable under the right action")
             for ra in bim.right_action]
-    return LeftModule(bim.right_algebra, hom.dim, mats), hom
+    return LeftModule(bim.right_algebra, hom.dim, mats)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -621,8 +616,9 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     Z^1 is the space of derivations f: A -> Hom_k(T, S), with
     f(ab) = rho_S(a) f(b) + f(a) rho_T(b), vectorized as f(e_0), f(e_1), ...
     over the algebra basis, each an (s x t) block read row-major: one
-    kernel_basis over the structure constants.  B^1 is spanned by the inner
-    derivations a |-> rho_S(a) h - h rho_T(a), and each f in Z^1 is
+    sparse_kernel_basis over the structure constants, with one sparse row
+    of nonzero terms per equation (i, j, r, c).  B^1 is spanned by the
+    inner derivations a |-> rho_S(a) h - h rho_T(a), and each f in Z^1 is
     reduced by B^1's RREF, so the span is a complement.  f and f + inner
     give isomorphic middle terms (middle_term), and the zero class gives
     S + T."""
@@ -634,14 +630,15 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     rows = []
     for i, j in itertools.product(range(alg.dim), repeat=2):
         for r, c in itertools.product(range(s.dim), range(td)):
-            row = [f.zero] * nvars
+            row = {}
             terms = [(j * block + q * td + c, s.action[i].entries[r][q]) for q in range(s.dim)]
             terms += [(i * block + r * td + q, t.action[j].entries[q][c]) for q in range(td)]
-            terms += [(k * block + r * td + c, f.neg(x)) for k, x in enumerate(alg.mul[i][j])]
+            terms += [(k * block + r * td + c, -x) for k, x in enumerate(alg.mul[i][j])]
             for at, x in terms:
-                row[at] = f.add(row[at], x)
+                if x:
+                    row[at] = row.get(at, 0) + x
             rows.append(row)
-    cocycles = kernel_basis(Matrix(f, rows, cols=nvars))
+    cocycles = sparse_kernel_basis(f, rows, nvars)
     units = [Matrix(f, [[f.one if (x, y) == (r, c) else f.zero for y in range(td)]
                         for x in range(s.dim)], cols=td)
              for r, c in itertools.product(range(s.dim), range(td))]

@@ -22,8 +22,8 @@ from .modules import (
     LeftModule,
     Submodule,
     annihilator,
-    hom_module,
     hom_space,
+    hom_structure,
     ideal_action_image,
     quotient_module,
     regular_module,
@@ -89,14 +89,15 @@ def is_torsion(tt: TorsionTheory, x: LeftModule) -> bool:
 
 
 class ClosednessResult:
-    """Verdict plus the witness matrix of alpha: X -> Hom_R(Iinf, X)."""
+    """Verdict plus the witness matrix of alpha: X -> Hom_R(Iinf, X), in
+    the coordinates of hom; the module structure on hom is left to the
+    callers that need it (hom_structure)."""
 
-    __slots__ = ("closed", "alpha", "hom_module", "hom")
+    __slots__ = ("closed", "alpha", "hom")
 
-    def __init__(self, closed: bool, alpha: Matrix, hom_module: LeftModule, hom: HomBasis):
+    def __init__(self, closed: bool, alpha: Matrix, hom: HomBasis):
         self.closed = closed
         self.alpha = alpha
-        self.hom_module = hom_module
         self.hom = hom
 
     def __bool__(self) -> bool:
@@ -104,16 +105,17 @@ class ClosednessResult:
 
 
 def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
-    """alpha(x)(a) = a.x; X is closed exactly when alpha is invertible."""
+    """alpha(x)(a) = a.x; X is closed exactly when alpha is invertible.
+    Only the space Hom_R(Iinf, X) is solved for, not its module structure."""
     if x.algebra != tt.algebra:
         raise ValueError("module is over the wrong algebra")
     f = tt.algebra.field
-    h_mod, h = hom_module(tt.ideal_bimodule, x)
+    h = hom_space(tt.ideal_bimodule.left_module(), x)
     acts = [x.action_of(v) for v in tt.stable_ideal.basis.vectors]
     # column k is the map a |-> a.x_k, read in the coordinates of the hom
     alpha = h.coords_matrix((Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim)
                              for k in range(x.dim)), "alpha image escaped Hom_R(Iinf, X)")
-    return ClosednessResult(alpha.is_invertible(), alpha, h_mod, h)
+    return ClosednessResult(alpha.is_invertible(), alpha, h)
 
 
 def is_closed(tt: TorsionTheory, x: LeftModule) -> bool:
@@ -128,7 +130,9 @@ class Localization(NamedTuple):
 
 
 def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
-    """Hom_R(Iinf, X / torsion) with the canonical map x |-> (a |-> a.x̄).
+    """Hom_R(Iinf, X / torsion) with the canonical map x |-> (a |-> a.x̄):
+    the module structure is put on closedness_map's hom space, which is
+    solved once.
 
     The construction's contract is asserted, not trusted: the result is
     closed, the canonical map's kernel is exactly the torsion submodule,
@@ -138,7 +142,7 @@ def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
     quo, proj = t.quotient()
     res = closedness_map(tt, quo)
     canonical = res.alpha @ proj
-    loc = res.hom_module
+    loc = hom_structure(tt.ideal_bimodule, res.hom)
 
     if not is_closed(tt, loc):
         raise AssertionError("localization produced a non-closed module")

@@ -19,6 +19,7 @@ from moritakit.modules import (
     _projective_points,
     direct_sum,
     extension_space,
+    hom_module,
     is_isomorphic,
     kron,
     middle_term,
@@ -26,6 +27,7 @@ from moritakit.modules import (
     regular_module,
     submodule_lattice,
 )
+from moritakit.torsion import torsion_submodule
 
 
 def all_vectors(field, n):
@@ -333,3 +335,64 @@ def count_module_classes(algebra, d):
             classes += 1
             seen.update(tuple(_mat_mul(p, _mat_mul(p, g, a), g_inv) for a in acts) for g, g_inv in gl)
     return classes
+
+
+def textbook_action(module, coeffs):
+    """sum c_i rho(e_i), entry by entry on the field's own operations."""
+    f, n = module.algebra.field, module.dim
+    out = [[f.zero] * n for _ in range(n)]
+    for c, act in zip(coeffs, module.action):
+        for r in range(n):
+            for k in range(n):
+                out[r][k] = f.add(out[r][k], f.mul(c, act.entries[r][k]))
+    return Matrix(f, out, cols=n)
+
+
+def closedness_via_hom_module(tt, x):
+    """(closed, alpha, hom, module): closedness read in the full left
+    T-module Hom_R(Iinf, X) of hom_module, alpha's column k being the map
+    a |-> a.x_k with a.x taken by textbook_action."""
+    f = x.algebra.field
+    mod, hom = hom_module(tt.ideal_bimodule, x)
+    acts = [textbook_action(x, v) for v in tt.stable_ideal.basis.vectors]
+    alpha = hom.coords_matrix((Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim)
+                               for k in range(x.dim)), "alpha left the hom space")
+    return alpha.is_invertible(), alpha, hom, mod
+
+
+def localize_via_hom_module(tt, x):
+    """(module, canonical, hom, kept): the localization Hom_R(Iinf, X / t(X))
+    as closedness_via_hom_module builds it, with the canonical map, and
+    kept the non-pivot coordinates of t(X) that index X / t(X)."""
+    t = torsion_submodule(tt, x)
+    quo, proj = t.quotient()
+    _, alpha, hom, mod = closedness_via_hom_module(tt, quo)
+    return mod, alpha @ proj, hom, [i for i in range(x.dim) if i not in t.basis.pivots]
+
+
+def extension_space_dense(s, t):
+    """extension_space with every cocycle equation a dense row over the
+    whole derivation space, added up by the field's own operations."""
+    alg = s.algebra
+    f = alg.field
+    td = t.dim
+    block = s.dim * td
+    nvars = alg.dim * block
+    rows = []
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        for r, c in itertools.product(range(s.dim), range(td)):
+            row = [f.zero] * nvars
+            terms = [(j * block + q * td + c, s.action[i].entries[r][q]) for q in range(s.dim)]
+            terms += [(i * block + r * td + q, t.action[j].entries[q][c]) for q in range(td)]
+            terms += [(k * block + r * td + c, f.neg(x)) for k, x in enumerate(alg.mul[i][j])]
+            for at, x in terms:
+                row[at] = f.add(row[at], x)
+            rows.append(row)
+    cocycles = kernel_basis(Matrix(f, rows, cols=nvars))
+    units = [Matrix(f, [[f.one if (x, y) == (r, c) else f.zero for y in range(td)]
+                        for x in range(s.dim)], cols=td)
+             for r, c in itertools.product(range(s.dim), range(td))]
+    inner = Basis.span(f, nvars, [[x for a, b in zip(s.action, t.action)
+                                   for row in (a @ h + -(h @ b)).entries for x in row]
+                                  for h in units])
+    return Basis.span(f, nvars, [inner.reduce(z) for z in cocycles.vectors])

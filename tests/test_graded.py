@@ -17,6 +17,7 @@ from moritakit.graded import (
     graded_corner_context,
     graded_hom,
     graded_localize,
+    ideal_degrees,
     is_graded_isomorphic,
     reverse_graded_context,
     suspension,
@@ -24,6 +25,8 @@ from moritakit.graded import (
 )
 from moritakit.modules import IsoResult, LeftModule, hom_space, regular_module
 from moritakit.torsion import TorsionTheory, is_closed, torsion_submodule
+
+from bruteforce import localize_via_hom_module
 
 GF2 = Field.gf(2)
 E22 = (0, 0, 1)
@@ -272,6 +275,16 @@ def test_graded_localize_commutes_with_suspension_on_dims(gt2, greg, corner_theo
     a = graded_localize(corner_theory, suspension(greg, 1))
     b = suspension(graded_localize(corner_theory, greg), 1)
     assert a.component_dims() == b.component_dims()
+
+
+def test_graded_localize_matches_the_hom_module_construction(gt2, corner_theory):
+    src_degs = ideal_degrees(corner_theory, gt2)
+    for gm in build_graded_catalog(gt2, 3):
+        loc = graded_localize(corner_theory, gm)
+        module, _, hom, kept = localize_via_hom_module(corner_theory, gm.base)
+        assert loc.base == module
+        assert loc.degrees == degrees_for_hom_basis(hom, gt2.group, src_degs,
+                                                    tuple(gm.degrees[i] for i in kept))
 
 
 # -------------------------------------------------------- graded catalogs

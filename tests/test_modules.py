@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moritakit.exactlin import Basis, Field, Matrix
-from moritakit.algebra import two_sided_ideal_closure, upper_triangular_algebra
+from moritakit.exactlin import QQ, Basis, Field, Matrix
+from moritakit.algebra import full_matrix_algebra, two_sided_ideal_closure, upper_triangular_algebra
 from moritakit.equivalence import build_catalog
 from moritakit.modules import (
     BudgetExceeded,
@@ -13,6 +16,7 @@ from moritakit.modules import (
     annihilator,
     direct_sum,
     enumerate_submodules,
+    extension_space,
     hom_module,
     hom_space,
     ideal_action_image,
@@ -27,7 +31,8 @@ from moritakit.modules import (
     validate_module,
 )
 
-from bruteforce import brute_annihilator, brute_hom, brute_submodules
+from bruteforce import brute_annihilator, brute_hom, brute_submodules, extension_space_dense, textbook_action
+from test_equivalence import _radical_square_zero
 
 GF2 = Field.gf(2)
 E11, E12, E22 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -106,6 +111,55 @@ def test_hom_module_structure(t2, t2_regular, s2):
     mod, hom = hom_module(bim, s2)
     assert mod.dim == hom.dim == 1
     assert validate_module(mod) == []
+
+
+ACTION_ALGEBRAS = [upper_triangular_algebra(GF2, 2), upper_triangular_algebra(Field.gf(3), 2),
+                   full_matrix_algebra(QQ, 2)]
+
+
+@st.composite
+def action_cases(draw):
+    """A regular module or its square, and a zero, unit, basis or general
+    coefficient vector (fractions over Q)."""
+    a = draw(st.sampled_from(ACTION_ALGEBRAS))
+    f = a.field
+    m = draw(st.sampled_from([regular_module(a), direct_sum(regular_module(a), regular_module(a))]))
+    kind = draw(st.sampled_from(["zero", "unit", "basis", "general"]))
+    if kind == "zero":
+        return m, (f.zero,) * a.dim
+    if kind == "unit":
+        return m, a.unit
+    if kind == "basis":
+        return m, a.basis_vector(draw(st.integers(0, a.dim - 1)))
+    nums = st.integers(-3, 3)
+    scalar = nums.map(f.of_int) if f.p else st.builds(Fraction, nums, st.integers(1, 3))
+    return m, tuple(draw(scalar) for _ in range(a.dim))
+
+
+@given(action_cases())
+@settings(max_examples=200, deadline=None)
+def test_action_of_matches_the_textbook_combination(case):
+    m, v = case
+    assert m.action_of(v) == textbook_action(m, v)
+    regular = regular_bimodule(m.algebra)
+    assert m.algebra.left_mult_matrix(v) == textbook_action(regular.left_module(), v)
+    assert m.algebra.right_mult_matrix(v) == textbook_action(regular.right_module(), v)
+
+
+def test_action_of_a_basis_vector_is_the_action_matrix(t2_regular):
+    for i, act in enumerate(t2_regular.action):
+        assert t2_regular.action_of(t2_regular.algebra.basis_vector(i)) is act
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param(upper_triangular_algebra(GF2, 2), id="T2-GF2"),
+    pytest.param(_radical_square_zero(GF2, 2), id="GF2[x,y]/(x,y)^2"),
+])
+def test_extension_space_matches_dense_rows_on_catalog_pairs(alg):
+    cat = build_catalog(alg, 3).modules
+    for s in cat:
+        for t in cat:
+            assert extension_space(s, t) == extension_space_dense(s, t)
 
 
 def test_tensor_regular_absorbs(t2, t2_regular):

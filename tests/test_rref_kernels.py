@@ -1,6 +1,8 @@
 """The field-specialised rref kernels against the textbook Gauss-Jordan of
 tests/bruteforce.py: the RREF is unique, so they must agree entry for
-entry, pivots included, and over Q every entry must stay a Fraction."""
+entry, pivots included, and over Q every entry must stay a Fraction.
+Each matrix also goes in as sparse {column: value} rows, the way the hom
+and Ext solves write their equations."""
 
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_rref
-from moritakit.exactlin import QQ, Field, Matrix, rref
+from moritakit.exactlin import QQ, Field, Matrix, _sparse_pivot_rows, rref
 
 FIELDS = [Field.gf(2), Field.gf(3), Field.gf(5), Field.gf(65521), QQ]
 
@@ -53,6 +55,13 @@ def assert_kernel_agrees(m):
     assert (red, pivots) == brute_rref(m)
     if m.field.p is None:
         assert all(type(x) is Fraction for r in red.entries for x in r)
+    # sparse rows: zeros dropped, zeros kept, and over GF(p) every entry
+    # written as its negative representative x - p
+    p = m.field.p or 0
+    for sparse in ([{j: x for j, x in enumerate(r) if x} for r in m.entries],
+                   [dict(enumerate(r)) for r in m.entries],
+                   [{j: x - p for j, x in enumerate(r)} for r in m.entries]):
+        assert _sparse_pivot_rows(m.field, sparse, m.cols) == (list(red.entries[:len(pivots)]), pivots)
 
 
 @given(small_matrices())

@@ -1,10 +1,20 @@
 """Torsion theories: stabilization, closedness, localization, the oracle."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from moritakit.algebra import Ideal, ideal_product, two_sided_ideal_closure
+from moritakit.algebra import (
+    Ideal,
+    full_matrix_algebra,
+    ideal_product,
+    two_sided_ideal_closure,
+    upper_triangular_algebra,
+)
 from moritakit.context import corner_context, trace_ideals
-from moritakit.exactlin import Basis, Field, Matrix, kernel_basis
+from moritakit.equivalence import build_catalog, context_theories
+from moritakit.exactlin import QQ, Basis, Field, Matrix, kernel_basis
 from moritakit.modules import (
     LeftModule,
     direct_sum,
@@ -24,6 +34,8 @@ from moritakit.torsion import (
     rel_injective_oracle,
     torsion_submodule,
 )
+
+from bruteforce import closedness_via_hom_module, localize_via_hom_module
 
 GF2 = Field.gf(2)
 E11 = (GF2.one, GF2.zero, GF2.zero)
@@ -109,6 +121,61 @@ def test_full_ideal_theory_closes_everything(nothing_torsion, s1, s2, t2_regular
         res = closedness_map(nothing_torsion, x)
         assert res.closed
         assert res.alpha.rows == x.dim
+
+
+def _m3q_corner_cases():
+    """The M3(Q) corner at e11: its two theories, with the R-side modules
+    V, V+V, R, R+V (V the column module) and the S-side S, S^2, S^3, each
+    also conjugated by a seeded signed permutation."""
+    r = full_matrix_algebra(QQ, 3)
+    ctx = corner_context(r, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+    t_i, t_j = context_theories(ctx)
+    v = LeftModule(r, 3, [Matrix(QQ, [[Fraction(int((a, b) == (i, j))) for b in range(3)]
+                                      for a in range(3)], cols=3) for i in range(3) for j in range(3)])
+    reg, s1 = regular_module(r), regular_module(ctx.S)
+    s2 = direct_sum(s1, s1)
+    rng = random.Random(1)
+
+    def with_conjugates(mods):
+        out = list(mods)
+        for m in mods:
+            perm = list(range(m.dim))
+            rng.shuffle(perm)
+            p = Matrix(QQ, [[Fraction(rng.choice((1, -1)) if j == perm[i] else 0) for j in range(m.dim)]
+                            for i in range(m.dim)], cols=m.dim)
+            out.append(LeftModule(m.algebra, m.dim, [p @ a @ p.transpose() for a in m.action]))
+        return out
+
+    return [(t_i, with_conjugates([v, direct_sum(v, v), reg, direct_sum(reg, v)])),
+            (t_j, with_conjugates([s1, s2, direct_sum(s2, s1)]))]
+
+
+def _closedness_cases():
+    """(theory, modules): the T2/GF(2) <= 3 catalog under the corner,
+    zero and full theories, both sides of the T2/GF(3) corner at e22 with
+    their catalogs <= 3, and the M3(Q) corner's modules."""
+    t2 = upper_triangular_algebra(GF2, 2)
+    cat = build_catalog(t2, 3).modules
+    cases = [(TorsionTheory.from_ideal(t2, i), cat) for i in (
+        trace_ideals(corner_context(t2, E22))[0], Ideal(t2, Basis.zero(GF2, 3)),
+        two_sided_ideal_closure(t2, [t2.unit]))]
+    ctx = corner_context(upper_triangular_algebra(Field.gf(3), 2), (0, 0, 1))
+    t_i, t_j = context_theories(ctx)
+    cases += [(t_i, build_catalog(ctx.R, 3).modules), (t_j, build_catalog(ctx.S, 3).modules)]
+    return cases + _m3q_corner_cases()
+
+
+@pytest.mark.parametrize("tt, modules", _closedness_cases(),
+                         ids=["T2-GF2-corner", "T2-GF2-zero", "T2-GF2-full", "T2-GF3-R", "T2-GF3-S",
+                              "M3Q-R", "M3Q-S"])
+def test_closedness_and_localize_match_the_hom_module_construction(tt, modules):
+    for x in modules:
+        res = closedness_map(tt, x)
+        closed, alpha, hom, _ = closedness_via_hom_module(tt, x)
+        assert (res.closed, res.alpha, res.hom.basis) == (closed, alpha, hom.basis)
+        loc = localize(tt, x)
+        module, canonical, hom, _ = localize_via_hom_module(tt, x)
+        assert (loc.module, loc.canonical, loc.hom.basis) == (module, canonical, hom.basis)
 
 
 def test_localize_regular_gives_the_vertex_two_simple(theory, t2_regular, s2):
