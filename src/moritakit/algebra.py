@@ -14,7 +14,6 @@ from .exactlin import (
     Basis,
     Field,
     Matrix,
-    QuotientStructure,
     _combination,
     closure,
     quotient_structure,
@@ -151,12 +150,13 @@ def validate_algebra(a: Algebra) -> list:
         structure constants define an associative unital algebra.
     """
     failures = []
+    basis = [a.basis_vector(k) for k in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
             left = a.mul[i][j]
             for k in range(a.dim):
-                lhs = a.multiply(left, a.basis_vector(k))
-                rhs = a.multiply(a.basis_vector(i), a.mul[j][k])
+                lhs = a.multiply(left, basis[k])
+                rhs = a.multiply(basis[i], a.mul[j][k])
                 if lhs != rhs:
                     failures.append(f"associativity fails at basis triple ({i}, {j}, {k})")
     for i in range(a.dim):
@@ -205,6 +205,9 @@ class Ideal:
 
     Stability under multiplication from both sides is asserted at
     construction, so every Ideal in circulation satisfies the invariant.
+    It is asserted for the generators (Algebra.generator_indices, on an
+    algebra that passes validate_algebra) only: the a with aI in I, like
+    those with Ia in I, form a subalgebra.
     """
 
     __slots__ = ("algebra", "basis")
@@ -212,7 +215,7 @@ class Ideal:
     def __init__(self, algebra: Algebra, basis: Basis):
         if basis.ambient_dim != algebra.dim:
             raise ValueError("ideal basis lives in the wrong ambient space")
-        for i in range(algebra.dim):
+        for i in algebra.generator_indices():
             e = algebra.basis_vector(i)
             for v in basis.vectors:
                 if not basis.contains_vector(algebra.multiply(e, v)):
@@ -277,18 +280,10 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> tuple:
         coordinates of the ideal's echelon basis and projection is the
         quotient map matrix (Q.dim x A.dim).
     """
-    q: QuotientStructure = quotient_structure(ideal.basis)
-    proj, sect = q.projection, q.section
-    mul = []
-    for i in range(q.dim):
-        si = sect.col(i)
-        row = []
-        for j in range(q.dim):
-            sj = sect.col(j)
-            row.append(proj.apply(a.multiply(si, sj)))
-        mul.append(tuple(row))
-    quo = Algebra(a.field, q.dim, mul, proj.apply(a.unit))
-    return quo, proj
+    q = quotient_structure(ideal.basis)
+    # the section sends quotient coordinate i to e_(free column i)
+    mul = [[q.projection.apply(a.mul[i][j]) for j in q.nonpivots] for i in q.nonpivots]
+    return Algebra(a.field, q.dim, mul, q.projection.apply(a.unit)), q.projection
 
 
 def subalgebra_on_basis(a: Algebra, basis: Basis, unit_vec: Sequence) -> tuple:

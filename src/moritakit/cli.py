@@ -39,29 +39,29 @@ from .torsion import TorsionTheory, is_closed, is_torsion_free, localize, torsio
 from .workspace import WorkspaceError, matrix_to_json, parse_workspace
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("workspace", help="path to a workspace JSON file")
-    common.add_argument("--context", action="append",
-                        help="context name (repeat for compose/iso)")
-    common.add_argument("--module", help="module name")
-    common.add_argument("--ideal", help="ideal name")
-    common.add_argument("--max-dim", type=_non_negative_int, dest="max_dim",
-                        help="catalog dimension bound, at least 0 (overrides workspace recipes)")
-    common.add_argument("--budget", type=_non_negative_int,
-                        help="submodule and Ext enumeration budget, at least 0")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled searches (recorded in reports)")
-    common.add_argument("--strict-sampling", action="store_true", dest="strict_sampling",
-                        help="treat sampled passes as failures")
-    common.add_argument("--out", help="also write the machine report to this path")
-    common.add_argument("--format", choices=("human", "machine"), default="human",
-                        help="report style on stdout")
+    """One parser: the command is a positional argument with the handlers
+    as its choices, next to the flags every command shares."""
     parser = argparse.ArgumentParser(
         prog="moritakit",
         description="exact verification of context, torsion, and equivalence facts")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _HANDLERS:
-        sub.add_parser(name, parents=[common], help=f"run the {name} check")
+    parser.add_argument("command", choices=_HANDLERS, metavar="command",
+                        help="one of: " + ", ".join(_HANDLERS))
+    parser.add_argument("workspace", help="path to a workspace JSON file")
+    parser.add_argument("--context", action="append",
+                        help="context name (repeat for compose/iso)")
+    parser.add_argument("--module", help="module name")
+    parser.add_argument("--ideal", help="ideal name")
+    parser.add_argument("--max-dim", type=_non_negative_int, dest="max_dim",
+                        help="catalog dimension bound, at least 0 (overrides workspace recipes)")
+    parser.add_argument("--budget", type=_non_negative_int,
+                        help="submodule and Ext enumeration budget, at least 0")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for sampled searches (recorded in reports)")
+    parser.add_argument("--strict-sampling", action="store_true", dest="strict_sampling",
+                        help="treat sampled passes as failures")
+    parser.add_argument("--out", help="also write the machine report to this path")
+    parser.add_argument("--format", choices=("human", "machine"), default="human",
+                        help="report style on stdout")
     return parser
 
 

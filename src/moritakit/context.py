@@ -36,7 +36,6 @@ from .modules import (
     TensorProduct,
     _intertwiners,
     hom_module,
-    kron,
     regular_bimodule,
     tensor_over,
 )
@@ -74,15 +73,12 @@ class MoritaContext:
         """
         MN = tensor_over(S, M, N)
         NM = tensor_over(R, N, M)
-        f = R.field
-        for rel in MN.relations.vectors:
-            if any(not f.is_zero(x) for x in phi_raw.apply(rel)):
-                raise ValueError("phi is not well-defined on the tensor quotient")
-        for rel in NM.relations.vectors:
-            if any(not f.is_zero(x) for x in psi_raw.apply(rel)):
-                raise ValueError("psi is not well-defined on the tensor quotient")
+        for name, raw, t in (("phi", phi_raw, MN), ("psi", psi_raw, NM)):
+            if any(any(raw.apply(rel)) for rel in t.relations.vectors):
+                raise ValueError(f"{name} is not well-defined on the tensor quotient")
         ctx = object.__new__(cls)
-        ctx._attach(R, S, M, N, MN, NM, phi_raw @ MN.section, psi_raw @ NM.section)
+        ctx._attach(R, S, M, N, MN, NM, phi_raw.pick_cols(MN.quotient.nonpivots),
+                    psi_raw.pick_cols(NM.quotient.nonpivots))
         return ctx
 
     def __repr__(self) -> str:
@@ -98,7 +94,12 @@ def raw_pairing(ctx: MoritaContext) -> Matrix:
 
 def validate_context(ctx: MoritaContext) -> list:
     """Bimodule-map conditions for phi and psi plus the two compatibility
-    identities, checked on all basis triples.  Returns failure strings.
+    identities.  Returns failure strings.
+
+    M and N must pass validate_module.  Linearity is checked on the
+    generators (Algebra.generator_indices), since the a with
+    phi(a.t) = a phi(t) for all t form a subalgebra, and on the right
+    alike; compatibility on all basis triples, each psi(n_j (x) m_k) once.
 
     Each psi or N-side condition is the phi or M-side one of the reversed
     context, so every check is written once and run on both contexts.
@@ -106,7 +107,7 @@ def validate_context(ctx: MoritaContext) -> list:
     out = []
     rev = reverse_context(ctx)
     for c, name, alg in ((ctx, "phi", "R"), (rev, "psi", "S")):
-        for r in range(c.R.dim):
+        for r in c.R.generator_indices():
             e = c.R.basis_vector(r)
             if (c.phi @ c.MN.left_action[r]) != (c.R.left_mult_matrix(e) @ c.phi):
                 out.append(f"{name} fails left {alg}-linearity at basis {r}")
@@ -117,12 +118,15 @@ def validate_context(ctx: MoritaContext) -> list:
                                               (rev, raws[::-1], "psi/phi", "N")):
         m_left = c.M.left_module()
         m_right = c.M.right_module()
+        phis, psis = phi_raw.columns(), psi_raw.columns()
+        # psi_cols[j][k][i] = m_i.psi(n_j (x) m_k), formed once per (j, k)
+        psi_cols = [[m_right.action_of(psis[j * c.M.dim + k]).columns() for k in range(c.M.dim)]
+                    for j in range(c.N.dim)]
         for i in range(c.M.dim):
             for j in range(c.N.dim):
-                act = m_left.action_of(phi_raw.col(i * c.N.dim + j))
+                act = m_left.action_of(phis[i * c.N.dim + j]).columns()
                 for k in range(c.M.dim):
-                    rhs = m_right.action_of(psi_raw.col(j * c.M.dim + k)).col(i)
-                    if act.col(k) != rhs:
+                    if act[k] != psi_cols[j][k][i]:
                         out.append(f"{names} compatibility in {mod} fails at ({i}, {j}, {k})")
     return out
 
@@ -232,12 +236,16 @@ def rho_map(ctx: MoritaContext, y: LeftModule) -> NaturalMap:
 def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
     inner = tensor_over(ctx.R, ctx.N, x)
     outer = tensor_over(ctx.S, ctx.M, inner.as_left_module())
-    # on the raw basis of M (x) N (x) X, column (i*dim N + j)*dim X + k is
-    # phi(m_i (x) n_j).x_k; the two sections unfold the computed outer basis
-    f = x.algebra.field
+    # outer basis vector s = i*dim(inner) + t is m_i (x) (n_j (x) x_k) for
+    # the raw index j*dim X + k of inner's free column t, and maps to
+    # phi(m_i (x) n_j).x_k
     acts = [x.action_of(r) for r in raw_pairing(ctx).columns()]
-    raw = Matrix.from_cols(f, [act.col(k) for act in acts for k in range(x.dim)], rows=x.dim)
-    matrix = raw @ kron(Matrix.identity(f, ctx.M.dim), inner.section) @ outer.section
+    cols = []
+    for s in outer.quotient.nonpivots:
+        i, t = divmod(s, inner.dim)
+        j, k = divmod(inner.quotient.nonpivots[t], x.dim)
+        cols.append(acts[i * ctx.N.dim + j].col(k))
+    matrix = Matrix.from_cols(x.algebra.field, cols, rows=x.dim)
     return NaturalMap(matrix, outer, inner)
 
 
@@ -297,12 +305,9 @@ def evaluation_counit(ctx: MoritaContext, x: LeftModule) -> Counit:
     f = ctx.R.field
     h_mod, h = hom_module(ctx.M, x)
     t = tensor_over(ctx.S, ctx.M, h_mod)
-    cols = []
-    for i in range(ctx.M.dim):
-        for a in range(h.dim):
-            cols.append(h.matrices[a].col(i))
-    raw = Matrix.from_cols(f, cols, rows=x.dim)
-    return Counit(raw @ t.section, t, h_mod, h)
+    # free column s = i*dim(h) + a is m_i (x) f_a, sent to f_a(m_i)
+    cols = [h.matrices[s % h.dim].col(s // h.dim) for s in t.quotient.nonpivots]
+    return Counit(Matrix.from_cols(f, cols, rows=x.dim), t, h_mod, h)
 
 
 def compose_contexts(first: MoritaContext, second: MoritaContext) -> MoritaContext:
@@ -328,7 +333,8 @@ def _composite_pairing(first: MoritaContext, second: MoritaContext,
     # (m (x) m') (x) (n' (x) n) |-> phi1(m (x) phi2(m' (x) n').n) on the raw
     # product basis of m_t = M1 (x) M2 and n_t = N2 (x) N1: block i of phi1's
     # raw matrix times the action of phi2(m'_ip (x) n'_jp) on N1 gives the
-    # values at (i, ip, jp, j) for every j; the sections push them down
+    # values at (i, ip, jp, j) for every j; the pairing on m_t's free column
+    # u and n_t's free column v is the raw column at (u-th, v-th) free index
     f = first.R.field
     d1, d2, e2, e1 = first.M.dim, second.M.dim, second.N.dim, first.N.dim
     raw1 = raw_pairing(first).columns()
@@ -341,7 +347,8 @@ def _composite_pairing(first: MoritaContext, second: MoritaContext,
             for jp in range(e2):
                 cols.extend((blocks[i] @ acts[ip * e2 + jp]).columns())
     raw = Matrix.from_cols(f, cols, rows=first.R.dim)
-    return raw @ kron(m_t.section, n_t.section)
+    return raw.pick_cols([u * e2 * e1 + v for u in m_t.quotient.nonpivots
+                          for v in n_t.quotient.nonpivots])
 
 
 def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:

@@ -141,7 +141,9 @@ def zero_vector(field: Field, n: int) -> tuple:
 
 
 def unit_vector(field: Field, n: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(n))
+    v = [field.zero] * n
+    v[i] = field.one
+    return tuple(v)
 
 
 def vec_add(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
@@ -363,7 +365,13 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.entries else [()] * self.cols
+
+    def pick_cols(self, idx: Sequence[int]) -> "Matrix":
+        """The columns at these indices, in this order: self @ S for S the
+        matrix whose columns are the unit vectors e_i, i in idx."""
+        return Matrix._of(self.field, tuple([tuple([r[i] for i in idx]) for r in self.entries]),
+                          len(idx))
 
     def transpose(self) -> "Matrix":
         if not self.entries:
@@ -584,6 +592,12 @@ def sparse_kernel_basis(f: Field, rows, ncols: int) -> "Basis":
     return _kernel(f, *_sparse_pivot_rows(f, rows, ncols), ncols)
 
 
+def sparse_span(f: Field, rows, ncols: int) -> "Basis":
+    """Basis.span of sparse rows {column: value}."""
+    red, pivots = _sparse_pivot_rows(f, rows, ncols)
+    return Basis(f, ncols, tuple(red), pivots)
+
+
 def _kernel(f: Field, rows, pivots: tuple, ncols: int) -> "Basis":
     """The kernel of RREF rows with these pivots, in canonical form: the
     span of e_c - sum_i rows[i][c] e_pivots[i] over the free columns c."""
@@ -648,19 +662,21 @@ class Basis:
         return len(self.vectors)
 
     def reduce(self, v: Sequence[Scalar]) -> tuple:
-        """Residue of v after eliminating all pivot coordinates."""
-        f = self.field
+        """Residue of v after eliminating all pivot coordinates: r -= r[c]
+        (row of pivot c) at the row's nonzeros, in plain arithmetic, over
+        GF(p) with r[c] reduced before its test and r once at the end."""
+        p = self.field.p
         r = list(v)
-        for vec, p in zip(self.vectors, self.pivots):
-            c = r[p]
-            if not f.is_zero(c):
+        for vec, c in zip(self.vectors, self.pivots):
+            a = r[c] if p is None else r[c] % p
+            if a:
                 for j, b in enumerate(vec):
                     if b:
-                        r[j] = f.sub(r[j], f.mul(c, b))
-        return tuple(r)
+                        r[j] -= a * b
+        return tuple(r) if p is None else tuple([x % p for x in r])
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def coords(self, v: Sequence[Scalar]) -> Optional[tuple]:
         """Coordinates of v in this basis, or None if v is outside the span."""
@@ -781,15 +797,16 @@ def quotient_structure(u: Basis) -> QuotientStructure:
     Quotient coordinates are the non-pivot standard coordinates of u's RREF,
     in increasing order; the section sends them back to the corresponding
     standard basis vectors, so projection(section) is the identity and the
-    kernel of the projection is exactly span(u).
+    kernel of the projection is exactly span(u).  The projection is read
+    off the RREF rows: its column j is e_j's residue at the free columns,
+    a unit vector for free j and minus the row of pivot j for pivot j.
     """
     f = u.field
     n = u.ambient_dim
     nonpivots = tuple(c for c in range(n) if c not in u.pivots)
-    proj_cols = []
-    for j in range(n):
-        r = u.reduce(unit_vector(f, n, j))
-        proj_cols.append(tuple(r[c] for c in nonpivots))
+    at = dict(zip(u.pivots, u.vectors))
+    proj_cols = [tuple([f.neg(x) if (x := at[j][c]) else f.zero for c in nonpivots]) if j in at
+                 else tuple([f.one if c == j else f.zero for c in nonpivots]) for j in range(n)]
     projection = Matrix.from_cols(f, proj_cols, rows=len(nonpivots))
     section = Matrix.from_cols(f, [unit_vector(f, n, c) for c in nonpivots], rows=n)
     return QuotientStructure(projection, section, len(nonpivots), nonpivots)

@@ -23,7 +23,6 @@ from .algebra import Algebra, Ideal
 from .exactlin import (
     Basis,
     Matrix,
-    QuotientStructure,
     _combination,
     _dot_products,
     _pivot_rows,
@@ -36,6 +35,7 @@ from .exactlin import (
     random_scalar,
     rank,
     sparse_kernel_basis,
+    sparse_span,
     vstack,
 )
 
@@ -140,14 +140,19 @@ def _check_action_shape(algebra: Algebra, dim: int, action) -> None:
 
 def validate_module(m: Union[LeftModule, RightModule, Bimodule]) -> list:
     """Unit and multiplicativity laws; for bimodules also commutation.
-
     Returns a list of failure strings, empty exactly when m is a module.
+
+    The algebras must pass validate_algebra.  rho(e_i) rho(e_j) = rho(e_i e_j)
+    (the other order for a right module) is checked for i in
+    Algebra.generator_indices and every j: the a with rho(a) rho(b) = rho(ab)
+    for all b form a subspace holding 1 and, by associativity, g.a for each
+    such g, so all of A.  Commutation is checked on pairs of generators.
     """
     if isinstance(m, Bimodule):
         report = [f"left {s}" for s in validate_module(m.left_module())]
         report += [f"right {s}" for s in validate_module(m.right_module())]
-        for i in range(m.left_algebra.dim):
-            for j in range(m.right_algebra.dim):
+        for i in m.left_algebra.generator_indices():
+            for j in m.right_algebra.generator_indices():
                 if (m.left_action[i] @ m.right_action[j]) != (m.right_action[j] @ m.left_action[i]):
                     report.append(f"left action {i} does not commute with right action {j}")
         return report
@@ -155,7 +160,7 @@ def validate_module(m: Union[LeftModule, RightModule, Bimodule]) -> list:
     report = []
     if m.action_of(alg.unit) != Matrix.identity(alg.field, m.dim):
         report.append("unit does not act as the identity")
-    for i in range(alg.dim):
+    for i in alg.generator_indices():
         for j in range(alg.dim):
             want = m.action_of(alg.mul[i][j])
             if isinstance(m, LeftModule):
@@ -213,8 +218,8 @@ class Submodule:
     def quotient(self) -> tuple:
         """parent / self with its projection matrix, on the stability the
         constructor asserted."""
-        q: QuotientStructure = quotient_structure(self.basis)
-        mats = [q.projection @ act @ q.section for act in self.parent.action]
+        q = quotient_structure(self.basis)
+        mats = [q.projection @ act.pick_cols(q.nonpivots) for act in self.parent.action]
         return LeftModule(self.parent.algebra, q.dim, mats), q.projection
 
     def as_module(self) -> LeftModule:
@@ -241,21 +246,13 @@ def quotient_module(m: LeftModule, sub: Basis) -> tuple:
 def annihilator(m: LeftModule, vectors: Sequence[Sequence]) -> Submodule:
     """Largest submodule killed by every algebra element in the span of
     vectors (each given in algebra coordinates)."""
-    mats = [m.action_of(v) for v in vectors]
-    if not mats:
-        return Submodule(m, Basis.full(m.algebra.field, m.dim))
-    stacked = mats[0]
-    for mm in mats[1:]:
-        stacked = vstack(stacked, mm)
-    return Submodule(m, kernel_basis(stacked))
+    rows = tuple(r for v in vectors for r in m.action_of(v).entries)
+    return Submodule(m, kernel_basis(Matrix._of(m.algebra.field, rows, m.dim)))
 
 
 def ideal_action_image(ideal: Ideal, m: LeftModule) -> Submodule:
     """The submodule I.M spanned by a.x for a in the ideal, x in M."""
-    vecs = []
-    for v in ideal.basis.vectors:
-        act = m.action_of(v)
-        vecs.extend(act.columns())
+    vecs = [col for v in ideal.basis.vectors for col in m.action_of(v).columns()]
     return Submodule(m, Basis.span(m.algebra.field, m.dim, vecs))
 
 
@@ -364,23 +361,6 @@ def hom_structure(bim: Bimodule, hom: HomBasis) -> LeftModule:
     return LeftModule(bim.right_algebra, hom.dim, mats)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product in left-factor-major indexing: row (i,k) = i*b.rows+k."""
-    f = a.field
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    ent = [[f.zero] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i][j]
-            if f.is_zero(aij):
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    ent[i * b.rows + k][j * b.cols + l] = f.mul(aij, b.entries[k][l])
-    return Matrix(f, ent, cols=cols)
-
-
 class TensorProduct:
     """A balanced tensor product M (x)_A N of a bimodule M and a left module
     or bimodule N, presented as a quotient of the raw product space."""
@@ -417,21 +397,10 @@ class TensorProduct:
     def projection(self) -> Matrix:
         return self.quotient.projection
 
-    @property
-    def section(self) -> Matrix:
-        return self.quotient.section
-
     def pure_tensor(self, mvec: Sequence, nvec: Sequence) -> tuple:
-        f = self.projection.field
-        n = self.right_factor.dim
-        raw = [f.zero] * (self.left_factor.dim * n)
-        for i, a in enumerate(mvec):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(nvec):
-                if not f.is_zero(b):
-                    raw[i * n + j] = f.add(raw[i * n + j], f.mul(a, b))
-        return self.projection.apply(raw)
+        """The computed coordinates of m (x) n: the projection of the raw
+        vector with a*b at (i, j), summed and reduced by apply."""
+        return self.projection.apply([a * b for a in mvec for b in nvec])
 
     def as_left_module(self) -> LeftModule:
         return LeftModule(self.left_algebra, self.dim, self.left_action)
@@ -444,7 +413,26 @@ class TensorProduct:
     def induced_map(self, target: "TensorProduct", f_left: Matrix, f_right: Matrix) -> Matrix:
         """The map of computed tensor spaces sending m (x) n to
         f_left(m) (x) f_right(n); callers guarantee balance."""
-        return target.projection @ kron(f_left, f_right) @ self.section
+        return kron_columns(target.projection, f_left, f_right, self.quotient.nonpivots)
+
+
+def kron_columns(proj: Matrix, a: Matrix, b: Matrix, cols: Sequence[int]) -> Matrix:
+    """proj @ kron(a, b) at the given columns, no Kronecker product formed.
+    In left-factor-major indexing, column j*b.cols+l of kron(a, b) has
+    a[i][j] b[k][l] at row i*b.rows+k: only the picked columns are written
+    out, from the nonzeros of a[:, j] and b[:, l], and multiplied by proj."""
+    f = proj.field
+    a_cols = [[(i * b.rows, x) for i, x in enumerate(col) if x] for col in a.columns()]
+    b_cols = [[(k, y) for k, y in enumerate(col) if y] for col in b.columns()]
+    picked = []
+    for s in cols:
+        j, l = divmod(s, b.cols)
+        col = [f.zero] * proj.cols
+        for i, x in a_cols[j]:
+            for k, y in b_cols[l]:
+                col[i + k] = x * y
+        picked.append(col)
+    return Matrix._of(f, tuple(_dot_products(f, proj.entries, picked)), len(cols))
 
 
 def tensor_over(middle: Algebra, left, right) -> TensorProduct:
@@ -459,9 +447,10 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
 
     The raw basis is (i, j) |-> i*dim(right)+j; the balancing relations
     (m.a) (x) n - m (x) (a.n) are spanned for the generators a of middle
-    only, since the relations of ab lie in those of a plus those of b, and
-    the computed basis is the non-pivot coordinate set of their echelon
-    form.
+    only, since the relations of ab lie in those of a plus those of b, each
+    a sparse row, and the computed basis is the non-pivot coordinate set of
+    their echelon form.  The outer actions are projection @ kron(rho, I)
+    (or kron(I, rho)) at those columns, by kron_columns.
     """
     if not isinstance(left, Bimodule):
         raise ValueError(f"left factor must be a Bimodule, got {type(left).__name__}")
@@ -480,38 +469,28 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
 
     f = middle.field
     m, n = left.dim, right.dim
-    rel_vecs = []
+    rows = []
     for a in middle.generator_indices():
-        ra = left.right_action[a]
-        la = right_left_action[a]
-        for i in range(m):
-            mi_a = ra.col(i)
-            for j in range(n):
-                a_nj = la.col(j)
-                vec = [f.zero] * (m * n)
-                for k in range(m):
-                    if not f.is_zero(mi_a[k]):
-                        vec[k * n + j] = f.add(vec[k * n + j], mi_a[k])
-                for l in range(n):
-                    if not f.is_zero(a_nj[l]):
-                        vec[i * n + l] = f.sub(vec[i * n + l], a_nj[l])
-                rel_vecs.append(vec)
-    relations = Basis.span(f, m * n, rel_vecs)
+        m_cols = [[(k * n, x) for k, x in enumerate(col) if x] for col in left.right_action[a].columns()]
+        n_cols = [[(l, y) for l, y in enumerate(col) if y] for col in right_left_action[a].columns()]
+        for i, mi_a in enumerate(m_cols):
+            for j, a_nj in enumerate(n_cols):
+                row = {k + j: x for k, x in mi_a}
+                for l, y in a_nj:
+                    row[i * n + l] = row.get(i * n + l, 0) - y
+                rows.append(row)
+    relations = sparse_span(f, rows, m * n)
     quot = quotient_structure(relations)
 
     eye_n = Matrix.identity(f, n)
-    left_action = tuple(
-        quot.projection @ kron(left.left_action[b], eye_n) @ quot.section
-        for b in range(left.left_algebra.dim)
-    )
+    left_action = tuple(kron_columns(quot.projection, act, eye_n, quot.nonpivots)
+                        for act in left.left_action)
     right_algebra = right_action = None
     if isinstance(right, Bimodule):
         right_algebra = right.right_algebra
         eye_m = Matrix.identity(f, m)
-        right_action = tuple(
-            quot.projection @ kron(eye_m, right.right_action[b]) @ quot.section
-            for b in range(right_algebra.dim)
-        )
+        right_action = tuple(kron_columns(quot.projection, eye_m, act, quot.nonpivots)
+                             for act in right.right_action)
     return TensorProduct(middle, left, right, relations, quot,
                          left.left_algebra, left_action, right_algebra, right_action)
 

@@ -103,17 +103,16 @@ def _non_negative_int(raw, message: str, location: str) -> int:
     return raw
 
 
-def _scalar(field: Field, raw, location: str):
-    try:
-        return field.parse(raw)
-    except (ValueError, ZeroDivisionError) as e:
-        raise WorkspaceError(str(e), location) from None
-
-
 def _vector(field: Field, raw, length: int, location: str) -> tuple:
     _expect(isinstance(raw, list), "expected a list of scalars", location)
     _expect(len(raw) == length, f"expected {length} entries, got {len(raw)}", location)
-    return tuple(_scalar(field, x, f"{location}[{i}]") for i, x in enumerate(raw))
+    out = []
+    for i, x in enumerate(raw):
+        try:
+            out.append(field.parse(x))
+        except (ValueError, ZeroDivisionError) as e:
+            raise WorkspaceError(str(e), f"{location}[{i}]") from None
+    return tuple(out)
 
 
 def _matrix(field: Field, raw, rows: int, cols: int, location: str) -> Matrix:

@@ -10,18 +10,23 @@ from __future__ import annotations
 import itertools
 import random
 
-from moritakit.context import bimodule_hom_space
-from moritakit.exactlin import Basis, Matrix, kernel_basis, random_scalar, vec_is_zero
+import json
+from types import SimpleNamespace
+
+from moritakit.algebra import Algebra, validate_algebra
+
+from moritakit.context import bimodule_hom_space, raw_pairing
+from moritakit.exactlin import Basis, Field, Matrix, kernel_basis, random_scalar, unit_vector, vec_is_zero
 from moritakit.modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
     Bimodule,
+    LeftModule,
     _projective_points,
     direct_sum,
     extension_space,
     hom_module,
     is_isomorphic,
-    kron,
     middle_term,
     quotient_module,
     regular_module,
@@ -112,6 +117,23 @@ def hom_all_basis(source, target):
     if not rows:
         return Basis.full(field, sd * td)
     return kernel_basis(Matrix(field, rows, cols=sd * td))
+
+
+def kron(a, b):
+    """Kronecker product in left-factor-major indexing: row (i,k) = i*b.rows+k."""
+    f = a.field
+    rows = a.rows * b.rows
+    cols = a.cols * b.cols
+    ent = [[f.zero] * cols for _ in range(rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            aij = a.entries[i][j]
+            if f.is_zero(aij):
+                continue
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    ent[i * b.rows + k][j * b.cols + l] = f.mul(aij, b.entries[k][l])
+    return Matrix(f, ent, cols=cols)
 
 
 def tensor_relations_all_basis(middle, left, right):
@@ -396,3 +418,164 @@ def extension_space_dense(s, t):
                                    for row in (a @ h + -(h @ b)).entries for x in row]
                                   for h in units])
     return Basis.span(f, nvars, [inner.reduce(z) for z in cocycles.vectors])
+
+
+# ------------------------------------------------------- kron-based oracles
+
+
+def projection_by_reduce(u):
+    """(projection, section) of k^n / span(u): the projection's column j is
+    u.reduce(e_j) read at the free columns, the section's columns are the
+    unit vectors at the free columns."""
+    f, n = u.field, u.ambient_dim
+    free = [c for c in range(n) if c not in u.pivots]
+    proj = Matrix.from_cols(f, [tuple(u.reduce(unit_vector(f, n, j))[c] for c in free)
+                                for j in range(n)], rows=len(free))
+    return proj, Matrix.from_cols(f, [unit_vector(f, n, c) for c in free], rows=n)
+
+
+def tensor_kron(middle, left, right):
+    """left (x)_middle right built from dense matrices: the balancing
+    relations of every basis element (tensor_relations_all_basis), the
+    quotient by projection_by_reduce, and the outer actions as
+    projection @ kron(rho, I) @ section and projection @ kron(I, rho) @ section
+    (right_action None for a left-module factor)."""
+    f = middle.field
+    relations = tensor_relations_all_basis(middle, left, right)
+    proj, sect = projection_by_reduce(relations)
+    eye_m, eye_n = Matrix.identity(f, left.dim), Matrix.identity(f, right.dim)
+    left_action = tuple(proj @ kron(a, eye_n) @ sect for a in left.left_action)
+    right_action = (tuple(proj @ kron(eye_m, a) @ sect for a in right.right_action)
+                    if isinstance(right, Bimodule) else None)
+    return SimpleNamespace(relations=relations, projection=proj, section=sect,
+                           left_action=left_action, right_action=right_action)
+
+
+def induced_map_kron(source, target, f_left, f_right):
+    """target.projection @ kron(f_left, f_right) @ source's section, for
+    two TensorProducts."""
+    return target.projection @ kron(f_left, f_right) @ source.quotient.section
+
+
+def eta_kron(ctx, x):
+    """The matrix of eta(X) on tensor_kron's N (x) X and M (x) (N (x) X):
+    the raw matrix with phi(m_i (x) n_j).x_k at column (i*dim N + j)*dim X + k,
+    times kron(I_M, inner section) and the outer section."""
+    f = x.algebra.field
+    inner = tensor_kron(ctx.R, ctx.N, x)
+    outer = tensor_kron(ctx.S, ctx.M, LeftModule(ctx.S, inner.projection.rows, inner.left_action))
+    acts = [textbook_action(x, r) for r in raw_pairing(ctx).columns()]
+    raw = Matrix.from_cols(f, [act.col(k) for act in acts for k in range(x.dim)], rows=x.dim)
+    return raw @ kron(Matrix.identity(f, ctx.M.dim), inner.section) @ outer.section
+
+
+def counit_kron(ctx, x):
+    """The evaluation M (x)_S Hom_R(M, X) -> X on tensor_kron's product:
+    the raw matrix with f_a(m_i) at column i*dim Hom + a, times the section."""
+    mod, hom = hom_module(ctx.M, x)
+    t = tensor_kron(ctx.S, ctx.M, mod)
+    cols = [hom.matrices[a].col(i) for i in range(ctx.M.dim) for a in range(hom.dim)]
+    return Matrix.from_cols(x.algebra.field, cols, rows=x.dim) @ t.section
+
+
+# ------------------------------------------------- all-basis law checks
+
+
+def module_laws_all_pairs(m):
+    """Failure strings of the unit law and rho(e_i) rho(e_j) = rho(e_i e_j)
+    on every pair of basis elements, and for a Bimodule commutation of
+    every left with every right basis action."""
+    if isinstance(m, Bimodule):
+        out = module_laws_all_pairs(m.left_module()) + module_laws_all_pairs(m.right_module())
+        return out + [(i, j) for i, a in enumerate(m.left_action)
+                      for j, b in enumerate(m.right_action) if a @ b != b @ a]
+    alg = m.algebra
+    out = [] if textbook_action(m, alg.unit) == Matrix.identity(alg.field, m.dim) else ["unit"]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            got = (m.action[i] @ m.action[j] if isinstance(m, LeftModule)
+                   else m.action[j] @ m.action[i])
+            if got != textbook_action(m, alg.mul[i][j]):
+                out.append((i, j))
+    return out
+
+
+def context_laws_all_basis(ctx):
+    """Failures of phi's and psi's linearity at every basis element of R
+    and S, as ("phi" or "psi", "left" or "right", basis index), and of both
+    compatibility identities on every basis triple, in validate_context's
+    words; the actions are taken by textbook_action."""
+    out = []
+    for name, phi, t, alg in (("phi", ctx.phi, ctx.MN, ctx.R), ("psi", ctx.psi, ctx.NM, ctx.S)):
+        for r in range(alg.dim):
+            e = alg.basis_vector(r)
+            if phi @ t.left_action[r] != alg.left_mult_matrix(e) @ phi:
+                out.append((name, "left", r))
+            if phi @ t.right_action[r] != alg.right_mult_matrix(e) @ phi:
+                out.append((name, "right", r))
+    phi_raw, psi_raw = ctx.phi @ ctx.MN.projection, ctx.psi @ ctx.NM.projection
+    for a, b, p1, p2, names, mod in ((ctx.M, ctx.N, phi_raw, psi_raw, "phi/psi", "M"),
+                                     (ctx.N, ctx.M, psi_raw, phi_raw, "psi/phi", "N")):
+        for i in range(a.dim):
+            for j in range(b.dim):
+                for k in range(a.dim):
+                    lhs = textbook_action(a.left_module(), p1.col(i * b.dim + j)).col(k)
+                    rhs = textbook_action(a.right_module(), p2.col(j * a.dim + k)).col(i)
+                    if lhs != rhs:
+                        out.append(f"{names} compatibility in {mod} fails at ({i}, {j}, {k})")
+    return out
+
+
+def is_ideal_all_basis(alg, basis):
+    """basis spans a two-sided ideal: e_i v and v e_i stay in it for every
+    basis element e_i and basis vector v."""
+    return all(basis.contains_vector(alg.multiply(e, v)) and basis.contains_vector(alg.multiply(v, e))
+               for e in (alg.basis_vector(i) for i in range(alg.dim)) for v in basis.vectors)
+
+
+def workspace_dense(path):
+    """The objects of a workspace file built with the dense constructions
+    above: algebras from the JSON (checked by validate_algebra), modules
+    and bimodules checked by module_laws_all_pairs, ideal bases checked by
+    is_ideal_all_basis, and for each context (M, N, tensor_kron of M (x)_S N
+    and N (x)_R M, phi and psi times their sections), checked by
+    context_laws_all_basis.  Returns a namespace of name -> object dicts."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    field = Field.gf(doc["field"]["p"]) if doc["field"]["kind"] == "gf" else Field.rationals()
+
+    def mat(rows, cols):
+        return Matrix(field, [[field.parse(x) for x in r] for r in rows], cols=cols)
+
+    out = SimpleNamespace(algebras={}, modules={}, bimodules={}, ideals={}, contexts={})
+    for name, a in doc.get("algebras", {}).items():
+        alg = Algebra(field, a["dim"], [[tuple(field.parse(x) for x in v) for v in row] for row in a["mul"]],
+                      tuple(field.parse(x) for x in a["unit"]))
+        assert validate_algebra(alg) == []
+        out.algebras[name] = alg
+    for name, m in doc.get("modules", {}).items():
+        left = [mat(a, m["dim"]) for a in m["action"]]
+        if "right_algebra" in m:
+            right = [mat(a, m["dim"]) for a in m["right_action"]]
+            mod = Bimodule(out.algebras[m["algebra"]], out.algebras[m["right_algebra"]], m["dim"], left, right)
+            out.bimodules[name] = mod
+        else:
+            mod = LeftModule(out.algebras[m["algebra"]], m["dim"], left)
+            out.modules[name] = mod
+        assert module_laws_all_pairs(mod) == []
+    for name, i in doc.get("ideals", {}).items():
+        alg = out.algebras[i["algebra"]]
+        basis = Basis.span(field, alg.dim, [tuple(field.parse(x) for x in v) for v in i["basis"]])
+        assert is_ideal_all_basis(alg, basis)
+        out.ideals[name] = basis
+    for name, c in doc.get("contexts", {}).items():
+        r, s = out.algebras[c["R"]], out.algebras[c["S"]]
+        m, n = out.bimodules[c["M"]], out.bimodules[c["N"]]
+        mn, nm = tensor_kron(s, m, n), tensor_kron(r, n, m)
+        phi_raw, psi_raw = mat(c["phi"], m.dim * n.dim), mat(c["psi"], n.dim * m.dim)
+        assert not any(any(phi_raw.apply(v)) for v in mn.relations.vectors)
+        assert not any(any(psi_raw.apply(v)) for v in nm.relations.vectors)
+        phi, psi = phi_raw @ mn.section, psi_raw @ nm.section
+        out.contexts[name] = SimpleNamespace(R=r, S=s, M=m, N=n, MN=mn, NM=nm, phi=phi, psi=psi)
+        assert context_laws_all_basis(out.contexts[name]) == []
+    return out

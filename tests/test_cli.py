@@ -321,3 +321,51 @@ def test_equiv_proj_budget_zero_samples_and_flags(capsys):
     code, _, _ = run(capsys, "equiv-proj", T2, "--context", "t2corner", "--budget", "0",
                      "--strict-sampling")
     assert code == 1
+
+
+def test_unknown_command_names_the_choices(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["frobnicate", T2, "--context", "t2corner"])
+    assert info.value.code == 2
+    assert "argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+COMMANDS = ("validate", "trace", "strict", "torsion", "localize", "closed", "equiv",
+            "equiv-strict", "equiv-proj", "compose", "iso", "graded-equiv", "catalog")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    listed = capsys.readouterr().out.split("one of:")[1].split("workspace")[0]
+    assert [name.strip() for name in listed.split(",")] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("equiv", T2, "--context", "t2corner", "--max-dim", "-1"),
+     "argument --max-dim: must be at least 0, got -1"),
+    (("catalog", IDENTITY, "--max-dim", "two"), "argument --max-dim: expected an integer, got 'two'"),
+    (("catalog", IDENTITY, "--budget", "-1"), "argument --budget: must be at least 0, got -1"),
+    (("catalog", IDENTITY, "--budget", "1.5"), "argument --budget: expected an integer, got '1.5'"),
+], ids=["max-dim-negative", "max-dim-text", "budget-negative", "budget-fraction"])
+def test_bound_usage_errors_keep_their_text(capsys, argv, text):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: moritakit")
+    assert err.rstrip().endswith(text)
+
+
+def test_main_twice_in_one_process_gives_identical_reports(capsys):
+    # nothing is cached between calls, so a second run in the same process
+    # repeats the first byte for byte
+    with open(REFERENCE, encoding="utf-8") as fh:
+        commands = json.load(fh)["cli"]["commands"]
+    for entry in commands:
+        argv = list(entry["argv"])
+        argv[1] = os.path.join(WORKSPACE_DIR, argv[1])
+        first = run(capsys, *argv, "--format", "machine", "--seed", "3")
+        assert run(capsys, *argv, "--format", "machine", "--seed", "3") == first
+        assert first[0] == entry["exit"]
