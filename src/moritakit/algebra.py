@@ -281,7 +281,7 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> tuple:
         quotient map matrix (Q.dim x A.dim).
     """
     q = quotient_structure(ideal.basis)
-    # the section sends quotient coordinate i to e_(free column i)
+    # quotient coordinate i lifts to e_(free column i)
     mul = [[q.projection.apply(a.mul[i][j]) for j in q.nonpivots] for i in q.nonpivots]
     return Algebra(a.field, q.dim, mul, q.projection.apply(a.unit)), q.projection
 

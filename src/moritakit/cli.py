@@ -1,9 +1,10 @@
 """Command-line front end: load a workspace file, run one verification
 command, and emit a human or machine report.
 
-Exit codes: 0 when every verdict passes, 1 when some verdict fails, 2 on
-usage or input errors, 3 when an internal invariant breaks (a bug, not a
-verdict; stderr names the invariant).  Machine reports are a single JSON
+Exit codes: 0 when every verdict passes, 1 when some verdict fails (or,
+under --strict-sampling, when the run sampled), 2 on usage or input
+errors, 3 when an internal invariant breaks (a bug, not a verdict; stderr
+names the invariant).  Machine reports are a single JSON
 document and are byte-identical across runs with the same workspace,
 flags, and seed.
 """
@@ -25,8 +26,7 @@ from .context import (
 from .equivalence import (
     Report,
     build_catalog,
-    context_theories,
-    trace_ideal_notes,
+    record_trace_ideals,
     user_catalog,
     verify_kato_muller,
     verify_projective_equivalence,
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="submodule and Ext enumeration budget, at least 0")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled searches (recorded in reports)")
-    parser.add_argument("--strict-sampling", action="store_true", dest="strict_sampling",
+    parser.add_argument("--strict-sampling", action="store_true",
                         help="treat sampled passes as failures")
     parser.add_argument("--out", help="also write the machine report to this path")
     parser.add_argument("--format", choices=("human", "machine"), default="human",
@@ -89,15 +89,16 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"error: internal invariant broken: {e}", file=sys.stderr)
         return 3
-    machine = _machine_report(args, report)
+    passed = report.passed and not (args.strict_sampling and report.sampled)
+    machine = _machine_report(args, report, passed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(machine)
     if args.format == "machine":
         sys.stdout.write(machine)
     else:
-        print(_human_report(args, report, extra))
-    return 0 if report.passed else 1
+        print(_human_report(args, report, extra, passed))
+    return 0 if passed else 1
 
 
 # ----------------------------------------------------------------- dispatch
@@ -149,11 +150,9 @@ def _cmd_validate(ws, args):
 
 def _cmd_trace(ws, args):
     ctx, name = _one_context(ws, args)
-    i_note, j_note = trace_ideal_notes(ctx, *context_theories(ctx))
     report = Report("trace ideals and stabilization")
-    report.record(f"context {name}", "trace ideal into R", True, note=i_note)
-    report.record(f"context {name}", "trace ideal into S", True, note=j_note)
-    return report, [i_note, j_note]
+    *_, notes = record_trace_ideals(report, f"context {name}", ctx)
+    return report, list(notes)
 
 
 def _cmd_strict(ws, args):
@@ -219,23 +218,19 @@ def _catalog_pair(ws, args, r_alg, s_alg, default_dim=3):
 def _cmd_equiv(ws, args):
     ctx, _ = _one_context(ws, args)
     cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    return verify_kato_muller(ctx, cat_r, cat_s, strict_sampling=args.strict_sampling), []
+    return verify_kato_muller(ctx, cat_r, cat_s), []
 
 
 def _cmd_equiv_strict(ws, args):
     ctx, _ = _one_context(ws, args)
     cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    report = verify_strict_equivalence(ctx, cat_r, cat_s, seed=args.seed,
-                                       strict_sampling=args.strict_sampling)
-    return report, []
+    return verify_strict_equivalence(ctx, cat_r, cat_s, seed=args.seed), []
 
 
 def _cmd_equiv_proj(ws, args):
     ctx, _ = _one_context(ws, args)
     cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    kwargs = {"strict_sampling": args.strict_sampling}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
+    kwargs = {} if args.budget is None else {"budget": args.budget}
     return verify_projective_equivalence(ctx, cat_r, cat_s, **kwargs), []
 
 
@@ -282,9 +277,7 @@ def _cmd_graded_equiv(ws, args):
                                  allow_sampling=True, seed=args.seed)
     cat_s = build_graded_catalog(gctx.graded_s, dim_s, budget=budget,
                                  allow_sampling=True, seed=args.seed)
-    report = verify_graded_kato_muller(gctx, cat_r, cat_s,
-                                       strict_sampling=args.strict_sampling)
-    return report, []
+    return verify_graded_kato_muller(gctx, cat_r, cat_s), []
 
 
 def _cmd_catalog(ws, args):
@@ -299,7 +292,7 @@ def _cmd_catalog(ws, args):
     cat = build_catalog(alg, max_dim, budget=budget,
                         allow_sampling=True, seed=args.seed)
     dims = [m.dim for m in cat]
-    report = Report("module catalog", args.strict_sampling)
+    report = Report("module catalog")
     report.flag_sampled_catalogs(cat)
     report.record("catalog", "isomorphism classes enumerated", True,
                   witness=dims, note=cat.provenance)
@@ -340,7 +333,7 @@ def _witness_json(w):
     return w
 
 
-def _machine_report(args, report: Report) -> str:
+def _machine_report(args, report: Report, passed: bool) -> str:
     inputs = {"workspace": os.path.basename(args.workspace),
               "strict_sampling": bool(args.strict_sampling)}
     for key in ("context", "module", "ideal", "max_dim", "budget"):
@@ -362,7 +355,7 @@ def _machine_report(args, report: Report) -> str:
         "verdicts": verdicts,
         "summary": {
             "statement": report.statement,
-            "passed": report.passed,
+            "passed": passed,
             "verdict_count": len(report.verdicts),
             "failure_count": len(report.failures()),
             "flags": list(report.flags),
@@ -371,7 +364,7 @@ def _machine_report(args, report: Report) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _human_report(args, report: Report, extra) -> str:
+def _human_report(args, report: Report, extra, passed: bool) -> str:
     lines = [f"{args.command}: {report.statement}",
              f"workspace: {os.path.basename(args.workspace)}",
              f"seed: {args.seed}"]
@@ -382,7 +375,7 @@ def _human_report(args, report: Report, extra) -> str:
         lines.append(f"[{mark}] {v.subject}: {v.check}{tail}")
     for fl in report.flags:
         lines.append(f"flag: {fl}")
-    outcome = "pass" if report.passed else "fail"
+    outcome = "pass" if passed else "fail"
     lines.append(f"result: {outcome} ({len(report.verdicts)} verdicts, "
                  f"{len(report.failures())} failures)")
     return "\n".join(lines)

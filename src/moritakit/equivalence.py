@@ -90,15 +90,16 @@ class Verdict(NamedTuple):
 
 
 class Report:
-    """Append-only list of verdicts under a named statement."""
+    """Append-only list of verdicts under a named statement.  passed means
+    every verdict passed; sampling shows in flags and sampled, and whether
+    a sampled run still passes is the caller's policy (--strict-sampling)."""
 
-    __slots__ = ("statement", "verdicts", "flags", "strict_sampling")
+    __slots__ = ("statement", "verdicts", "flags")
 
-    def __init__(self, statement: str, strict_sampling: bool = False):
+    def __init__(self, statement: str):
         self.statement = statement
         self.verdicts = []
         self.flags = []
-        self.strict_sampling = strict_sampling
 
     def record(self, subject: str, check: str, passed: bool,
                witness: Optional[Matrix] = None, note: str = "") -> None:
@@ -127,11 +128,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        if not all(v.passed for v in self.verdicts):
-            return False
-        if self.strict_sampling and self.sampled:
-            return False
-        return True
+        return all(v.passed for v in self.verdicts)
 
     def failures(self) -> list:
         return [v for v in self.verdicts if not v.passed]
@@ -311,11 +308,12 @@ def _sample_naturality(report: Report, maps, modules, field, eye_outer, eye_inne
 
 
 def verify_strict_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                              seed: int = 0, strict_sampling: bool = False) -> Report:
+                              seed: int = 0) -> Report:
     """Surjective pairings force both composite functors to be naturally
     isomorphic to identities: eta and rho invertible on every catalog
-    module, naturality on DEFAULT_NATURALITY_SAMPLES seeded morphisms a side."""
-    report = Report("strict context equivalence", strict_sampling)
+    module, naturality on DEFAULT_NATURALITY_SAMPLES seeded morphisms a side.
+    Sampled catalogs are flagged, not failed (Report)."""
+    report = Report("strict context equivalence")
     if not _check_precondition_strict(ctx, report):
         return report
     report.flag_sampled_catalogs(catalog_r, catalog_s)
@@ -352,13 +350,18 @@ def context_theories(ctx: MoritaContext) -> tuple:
     return TorsionTheory.from_ideal(ctx.R, i), TorsionTheory.from_ideal(ctx.S, j)
 
 
-def trace_ideal_notes(ctx: MoritaContext, t_i: TorsionTheory, t_j: TorsionTheory) -> tuple:
-    """Report notes naming the trace ideals I in R and J in S (the ideals
-    of the two theories) and where their power chains stabilize."""
-    i, j = t_i.ideal, t_j.ideal
-    j_note = (f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
-              else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})")
-    return f"I = {i.dim}-dim, idempotent (exponent {t_i.exponent})", j_note
+def record_trace_ideals(report: Report, subject: str, ctx: MoritaContext) -> tuple:
+    """(t_i, t_j, notes): the context_theories of the trace ideals I in R
+    and J in S, recorded under subject as passing "trace ideal into R/S"
+    verdicts whose notes give each ideal's dim and its stabilization."""
+    t_i, t_j = context_theories(ctx)
+    j = t_j.ideal
+    notes = (f"I = {t_i.ideal.dim}-dim, idempotent (exponent {t_i.exponent})",
+             f"J = S (dim {j.dim})" if j.dim == ctx.S.dim
+             else f"J = {j.dim}-dim, idempotent (exponent {t_j.exponent})")
+    for side, note in zip("RS", notes):
+        report.record(subject, f"trace ideal into {side}", True, note=note)
+    return t_i, t_j, notes
 
 
 def _kato_muller_side(report: Report, label: str, modules, theory_here, theory_there,
@@ -379,37 +382,33 @@ def _kato_muller_side(report: Report, label: str, modules, theory_here, theory_t
         report.record_round_trip(subject, "round trip isomorphic", is_isomorphic(back, x), note)
 
 
-def verify_kato_muller(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                       strict_sampling: bool = False) -> Report:
+def verify_kato_muller(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog) -> Report:
     """Quotient-category equivalence through the hom functors.
 
     Both trace ideals induce torsion theories; on each side, every closed
     catalog module must map to a closed module on the other side and come
     back isomorphic to itself.  Non-closed members are localized first, so
-    the check exercises exactly the closed objects.
+    the check exercises exactly the closed objects.  Sampled catalogs and
+    round-trip searches that sampled and missed are flagged (Report).
     """
-    report = Report("quotient category equivalence", strict_sampling)
+    report = Report("quotient category equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
-    t_i, t_j = context_theories(ctx)
-    i_note, j_note = trace_ideal_notes(ctx, t_i, t_j)
-    report.record("context", "trace ideal into R", True, note=i_note)
-    report.record("context", "trace ideal into S", True, note=j_note)
+    t_i, t_j, _ = record_trace_ideals(report, "context", ctx)
     _kato_muller_side(report, "R-module", list(catalog_r), t_i, t_j, ctx)
     _kato_muller_side(report, "S-module", list(catalog_s), t_j, t_i, reverse_context(ctx))
     return report
 
 
-def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                   strict_sampling: bool = False) -> Report:
+def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog) -> Report:
     """When the pairing into R is onto, R-mod embeds in the S-side quotient:
     every R-module is closed, its hom image is closed on the S side, and
-    the evaluation counit M (x) Hom_R(M, X) -> X is an isomorphism."""
-    report = Report("surjective pairing embedding", strict_sampling)
-    i, j = trace_ideals(ctx)
-    if not _pairing_onto(report, "R", i, ctx.R):
+    the evaluation counit M (x) Hom_R(M, X) -> X is an isomorphism.
+    Sampled catalogs are flagged, not failed (Report)."""
+    report = Report("surjective pairing embedding")
+    t_i, t_j = context_theories(ctx)
+    if not _pairing_onto(report, "R", t_i.ideal, ctx.R):
         return report
     report.flag_sampled_catalogs(catalog_r, catalog_s)
-    t_i, t_j = TorsionTheory.from_ideal(ctx.R, i), TorsionTheory.from_ideal(ctx.S, j)
     for idx, x in enumerate(catalog_r):
         subject = f"R-module[{idx}] (dim {x.dim})"
         # the counit carries Hom_R(M, X), the hom functor's image
@@ -496,12 +495,11 @@ def _projective_class_filter(report, tt, catalog, oracle):
 
 
 def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                                  budget: int = DEFAULT_ENUM_BUDGET,
-                                  strict_sampling: bool = False) -> Report:
+                                  budget: int = DEFAULT_ENUM_BUDGET) -> Report:
     """The tensor functors restrict to an equivalence between the classes
     of ideal-full, ideal-projective modules on the two sides; units are
-    the eta and rho maps."""
-    report = Report("projective class equivalence", strict_sampling)
+    the eta and rho maps.  Sampled catalogs and oracles are flagged (Report)."""
+    report = Report("projective class equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
     oracle_r = _shared_oracle(t_i, catalog_r, budget)

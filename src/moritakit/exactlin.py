@@ -136,22 +136,10 @@ QQ = Field.rationals()
 
 # vector helpers; vectors are plain tuples of scalars
 
-def zero_vector(field: Field, n: int) -> tuple:
-    return (field.zero,) * n
-
-
 def unit_vector(field: Field, n: int, i: int) -> tuple:
     v = [field.zero] * n
     v[i] = field.one
     return tuple(v)
-
-
-def vec_add(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: Field, c: Scalar, v: Sequence[Scalar]) -> tuple:
-    return tuple(field.mul(c, a) for a in v)
 
 
 def vec_is_zero(field: Field, v: Sequence[Scalar]) -> bool:
@@ -336,7 +324,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [zero_vector(field, cols)] * rows, cols=cols)
+        return cls._of(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
@@ -394,8 +382,8 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         f = self.field
-        return Matrix._of(f, tuple([vec_add(f, a, b) for a, b in zip(self.entries, other.entries)]),
-                          self.cols)
+        return Matrix._of(f, tuple([tuple([f.add(a, b) for a, b in zip(ra, rb)])
+                                    for ra, rb in zip(self.entries, other.entries)]), self.cols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
@@ -403,7 +391,7 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
-        return Matrix._of(f, tuple([vec_scale(f, c, r) for r in self.entries]), self.cols)
+        return Matrix._of(f, tuple([tuple([f.mul(c, a) for a in r]) for r in self.entries]), self.cols)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and rank(self) == self.rows
@@ -579,7 +567,7 @@ def _eliminate(w: dict, r: dict, c: int) -> dict:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_pivot_rows(m.field, m.entries, m.cols)[1])
 
 
 def kernel_basis(m: Matrix) -> "Basis":
@@ -643,11 +631,8 @@ class Basis:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError(f"vector of length {len(v)} in ambient dim {ambient_dim}")
-        if not vectors:
-            return cls(field, ambient_dim, (), ())
-        red, pivots = rref(Matrix(field, [tuple(v) for v in vectors], cols=ambient_dim))
-        keep = red.entries[: len(pivots)]
-        return cls(field, ambient_dim, tuple(keep), pivots)
+        rows, pivots = _pivot_rows(field, vectors, ambient_dim)
+        return cls(field, ambient_dim, tuple(rows), pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Basis":
@@ -655,7 +640,8 @@ class Basis:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Basis":
-        return cls.span(field, ambient_dim, [unit_vector(field, ambient_dim, i) for i in range(ambient_dim)])
+        return cls(field, ambient_dim, tuple(unit_vector(field, ambient_dim, i) for i in range(ambient_dim)),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -786,18 +772,17 @@ def closure(space: Basis, operators: Sequence[Callable]) -> Basis:
 
 class QuotientStructure(NamedTuple):
     projection: Matrix  # quotient_dim x ambient_dim
-    section: Matrix  # ambient_dim x quotient_dim
     dim: int
     nonpivots: tuple
 
 
 def quotient_structure(u: Basis) -> QuotientStructure:
-    """Projection and section for k^n / span(u).
+    """Projection for k^n / span(u).
 
     Quotient coordinates are the non-pivot standard coordinates of u's RREF,
-    in increasing order; the section sends them back to the corresponding
-    standard basis vectors, so projection(section) is the identity and the
-    kernel of the projection is exactly span(u).  The projection is read
+    in increasing order, so the projection's columns at nonpivots are the
+    identity (the unit vectors there are a section), and the kernel of the
+    projection is exactly span(u).  The projection is read
     off the RREF rows: its column j is e_j's residue at the free columns,
     a unit vector for free j and minus the row of pivot j for pivot j.
     """
@@ -808,5 +793,4 @@ def quotient_structure(u: Basis) -> QuotientStructure:
     proj_cols = [tuple([f.neg(x) if (x := at[j][c]) else f.zero for c in nonpivots]) if j in at
                  else tuple([f.one if c == j else f.zero for c in nonpivots]) for j in range(n)]
     projection = Matrix.from_cols(f, proj_cols, rows=len(nonpivots))
-    section = Matrix.from_cols(f, [unit_vector(f, n, c) for c in nonpivots], rows=n)
-    return QuotientStructure(projection, section, len(nonpivots), nonpivots)
+    return QuotientStructure(projection, len(nonpivots), nonpivots)

@@ -7,7 +7,7 @@ or GradedModule in circulation is honestly graded.  Hom spaces decompose
 by degree: a map has degree sigma when it sends the lambda component of
 the source into the (lambda.sigma) component of the target; every (row,
 column) coordinate of a hom matrix belongs to exactly one degree, so the
-components are cut out by coordinate masks.
+components are read off the canonical hom basis by pivot degree.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .equivalence import (
     _dedup_provenance,
     _keep_new_class,
     build_catalog,
-    context_theories,
-    trace_ideal_notes,
+    record_trace_ideals,
 )
-from .exactlin import Basis, Matrix, kernel_basis
+from .exactlin import Basis, Matrix
 from .modules import (
     DEFAULT_LATTICE_BUDGET,
     Bimodule,
@@ -36,9 +35,8 @@ from .modules import (
     _search_invertible,
     hom_module,
     hom_space,
-    hom_structure,
 )
-from .torsion import TorsionTheory, closedness_map, torsion_submodule
+from .torsion import TorsionTheory, closedness_map, localize
 
 
 class FiniteGroup:
@@ -249,17 +247,15 @@ def graded_hom(gm: GradedModule, gn: GradedModule) -> GradedHom:
 
 
 def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int) -> HomBasis:
-    """The degree-sigma maps of a hom space: those vanishing on every
-    coordinate of another degree."""
-    f = full.basis.field
-    size = len(coord_degrees)
-    if full.dim == 0:
-        return HomBasis(full.source, full.target, Basis.zero(f, size))
-    rows = [[vec[pos] for vec in full.basis.vectors]
-            for pos, d in enumerate(coord_degrees) if d != sigma]
-    combos = kernel_basis(Matrix(f, rows, cols=full.dim)) if rows else Basis.full(f, full.dim)
-    vecs = [full.basis.from_coords(c) for c in combos.vectors]
-    return HomBasis(full.source, full.target, Basis.span(f, size, vecs))
+    """The degree-sigma maps of a hom space between graded modules: its
+    canonical basis vectors whose pivot has degree sigma.  The coordinates
+    partition by degree and the space is the sum of its components, so the
+    union of the components' RREF bases is in RREF: by uniqueness it is
+    full's basis, whose degree-sigma part is the component's RREF basis."""
+    picked = [(v, c) for v, c in zip(full.basis.vectors, full.basis.pivots)
+              if coord_degrees[c] == sigma]
+    vecs, pivots = tuple(zip(*picked)) or ((), ())
+    return HomBasis(full.source, full.target, Basis(full.basis.field, len(coord_degrees), vecs, pivots))
 
 
 def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tuple:
@@ -314,20 +310,17 @@ def graded_closed_test(tt: TorsionTheory, gm: GradedModule) -> bool:
 
 
 def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
-    """Localization of the base with the induced grading carried along."""
+    """localize(tt, gm.base), with its asserted contract, and the induced
+    grading: the torsion submodule must be graded, so the quotient's
+    coordinates (the non-pivot ones) keep their degrees, and the
+    localization's degrees are read off its hom basis."""
     galg = gm.algebra
-    f = galg.base.field
-    t = torsion_submodule(tt, gm.base)
-    # quotient coordinates are the non-pivot standard coordinates, which
-    # keep their degrees once the torsion submodule is checked graded
-    _degrees_of(t.basis.vectors, gm.degrees, f, _NOT_GRADED)
-    quo, proj = t.quotient()
-    keep = [i for i in range(gm.dim) if i not in set(t.basis.pivots)]
-    quo_degs = tuple(gm.degrees[i] for i in keep)
-    res = closedness_map(tt, quo)
-    src_degs = ideal_degrees(tt, galg)
-    loc_degs = degrees_for_hom_basis(res.hom, galg.group, src_degs, quo_degs)
-    return GradedModule(galg, hom_structure(tt.ideal_bimodule, res.hom), loc_degs)
+    loc = localize(tt, gm.base)
+    torsion = loc.torsion.basis
+    _degrees_of(torsion.vectors, gm.degrees, galg.base.field, _NOT_GRADED)
+    quo_degs = tuple(d for i, d in enumerate(gm.degrees) if i not in torsion.pivots)
+    loc_degs = degrees_for_hom_basis(loc.hom, galg.group, ideal_degrees(tt, galg), quo_degs)
+    return GradedModule(galg, loc.module, loc_degs)
 
 
 # graded catalogs are plain catalogs whose members are GradedModules
@@ -452,16 +445,14 @@ def hom_functor_to_s_graded(gctx: GradedContext, gx: GradedModule) -> GradedModu
 
 
 def verify_graded_kato_muller(gctx: GradedContext, gcat_r: Catalog,
-                              gcat_s: Catalog, strict_sampling: bool = False) -> Report:
+                              gcat_s: Catalog) -> Report:
     """The graded quotient-equivalence run: closedness, hom-image
     closedness, graded round-trip isos, and suspension invariance of the
-    closedness verdict on every catalog member."""
-    report = Report("graded quotient category equivalence", strict_sampling)
+    closedness verdict on every catalog member.  Sampled catalogs and
+    round-trip searches that sampled and missed are flagged (Report)."""
+    report = Report("graded quotient category equivalence")
     report.flag_sampled_catalogs(gcat_r, gcat_s)
-    t_i, t_j = context_theories(gctx.context)
-    i_note, j_note = trace_ideal_notes(gctx.context, t_i, t_j)
-    report.record("context", "trace ideal into R", True, note=i_note)
-    report.record("context", "trace ideal into S", True, note=j_note)
+    t_i, t_j, _ = record_trace_ideals(report, "context", gctx.context)
     _graded_side(report, "R-module", gcat_r, t_i, t_j, gctx)
     _graded_side(report, "S-module", gcat_s, t_j, t_i, reverse_graded_context(gctx))
     return report

@@ -21,6 +21,7 @@ from moritakit.modules import (
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
     Bimodule,
+    HomBasis,
     LeftModule,
     _projective_points,
     direct_sum,
@@ -453,8 +454,12 @@ def tensor_kron(middle, left, right):
 
 def induced_map_kron(source, target, f_left, f_right):
     """target.projection @ kron(f_left, f_right) @ source's section, for
-    two TensorProducts."""
-    return target.projection @ kron(f_left, f_right) @ source.quotient.section
+    two TensorProducts; the section's columns are the unit vectors at
+    source's free (nonpivot) coordinates."""
+    f = f_left.field
+    n = source.quotient.projection.cols
+    section = Matrix.from_cols(f, [unit_vector(f, n, c) for c in source.quotient.nonpivots], rows=n)
+    return target.projection @ kron(f_left, f_right) @ section
 
 
 def eta_kron(ctx, x):
@@ -579,3 +584,38 @@ def workspace_dense(path):
         out.contexts[name] = SimpleNamespace(R=r, S=s, M=m, N=n, MN=mn, NM=nm, phi=phi, psi=psi)
         assert context_laws_all_basis(out.contexts[name]) == []
     return out
+
+
+# ------------------------------------------------------------ graded oracles
+
+
+def hom_component_by_kernel(full, coord_degrees, sigma):
+    """The degree-sigma maps of the hom space `full`, solved for: the
+    combinations of its basis vanishing on every coordinate of another
+    degree, as the kernel of those coordinate rows."""
+    f = full.basis.field
+    size = len(coord_degrees)
+    if full.dim == 0:
+        return HomBasis(full.source, full.target, Basis.zero(f, size))
+    rows = [[vec[pos] for vec in full.basis.vectors]
+            for pos, d in enumerate(coord_degrees) if d != sigma]
+    combos = kernel_basis(Matrix(f, rows, cols=full.dim)) if rows else Basis.full(f, full.dim)
+    vecs = [full.basis.from_coords(c) for c in combos.vectors]
+    return HomBasis(full.source, full.target, Basis.span(f, size, vecs))
+
+
+def smash_algebra(galg):
+    """A#k[G]* for a G-graded algebra A: graded A-modules are its modules
+    (Cohen-Montgomery).  The basis vector a_i p_g sits at i * |G| + g, the
+    product is (a_i p_g)(a_j p_h) = [deg(a_j) h = g] a_i a_j p_h, and the
+    unit is the sum over g of 1 p_g."""
+    base, group = galg.base, galg.group
+    f, n, order = base.field, base.dim, galg.group.order
+    size = n * order
+    mul = [[[f.zero] * size for _ in range(size)] for _ in range(size)]
+    for i, g, j, h in itertools.product(range(n), range(order), range(n), range(order)):
+        if group.mul(galg.degrees[j], h) == g:
+            for k, c in enumerate(base.mul[i][j]):
+                mul[i * order + g][j * order + h][k * order + h] = c
+    unit = [base.unit[i] for i in range(n) for _ in range(order)]
+    return Algebra(f, size, mul, unit)

@@ -242,6 +242,25 @@ def test_catalog_strict_sampling_fails_sampled_catalog(capsys):
     assert summary["passed"] is False
 
 
+def test_strict_sampling_is_applied_once_by_the_cli(capsys, tmp_path):
+    # the library's report passes on its verdicts; --strict-sampling fails a
+    # sampled run in the exit code, summary.passed and the --out file alike
+    target = tmp_path / "strict.json"
+    argv = ["equiv", T2, "--context", "t2corner", "--max-dim", "4", "--budget", "5",
+            "--format", "machine"]
+    code, out, _ = run(capsys, *argv, "--strict-sampling", "--out", str(target))
+    assert code == 1
+    assert target.read_text() == out
+    doc = json.loads(out)
+    assert doc["summary"]["passed"] is False
+    assert doc["verdicts"] and all(v["pass"] for v in doc["verdicts"])
+    relaxed_code, relaxed_out, _ = run(capsys, *argv)
+    assert relaxed_code == 0
+    relaxed = json.loads(relaxed_out)
+    assert relaxed["summary"]["passed"] is True
+    assert relaxed["verdicts"] == doc["verdicts"]
+
+
 def test_pinned_machine_reports_unchanged(capsys):
     # the benchmark pins the exit code and the sha256 of each report at seed 0
     with open(REFERENCE, encoding="utf-8") as fh:

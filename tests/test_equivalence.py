@@ -337,9 +337,6 @@ def test_sampled_catalog_flags_report(t2, t2_corner, cat_t2, cat_corner_s):
     pretend_sampled = Catalog(t2, cat_t2.modules, "sampled(seed=0)")
     relaxed = verify_kato_muller(t2_corner, pretend_sampled, cat_corner_s)
     assert relaxed.passed and relaxed.sampled
-    strict = verify_kato_muller(t2_corner, pretend_sampled, cat_corner_s, strict_sampling=True)
-    assert not strict.passed
-    assert all(v.passed for v in strict.verdicts)
 
 
 def test_sampled_round_trip_miss_is_flagged(t2_corner, cat_t2, cat_corner_s, monkeypatch):

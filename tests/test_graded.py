@@ -1,7 +1,8 @@
 import pytest
 
 import moritakit.graded as graded
-from moritakit.algebra import Algebra, Ideal, full_matrix_algebra
+import moritakit.torsion as torsion
+from moritakit.algebra import Algebra, Ideal, full_matrix_algebra, validate_algebra
 from moritakit.context import corner_context, trace_ideals
 from moritakit.equivalence import build_catalog, verify_kato_muller
 from moritakit.exactlin import Basis, Field, Matrix
@@ -26,7 +27,7 @@ from moritakit.graded import (
 from moritakit.modules import IsoResult, LeftModule, hom_space, regular_module
 from moritakit.torsion import TorsionTheory, is_closed, torsion_submodule
 
-from bruteforce import localize_via_hom_module
+from bruteforce import hom_component_by_kernel, localize_via_hom_module, smash_algebra
 
 GF2 = Field.gf(2)
 E22 = (0, 0, 1)
@@ -287,6 +288,13 @@ def test_graded_localize_matches_the_hom_module_construction(gt2, corner_theory)
                                                     tuple(gm.degrees[i] for i in kept))
 
 
+def test_graded_localize_asserts_the_localization_contract(greg, corner_theory, monkeypatch):
+    # graded_localize is localize plus degrees, so it inherits localize's checks
+    monkeypatch.setattr(torsion, "is_closed", lambda tt, x: False)
+    with pytest.raises(AssertionError, match="^localization produced a non-closed module$"):
+        graded_localize(corner_theory, greg)
+
+
 # -------------------------------------------------------- graded catalogs
 
 
@@ -366,6 +374,21 @@ def test_reverse_graded_context_twice_restores_degrees(gt2):
     assert (back.context.phi, back.context.psi) == (gctx.context.phi, gctx.context.psi)
 
 
+def test_graded_catalog_counts_match_the_smash_product(gt2):
+    # graded A-modules are A#k[C2]*-modules: an oracle independent of the
+    # graded layer, with the plain catalog's counts per dimension
+    smash = smash_algebra(gt2)
+    assert smash.dim == 6
+    assert validate_algebra(smash) == []
+    counts = [0] * 4
+    for m in build_catalog(smash, 3):
+        counts[m.dim] += 1
+    graded_counts = [0] * 4
+    for gm in build_graded_catalog(gt2, 3):
+        graded_counts[gm.dim] += 1
+    assert counts == graded_counts == [1, 4, 12, 28]
+
+
 # ----------------------------------------------------------- graded engine
 
 
@@ -425,3 +448,20 @@ def test_graded_sampled_dedup_miss_marks_catalog_sampled(gt2, monkeypatch):
     cat = build_graded_catalog(gt2, 2)
     assert not cat.exhaustive
     assert cat.provenance == "sampled(iso dedup seed=0)"
+
+
+def test_hom_components_match_the_kernel_solve(graded_fixture):
+    # selecting the canonical basis vectors by pivot degree gives exactly
+    # the component the kernel solve finds, for every degree and pair
+    gctx, cat_r, cat_s = graded_fixture
+    group = gctx.graded_r.group
+    for cat in (cat_r, cat_s):
+        for a in cat:
+            for b in cat:
+                full = hom_space(a.base, b.base)
+                degs = graded._hom_coord_degrees(group, a.degrees, b.degrees)
+                for sigma in range(group.order):
+                    got = graded._hom_component(full, degs, sigma)
+                    want = hom_component_by_kernel(full, degs, sigma)
+                    assert (got.basis.vectors, got.basis.pivots) == (want.basis.vectors,
+                                                                     want.basis.pivots)

@@ -52,7 +52,8 @@ def _assert_tensor_matches(t, middle, left, right):
     dense = tensor_kron(middle, left, right)
     assert t.relations == dense.relations
     assert t.projection == dense.projection
-    assert t.quotient.section == dense.section
+    assert Matrix.identity(dense.section.field, dense.section.rows).pick_cols(
+        t.quotient.nonpivots) == dense.section
     assert t.left_action == dense.left_action
     assert t.right_action == dense.right_action
 
