@@ -26,6 +26,7 @@ from .exactlin import (
     invertible_search,
     kernel_basis,
     solve,
+    sparse_kernel_basis,
 )
 from .modules import (
     DEFAULT_ISO_EXHAUST,
@@ -358,7 +359,7 @@ def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:
         raise ValueError("bimodules over different algebra pairs")
     pairs = [(a.left_action[g], b.left_action[g]) for g in a.left_algebra.generator_indices()]
     pairs += [(a.right_action[g], b.right_action[g]) for g in a.right_algebra.generator_indices()]
-    basis = _intertwiners(a.left_algebra.field, a.dim, b.dim, pairs)
+    basis = sparse_kernel_basis(a.left_algebra.field, _intertwiners(a.dim, b.dim, pairs), a.dim * b.dim)
     return HomBasis(a.left_module(), b.left_module(), basis)
 
 

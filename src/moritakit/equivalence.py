@@ -465,28 +465,14 @@ def _lifting_verdict(p_mod: LeftModule, targets, exhaustive: bool) -> OracleVerd
     return OracleVerdict(not failures, exhaustive, tuple(failures))
 
 
-def _shared_oracle(tt: TorsionTheory, catalog: Catalog, budget: int):
-    """p_mod -> is_I_projective_oracle(tt, p_mod, catalog, budget), with the
-    lift targets built on the first call and kept for the rest."""
-    built = None
-
-    def verdict(p_mod: LeftModule) -> OracleVerdict:
-        nonlocal built
-        if built is None:
-            built = _lift_targets(tt, catalog, budget)
-        return _lifting_verdict(p_mod, *built)
-
-    return verdict
-
-
-def _projective_class_filter(report, tt, catalog, oracle):
+def _projective_class_filter(report, tt, catalog, targets):
     members = []
     ideal = tt.ideal
     for i, p in enumerate(catalog):
         full = ideal_action_image(ideal, p).basis.dim == p.dim
         if not full:
             continue
-        verdict = oracle(p)
+        verdict = _lifting_verdict(p, *targets)
         if not verdict.exhaustive:
             report.flag("sampled projectivity oracle")
         if verdict:
@@ -498,27 +484,28 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
                                   budget: int = DEFAULT_ENUM_BUDGET) -> Report:
     """The tensor functors restrict to an equivalence between the classes
     of ideal-full, ideal-projective modules on the two sides; units are
-    the eta and rho maps.  Sampled catalogs and oracles are flagged (Report)."""
+    the eta and rho maps, and each side's lift targets are built once.
+    Sampled catalogs and oracles are flagged, oracles per verdict (Report)."""
     report = Report("projective class equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
-    oracle_r = _shared_oracle(t_i, catalog_r, budget)
-    oracle_s = _shared_oracle(t_j, catalog_s, budget)
-    r_members = _projective_class_filter(report, t_i, catalog_r, oracle_r)
-    s_members = _projective_class_filter(report, t_j, catalog_s, oracle_s)
+    targets_r = _lift_targets(t_i, catalog_r, budget)
+    targets_s = _lift_targets(t_j, catalog_s, budget)
+    r_members = _projective_class_filter(report, t_i, catalog_r, targets_r)
+    s_members = _projective_class_filter(report, t_j, catalog_s, targets_s)
     report.record("R side", "projective class size", True,
                   note=f"{len(r_members)} of {len(catalog_r)} qualify")
     report.record("S side", "projective class size", True,
                   note=f"{len(s_members)} of {len(catalog_s)} qualify")
     # the S side is the R side of the reversed context, where rho is eta
-    for side, members, c, t_there, oracle_there, unit in (
-            ("R", r_members, ctx, t_j, oracle_s, "eta"),
-            ("S", s_members, reverse_context(ctx), t_i, oracle_r, "rho")):
+    for side, members, c, t_there, targets_there, unit in (
+            ("R", r_members, ctx, t_j, targets_s, "eta"),
+            ("S", s_members, reverse_context(ctx), t_i, targets_r, "rho")):
         for i, p in members:
             subject = f"{side}-member[{i}] (dim {p.dim})"
             gp = tensor_over(c.R, c.N, p).as_left_module()
             full = ideal_action_image(t_there.ideal, gp).basis.dim == gp.dim
-            proj = oracle_there(gp)
+            proj = _lifting_verdict(gp, *targets_there)
             if not proj.exhaustive:
                 report.flag("sampled projectivity oracle")
             report.record(subject, "tensor image in the projective class", full and bool(proj))

@@ -10,12 +10,12 @@ the RREF rows of the subspace it spans, which makes subspace equality plain
 entrywise equality and makes every derived construction (kernels, quotients,
 hom spaces, tensor quotients) deterministic.
 
-rref, and through it kernels, solving, ranks, inverses and spans, runs one
-elimination kernel per field on sparse rows {column: value}: fraction-free
-integer Gauss-Jordan over Q, with Fractions made only for the final pivot
-rows, and inline % p over GF(p).  _pivot_rows is the entry for dense rows
-and makes each row sparse once; the hom and Ext solves write their
-equations as sparse rows and go in through sparse_kernel_basis.  The RREF
+Kernels, solving, ranks, inverses and spans run one elimination kernel per
+field on sparse rows {column: value}: fraction-free integer Gauss-Jordan
+over Q, with Fractions made only for the final pivot rows, and inline % p
+over GF(p).  _pivot_rows is the entry for dense rows and makes each row
+sparse once; the hom, tensor and Ext systems write their equations as
+sparse rows and go in through sparse_kernel_basis and sparse_span.  The RREF
 of a matrix is unique, so the kernels' output is the same canonical form
 any exact Gauss-Jordan gives; the textbook loop on Field methods is kept in
 the tests as their oracle.
@@ -397,14 +397,16 @@ class Matrix:
         return self.rows == self.cols and rank(self) == self.rows
 
     def inverse(self) -> "Matrix":
+        """The right half of the pivot rows of [self | I], whose pivots are
+        0..n-1 exactly when self is invertible."""
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
         aug = hstack(self, Matrix.identity(self.field, n))
-        red, pivots = rref(aug)
+        rows, pivots = _pivot_rows(self.field, aug.entries, 2 * n)
         if list(pivots) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.entries], cols=n)
+        return Matrix._of(self.field, tuple([r[n:] for r in rows]), n)
 
 
 def _dot_products(f: Field, rows, cols) -> list:
@@ -437,7 +439,8 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form.
+    """Reduced row echelon form, padded to m's shape: a test entry to the
+    kernels (the library reads only pivot rows, from _pivot_rows).
 
     Returns:
         (R, pivots): R is the RREF of m, pivots the tuple of pivot column
@@ -597,17 +600,17 @@ def _kernel(f: Field, rows, pivots: tuple, ncols: int) -> "Basis":
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
-    """One solution of a@x = b with free coordinates set to zero, or None."""
+    """One solution of a@x = b with free coordinates zero, read off the
+    pivot rows of [a | b]; None when b's column is a pivot."""
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = hstack(a, Matrix(a.field, [(x,) for x in b], cols=1))
-    red, pivots = rref(aug)
+    f = a.field
+    rows, pivots = _pivot_rows(f, [r + (x,) for r, x in zip(a.entries, b)], a.cols + 1)
     if a.cols in pivots:
         return None
-    f = a.field
     x = [f.zero] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][a.cols]
+    for row, p in zip(rows, pivots):
+        x[p] = row[a.cols]
     return tuple(x)
 
 

@@ -28,7 +28,6 @@ from .exactlin import (
     _pivot_rows,
     basis_sum,
     closure,
-    hstack,
     invertible_search,
     kernel_basis,
     quotient_structure,
@@ -36,7 +35,6 @@ from .exactlin import (
     rank,
     sparse_kernel_basis,
     sparse_span,
-    vstack,
 )
 
 DEFAULT_ENUM_BUDGET = 81  # p**dim cap: dim <= 6 over GF(2), dim <= 4 over GF(3)
@@ -183,13 +181,10 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def direct_sum(a: LeftModule, b: LeftModule) -> LeftModule:
-    """a + b, each action the block diagonal of a's and b's."""
+    """a + b, block diagonal actions: the split extension middle_term(a, b, 0)."""
     if a.algebra != b.algebra:
         raise ValueError("direct sum over different algebras")
-    f = a.algebra.field
-    upper, lower = Matrix.zeros(f, a.dim, b.dim), Matrix.zeros(f, b.dim, a.dim)
-    mats = [vstack(hstack(x, upper), hstack(lower, y)) for x, y in zip(a.action, b.action)]
-    return LeftModule(a.algebra, a.dim + b.dim, mats)
+    return middle_term(a, b, (a.algebra.field.zero,) * (a.algebra.dim * a.dim * b.dim))
 
 
 class Submodule:
@@ -306,23 +301,24 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
     A map is a (target.dim x source.dim) matrix F with
     target.action[g] @ F = F @ source.action[g] for every algebra generator
     g (Algebra.generator_indices): the a with a.F = F.a form a unital
-    subalgebra, so one holding the generators is all of A.
+    subalgebra, so one holding the generators is all of A.  The maps are
+    the kernel of the _intertwiners rows, so a 1-dim algebra, which has no
+    generators, leaves every linear map.
     """
     if source.algebra != target.algebra:
         raise ValueError("hom between modules over different algebras")
-    basis = _intertwiners(source.algebra.field, source.dim, target.dim,
-                          [(source.action[g], target.action[g])
-                           for g in source.algebra.generator_indices()])
-    return HomBasis(source, target, basis)
+    pairs = [(source.action[g], target.action[g]) for g in source.algebra.generator_indices()]
+    rows = _intertwiners(source.dim, target.dim, pairs)
+    return HomBasis(source, target, sparse_kernel_basis(source.algebra.field, rows, source.dim * target.dim))
 
 
-def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
-    """Vectorized (td x sd) matrices F with At @ F = F @ As for every pair
-    (As, At) of source and target action matrices, given for the algebra's
-    generators only; no pairs (a 1-dim algebra) leave every linear map.
-    Equation (r, c) is the sparse row sum_k At[r][k] F[k][c] -
-    sum_k F[r][k] As[k][c], built from the nonzeros of row r of At and
-    column c of As, and sparse_kernel_basis solves them."""
+def _intertwiners(sd: int, td: int, action_pairs) -> list:
+    """Sparse rows {column: value} of F |-> (At @ F - F @ As) over the
+    pairs (As, At), F a (td x sd) matrix read row-major: row (pair, r, c)
+    is sum_k At[r][k] F[k][c] - sum_k F[r][k] As[k][c], from the nonzeros
+    of row r of At and column c of As.  Hom is their kernel (hom_space,
+    bimodule_hom_space), tensor relations their span (tensor_over), and
+    B^1 the span of their columns (extension_space)."""
     rows = []
     for mat_s, mat_t in action_pairs:
         s_cols = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*mat_s.entries)]
@@ -333,7 +329,7 @@ def _intertwiners(f, sd: int, td: int, action_pairs) -> Basis:
                 for k, a in s_col:
                     row[r * sd + k] = row.get(r * sd + k, 0) - a
                 rows.append(row)
-    return sparse_kernel_basis(f, rows, sd * td)
+    return rows
 
 
 def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
@@ -446,11 +442,12 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
             middle (its right algebra descends).
 
     The raw basis is (i, j) |-> i*dim(right)+j; the balancing relations
-    (m.a) (x) n - m (x) (a.n) are spanned for the generators a of middle
-    only, since the relations of ab lie in those of a plus those of b, each
-    a sparse row, and the computed basis is the non-pivot coordinate set of
-    their echelon form.  The outer actions are projection @ kron(rho, I)
-    (or kron(I, rho)) at those columns, by kron_columns.
+    (m.a) (x) n - m (x) (a.n) are the _intertwiners rows of the pairs
+    (N_a, M_a^T), as (M (x) N)* = Hom_A(N, M*), for the generators a of
+    middle only, since the relations of ab lie in those of a plus those of
+    b; the computed basis is the non-pivot coordinate set of their echelon
+    form.  The outer actions are projection @ kron(rho, I) (or
+    kron(I, rho)) at those columns, by kron_columns.
     """
     if not isinstance(left, Bimodule):
         raise ValueError(f"left factor must be a Bimodule, got {type(left).__name__}")
@@ -469,17 +466,8 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
 
     f = middle.field
     m, n = left.dim, right.dim
-    rows = []
-    for a in middle.generator_indices():
-        m_cols = [[(k * n, x) for k, x in enumerate(col) if x] for col in left.right_action[a].columns()]
-        n_cols = [[(l, y) for l, y in enumerate(col) if y] for col in right_left_action[a].columns()]
-        for i, mi_a in enumerate(m_cols):
-            for j, a_nj in enumerate(n_cols):
-                row = {k + j: x for k, x in mi_a}
-                for l, y in a_nj:
-                    row[i * n + l] = row.get(i * n + l, 0) - y
-                rows.append(row)
-    relations = sparse_span(f, rows, m * n)
+    pairs = [(right_left_action[a], left.right_action[a].transpose()) for a in middle.generator_indices()]
+    relations = sparse_span(f, _intertwiners(n, m, pairs), m * n)
     quot = quotient_structure(relations)
 
     eye_n = Matrix.identity(f, n)
@@ -596,11 +584,12 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     f(ab) = rho_S(a) f(b) + f(a) rho_T(b), vectorized as f(e_0), f(e_1), ...
     over the algebra basis, each an (s x t) block read row-major: one
     sparse_kernel_basis over the structure constants, with one sparse row
-    of nonzero terms per equation (i, j, r, c).  B^1 is spanned by the
-    inner derivations a |-> rho_S(a) h - h rho_T(a), and each f in Z^1 is
-    reduced by B^1's RREF, so the span is a complement.  f and f + inner
-    give isomorphic middle terms (middle_term), and the zero class gives
-    S + T."""
+    of nonzero terms per equation (i, j, r, c).  B^1, the image of
+    h |-> (rho_S(a) h - h rho_T(a))_a, is spanned by the columns of the
+    _intertwiners rows of every basis pair, row (a, r, c) being
+    coordinate a*block + r*t + c.  Each f in Z^1 is reduced by B^1's RREF,
+    so the span is a complement.  f and f + inner give isomorphic middle
+    terms (middle_term), and the zero class gives S + T (direct_sum)."""
     alg = s.algebra
     f = alg.field
     td = t.dim
@@ -618,12 +607,11 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
                     row[at] = row.get(at, 0) + x
             rows.append(row)
     cocycles = sparse_kernel_basis(f, rows, nvars)
-    units = [Matrix(f, [[f.one if (x, y) == (r, c) else f.zero for y in range(td)]
-                        for x in range(s.dim)], cols=td)
-             for r, c in itertools.product(range(s.dim), range(td))]
-    inner = Basis.span(f, nvars, [[x for a, b in zip(s.action, t.action)
-                                   for row in (a @ h + -(h @ b)).entries for x in row]
-                                  for h in units])
+    columns = [{} for _ in range(block)]
+    for at, row in enumerate(_intertwiners(td, s.dim, zip(t.action, s.action))):
+        for q, x in row.items():
+            columns[q][at] = x
+    inner = sparse_span(f, columns, nvars)
     return Basis.span(f, nvars, [inner.reduce(z) for z in cocycles.vectors])
 
 
@@ -632,12 +620,12 @@ def middle_term(s: LeftModule, t: LeftModule, cocycle: Sequence) -> LeftModule:
     k^s + k^t with a acting as [[rho_S(a), f(a)], [0, rho_T(a)]]."""
     f = s.algebra.field
     block = s.dim * t.dim
-    lower = Matrix.zeros(f, t.dim, s.dim)
+    pad = (f.zero,) * s.dim
     mats = []
     for i, (a, b) in enumerate(zip(s.action, t.action)):
-        fa = cocycle[i * block:(i + 1) * block]
-        fa = Matrix(f, [fa[r * t.dim:(r + 1) * t.dim] for r in range(s.dim)], cols=t.dim)
-        mats.append(vstack(hstack(a, fa), hstack(lower, b)))
+        fa = tuple(cocycle[i * block:(i + 1) * block])
+        rows = [row + fa[r * t.dim:(r + 1) * t.dim] for r, row in enumerate(a.entries)]
+        mats.append(Matrix(f, rows + [pad + row for row in b.entries], cols=s.dim + t.dim))
     return LeftModule(s.algebra, s.dim + t.dim, mats)
 
 

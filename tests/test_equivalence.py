@@ -464,6 +464,42 @@ def _radical_square_zero(f: Field, n: int) -> Algebra:
     return Algebra(f, d, mul, e[0])
 
 
+def _partition_counts(part_dims, max_dim: int) -> list:
+    """Coefficients of x^0..x^max_dim in prod 1/(1 - x^d) over part_dims:
+    the number of multisets of parts with each total dimension."""
+    counts = [1] + [0] * max_dim
+    for d in part_dims:
+        for n in range(d, max_dim + 1):
+            counts[n] += counts[n - d]
+    return counts
+
+
+def _interval_dims(n: int) -> list:
+    """Dimensions of the indecomposables of T_n over a field: the intervals
+    [i, j] of the linear quiver with n vertices."""
+    return [j - i + 1 for i in range(n) for j in range(i, n)]
+
+
+@pytest.mark.parametrize("algebra, max_dim, part_dims, classes", [
+    pytest.param(upper_triangular_algebra(GF2, 2), 6, _interval_dims(2), 50, id="T2-GF2-6"),
+    pytest.param(upper_triangular_algebra(GF3, 2), 5, _interval_dims(2), 34, id="T2-GF3-5"),
+    pytest.param(upper_triangular_algebra(GF2, 3), 5, _interval_dims(3), 120, id="T3-GF2-5"),
+    pytest.param(_radical_square_zero(GF2, 1), 6, [1, 2], 16, id="GF2[x]/x^2-6"),
+])
+def test_catalog_counts_match_the_krull_schmidt_closed_form(algebra, max_dim, part_dims, classes):
+    # algebras of finite type: every module is a unique sum of the listed
+    # indecomposables (Krull-Schmidt), so the classes of each dimension are
+    # counted by the coefficients of prod 1/(1 - x^d), far beyond the reach
+    # of the action-tuple oracle
+    cat = build_catalog(algebra, max_dim)
+    assert cat.exhaustive, cat.provenance
+    per_dim = [0] * (max_dim + 1)
+    for m in cat:
+        per_dim[m.dim] += 1
+    assert per_dim == _partition_counts(part_dims, max_dim)
+    assert len(cat) == classes
+
+
 @pytest.mark.parametrize("algebra, max_dim", [
     pytest.param(_radical_square_zero(GF2, 1), 4, id="GF2[x]/x^2-4"),
     pytest.param(_radical_square_zero(GF2, 2), 3, id="GF2[x,y]/(x,y)^2-3"),

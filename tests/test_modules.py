@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from moritakit.exactlin import QQ, Basis, Field, Matrix
 from moritakit.algebra import full_matrix_algebra, two_sided_ideal_closure, upper_triangular_algebra
+from moritakit.context import corner_context
 from moritakit.equivalence import build_catalog
 from moritakit.modules import (
     BudgetExceeded,
@@ -151,12 +152,14 @@ def test_action_of_a_basis_vector_is_the_action_matrix(t2_regular):
         assert t2_regular.action_of(t2_regular.algebra.basis_vector(i)) is act
 
 
-@pytest.mark.parametrize("alg", [
-    pytest.param(upper_triangular_algebra(GF2, 2), id="T2-GF2"),
-    pytest.param(_radical_square_zero(GF2, 2), id="GF2[x,y]/(x,y)^2"),
+@pytest.mark.parametrize("alg, max_dim, sampling", [
+    pytest.param(upper_triangular_algebra(GF2, 2), 3, False, id="T2-GF2"),
+    pytest.param(_radical_square_zero(GF2, 2), 3, False, id="GF2[x,y]/(x,y)^2"),
+    pytest.param(upper_triangular_algebra(Field.gf(3), 2), 3, False, id="T2-GF3"),
+    pytest.param(upper_triangular_algebra(QQ, 2), 2, True, id="T2-Q-sampled"),
 ])
-def test_extension_space_matches_dense_rows_on_catalog_pairs(alg):
-    cat = build_catalog(alg, 3).modules
+def test_extension_space_matches_dense_rows_on_catalog_pairs(alg, max_dim, sampling):
+    cat = build_catalog(alg, max_dim, allow_sampling=sampling).modules
     for s in cat:
         for t in cat:
             assert extension_space(s, t) == extension_space_dense(s, t)
@@ -168,6 +171,34 @@ def test_tensor_regular_absorbs(t2, t2_regular):
     t = tensor_over(t2, bim, bim)
     assert t.dim == t2.dim
     assert validate_module(t.as_bimodule()) == []
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param(upper_triangular_algebra(GF2, 2), id="T2-GF2"),
+    pytest.param(upper_triangular_algebra(Field.gf(3), 2), id="T2-GF3"),
+    pytest.param(full_matrix_algebra(QQ, 3), id="M3-Q"),
+])
+def test_tensor_relations_annihilate_hom_into_the_dual(alg):
+    # (M (x)_A N)* = Hom_A(N, M*), M* the left module with actions M_a^T:
+    # a balanced form on the raw product is a map N -> M* read row-major in
+    # the tensor's (i, j) |-> i*dim N + j indexing, so the relation span and
+    # the vectorized hom space are orthogonal complements
+    f = alg.field
+    e11 = alg.basis_vector(0)
+    ctx = corner_context(alg, e11)
+    catalogs = {}
+    for bim in (regular_bimodule(alg), ctx.M, ctx.N):
+        middle = bim.right_algebra
+        if middle not in catalogs:
+            catalogs[middle] = build_catalog(middle, 3, allow_sampling=not f.is_prime_field).modules
+        dual = LeftModule(middle, bim.dim, [act.transpose() for act in bim.right_action])
+        for n in catalogs[middle]:
+            relations = tensor_over(middle, bim, n).relations
+            hom = hom_space(n, dual)
+            size = bim.dim * n.dim
+            assert relations.dim + hom.dim == size
+            products = Matrix(f, relations.vectors, cols=size) @ Matrix.from_cols(f, hom.basis.vectors, rows=size)
+            assert not any(x for row in products.entries for x in row)
 
 
 def test_tensor_pure_tensor_unit(t2):
