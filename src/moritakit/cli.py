@@ -16,13 +16,7 @@ import json
 import os
 import sys
 
-from .algebra import validate_algebra
-from .context import (
-    compose_contexts,
-    contexts_isomorphic,
-    is_strict,
-    validate_context,
-)
+from .context import compose_contexts, contexts_isomorphic, is_strict, validate_context
 from .equivalence import (
     Report,
     build_catalog,
@@ -34,9 +28,12 @@ from .equivalence import (
 )
 from .exactlin import Matrix
 from .graded import build_graded_catalog, verify_graded_kato_muller
-from .modules import DEFAULT_LATTICE_BUDGET, validate_module
+from .modules import DEFAULT_LATTICE_BUDGET
 from .torsion import TorsionTheory, is_closed, is_torsion_free, localize, torsion_submodule
 from .workspace import WorkspaceError, matrix_to_json, parse_workspace
+
+_DEFAULT_CATALOG_DIM = 3  # catalog bound without --max-dim or a workspace recipe
+
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser: the command is a positional argument with the handlers
@@ -80,10 +77,7 @@ def main(argv=None) -> int:
     try:
         ws = parse_workspace(args.workspace)
         report, extra = _HANDLERS[args.command](ws, args)
-    except WorkspaceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # WorkspaceError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:
@@ -131,20 +125,16 @@ def _theory(ws, args):
 
 
 def _cmd_validate(ws, args):
+    """parse_workspace raises on the first broken law, so every loaded
+    object has passed its checks."""
     report = Report("workspace validation")
-    for name in sorted(ws.algebras):
-        report.record(f"algebra {name}", "associativity and unit laws",
-                      not validate_algebra(ws.algebras[name]))
-    for name in sorted(ws.modules):
-        report.record(f"module {name}", "module laws", not validate_module(ws.modules[name]))
-    for name in sorted(ws.bimodules):
-        report.record(f"bimodule {name}", "bimodule laws",
-                      not validate_module(ws.bimodules[name]))
-    for name in sorted(ws.contexts):
-        report.record(f"context {name}", "bimodule maps and compatibility",
-                      not validate_context(ws.contexts[name]))
-    for name in sorted(ws.gradings):
-        report.record(f"grading {name}", "group table and degree lists", True)
+    for kind, objects, check in (("algebra", ws.algebras, "associativity and unit laws"),
+                                 ("module", ws.modules, "module laws"),
+                                 ("bimodule", ws.bimodules, "bimodule laws"),
+                                 ("context", ws.contexts, "bimodule maps and compatibility"),
+                                 ("grading", ws.gradings, "group table and degree lists")):
+        for name in sorted(objects):
+            report.record(f"{kind} {name}", check, True)
     return report, []
 
 
@@ -192,7 +182,7 @@ def _cmd_closed(ws, args):
     return report, [f"closed: {'true' if ok else 'false'}"]
 
 
-def _catalog_pair(ws, args, r_alg, s_alg, default_dim=3):
+def _catalog_pair(ws, args, r_alg, s_alg):
     budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
 
     def build(alg, dim):
@@ -210,8 +200,8 @@ def _catalog_pair(ws, args, r_alg, s_alg, default_dim=3):
             return user_catalog(alg, [ws.left_module(n) for n in rec.module_names])
         return build(alg, rec.max_dim)
 
-    cat_r = from_recipe("catR", r_alg) or build(r_alg, default_dim)
-    cat_s = from_recipe("catS", s_alg) or build(s_alg, default_dim)
+    cat_r = from_recipe("catR", r_alg) or build(r_alg, _DEFAULT_CATALOG_DIM)
+    cat_s = from_recipe("catS", s_alg) or build(s_alg, _DEFAULT_CATALOG_DIM)
     return cat_r, cat_s
 
 

@@ -42,7 +42,6 @@ from .modules import (
     quotient_module,
     regular_module,
     submodule_supply,
-    tensor_over,
 )
 from .torsion import (
     OracleVerdict,
@@ -423,13 +422,14 @@ def verify_one_epi(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog) -
 def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalog) -> OracleVerdict:
     """Does every map from p_mod lift along quotients with ideal-killed
     kernels?  For each catalog module X and submodule K killed by the
-    generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto.  The
-    K are enumerated up to DEFAULT_ENUM_BUDGET (see _lift_targets)."""
-    return _lifting_verdict(p_mod, *_lift_targets(tt, catalog, DEFAULT_ENUM_BUDGET))
+    generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto.  The K
+    are enumerated up to DEFAULT_ENUM_BUDGET (see _lift_targets)."""
+    top = ideal_action_image(tt.ideal, p_mod).quotient()[0]
+    return _lifting_verdict(top, p_mod, *_lift_targets(tt, catalog, DEFAULT_ENUM_BUDGET))
 
 
 def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int) -> tuple:
-    """(targets, exhaustive): each catalog module X with (K, X/K, projection)
+    """(targets, exhaustive): each catalog module X with (K basis, K, X/K)
     for its submodules K killed by the ideal, all within the budget, else
     _ORACLE_SAMPLES from seed 0.  One list serves every candidate module."""
     f = tt.algebra.field
@@ -444,38 +444,37 @@ def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int) -> tuple:
         quotients = []
         for sub in inner_subs:
             k_basis = Basis.span(f, x.dim, [ann.basis.from_coords(v) for v in sub.basis.vectors])
-            quotients.append((k_basis, *quotient_module(x, k_basis)))
+            quotients.append((k_basis, sub.as_module(), quotient_module(x, k_basis)[0]))
         targets.append((x, quotients))
     return targets, exhaustive
 
 
-def _lifting_verdict(p_mod: LeftModule, targets, exhaustive: bool) -> OracleVerdict:
-    f = p_mod.algebra.field
+def _lifting_verdict(top: LeftModule, p: LeftModule, targets, exhaustive: bool) -> OracleVerdict:
+    """Hom(P, -) is left exact, so Hom(P, X) -> Hom(P, X/K) is onto exactly
+    when its kernel Hom(P, K) = Hom(P/IP, K) (a map into K, which I kills,
+    kills IP) has dim Hom(P, X) - dim Hom(P, X/K); top is P/IP."""
     failures = []
     for x, quotients in targets:
-        hom_px = hom_space(p_mod, x)
-        for k_basis, quo, proj in quotients:
-            hom_pq = hom_space(p_mod, quo)
-            if hom_pq.dim == 0:
-                continue
-            comp = hom_pq.coords_matrix((proj @ g for g in hom_px.matrices),
-                                        "projection left the hom space")
-            if Basis.span(f, comp.rows, comp.columns()).dim < hom_pq.dim:
+        hom_px = hom_space(p, x).dim
+        for k_basis, k, quo in quotients:
+            hom_pq = hom_space(p, quo).dim
+            if hom_pq and hom_px - hom_space(top, k).dim != hom_pq:
                 failures.append((x, k_basis))
     return OracleVerdict(not failures, exhaustive, tuple(failures))
 
 
+def _flagged(report: Report, verdict: OracleVerdict) -> OracleVerdict:
+    if not verdict.exhaustive:
+        report.flag("sampled projectivity oracle")
+    return verdict
+
+
 def _projective_class_filter(report, tt, catalog, targets):
+    """The ideal-full (P/IP = 0) catalog members that pass the oracle."""
     members = []
-    ideal = tt.ideal
     for i, p in enumerate(catalog):
-        full = ideal_action_image(ideal, p).basis.dim == p.dim
-        if not full:
-            continue
-        verdict = _lifting_verdict(p, *targets)
-        if not verdict.exhaustive:
-            report.flag("sampled projectivity oracle")
-        if verdict:
+        top = ideal_action_image(tt.ideal, p).quotient()[0]
+        if top.dim == 0 and _flagged(report, _lifting_verdict(top, p, *targets)):
             members.append((i, p))
     return members
 
@@ -484,8 +483,9 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
                                   budget: int = DEFAULT_ENUM_BUDGET) -> Report:
     """The tensor functors restrict to an equivalence between the classes
     of ideal-full, ideal-projective modules on the two sides; units are
-    the eta and rho maps, and each side's lift targets are built once.
-    Sampled catalogs and oracles are flagged, oracles per verdict (Report)."""
+    the eta and rho maps, whose inner tensor products are the images; each
+    side's lift targets are built once.  Sampled catalogs and oracles are
+    flagged, oracles per verdict (Report)."""
     report = Report("projective class equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
@@ -503,13 +503,11 @@ def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalo
             ("S", s_members, reverse_context(ctx), t_i, targets_r, "rho")):
         for i, p in members:
             subject = f"{side}-member[{i}] (dim {p.dim})"
-            gp = tensor_over(c.R, c.N, p).as_left_module()
-            full = ideal_action_image(t_there.ideal, gp).basis.dim == gp.dim
-            proj = _lifting_verdict(gp, *targets_there)
-            if not proj.exhaustive:
-                report.flag("sampled projectivity oracle")
-            report.record(subject, "tensor image in the projective class", full and bool(proj))
             em = eta_map(c, p)
+            gp = em.inner.as_left_module()
+            top = ideal_action_image(t_there.ideal, gp).quotient()[0]
+            proj = _flagged(report, _lifting_verdict(top, gp, *targets_there))
+            report.record(subject, "tensor image in the projective class", top.dim == 0 and bool(proj))
             ok = em.matrix.is_invertible()
             report.record(subject, f"{unit} invertible on member", ok, witness=em.matrix)
     return report

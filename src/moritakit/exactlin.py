@@ -432,12 +432,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
                       a.cols + b.cols)
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch")
-    return Matrix._of(a.field, a.entries + b.entries, a.cols)
-
-
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form, padded to m's shape: a test entry to the
     kernels (the library reads only pivot rows, from _pivot_rows).

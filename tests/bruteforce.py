@@ -18,15 +18,18 @@ from moritakit.algebra import Algebra, validate_algebra
 from moritakit.context import bimodule_hom_space, raw_pairing
 from moritakit.exactlin import Basis, Field, Matrix, kernel_basis, random_scalar, unit_vector, vec_is_zero
 from moritakit.modules import (
+    DEFAULT_ENUM_BUDGET,
     DEFAULT_ISO_EXHAUST,
     DEFAULT_ISO_SAMPLES,
     Bimodule,
     HomBasis,
     LeftModule,
+    Submodule,
     _projective_points,
     direct_sum,
     extension_space,
     hom_module,
+    hom_space,
     is_isomorphic,
     middle_term,
     quotient_module,
@@ -217,6 +220,30 @@ def brute_annihilator(module, ideal_vectors):
         if all(vec_is_zero(field, module.action_of(a).apply(v)) for a in ideal_vectors):
             kept.append(v)
     return Basis.span(field, module.dim, kept)
+
+
+def lifting_by_composites(tt, p, catalog):
+    """(verdict, failures) of the ideal-projectivity oracle the long way:
+    for each catalog module X and each submodule K of the brute-force
+    annihilator of the ideal, every basis map of Hom(P, X) is composed with
+    the projection X -> X/K, and (X, K) fails when the composites do not
+    span Hom(P, X/K).  The submodule walk must fit DEFAULT_ENUM_BUDGET."""
+    f = p.algebra.field
+    failures = []
+    for x in catalog:
+        hom_px = hom_space(p, x)
+        ann = brute_annihilator(x, tt.ideal.basis.vectors)
+        for sub in submodule_lattice(Submodule(x, ann).as_module(), DEFAULT_ENUM_BUDGET):
+            k_basis = Basis.span(f, x.dim, [ann.from_coords(v) for v in sub.basis.vectors])
+            quo, proj = quotient_module(x, k_basis)
+            hom_pq = hom_space(p, quo)
+            if hom_pq.dim == 0:
+                continue
+            comp = hom_pq.coords_matrix((proj @ g for g in hom_px.matrices),
+                                        "projection left the hom space")
+            if Basis.span(f, comp.rows, comp.columns()).dim < hom_pq.dim:
+                failures.append((x, k_basis))
+    return not failures, tuple(failures)
 
 
 def brute_rref(m):

@@ -29,6 +29,28 @@ def test_validate_passes_on_fixture(capsys):
     assert "result: pass" in out
 
 
+def test_validate_checks_each_law_once(capsys, monkeypatch):
+    # loading checks every algebra, module, bimodule and context law, and
+    # validate reports those checks instead of running them again
+    import moritakit.cli as cli
+    import moritakit.workspace as workspace
+
+    ws = workspace.parse_workspace(T2)
+    objects = sum(len(d) for d in (ws.algebras, ws.modules, ws.bimodules, ws.contexts))
+    checked = []
+    for name in ("validate_algebra", "validate_module", "validate_context"):
+        def counted(obj, check=getattr(workspace, name)):
+            checked.append(obj)
+            return check(obj)
+
+        monkeypatch.setattr(workspace, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    code, out, _ = run(capsys, "validate", T2)
+    assert code == 0
+    assert len(checked) == objects
+    assert out.count("[pass]") == objects + len(ws.gradings)
+
+
 def test_strict_true_on_identity(capsys):
     code, out, _ = run(capsys, "strict", IDENTITY, "--context", "identity")
     assert code == 0

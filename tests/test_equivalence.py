@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moritakit.context as context_module
 import moritakit.equivalence as equivalence
 import moritakit.exactlin as exactlin
 import moritakit.graded as graded
@@ -45,7 +46,12 @@ from moritakit.modules import (
 from moritakit.graded import FiniteGroup, GradedAlgebra, build_graded_catalog
 from moritakit.torsion import localize
 
-from bruteforce import brute_catalog, count_module_classes, first_invertible_lex
+from bruteforce import (
+    brute_catalog,
+    count_module_classes,
+    first_invertible_lex,
+    lifting_by_composites,
+)
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -390,6 +396,43 @@ def test_projective_verifier_builds_each_lift_target_once(t2, t2_corner, monkeyp
                if equivalence.ideal_action_image(t_i.ideal, p).basis.dim == p.dim
                and is_I_projective_oracle(t_i, p, cat_r)]
     assert report.verdicts[0].note == f"{len(members)} of {len(cat_r)} qualify"
+
+
+@pytest.mark.parametrize("alg, idem, max_dim", [
+    (upper_triangular_algebra(GF2, 2), 2, 3),
+    (upper_triangular_algebra(GF3, 2), 2, 3),
+    (full_matrix_algebra(GF2, 2), 0, 4),
+    (upper_triangular_algebra(GF2, 3), 0, 3),
+], ids=["T2/GF(2)", "T2/GF(3)", "M2/GF(2)", "T3/GF(2)"])
+def test_projective_oracle_matches_composite_surjectivity(alg, idem, max_dim):
+    # the hom-dimension count fails exactly the (X, K) whose composites
+    # with X -> X/K miss Hom(P, X/K), on every catalog module of both
+    # sides, ideal-full or not
+    ctx = corner_context(alg, alg.basis_vector(idem))
+    cats = (build_catalog(ctx.R, max_dim), build_catalog(ctx.S, max_dim))
+    for tt, cat in zip(context_theories(ctx), cats):
+        for p in cat:
+            got = is_I_projective_oracle(tt, p, cat)
+            assert got.exhaustive
+            assert (got.verdict, got.failures) == lifting_by_composites(tt, p, cat)
+
+
+def test_projective_verifier_tensors_twice_per_member(t2_corner, cat_t2, cat_corner_s,
+                                                      monkeypatch):
+    # each member's image N (x) P is the inner tensor product of its unit,
+    # so the unit's two tensor products are the only ones formed
+    calls = []
+    tensor = context_module.tensor_over
+
+    def counted(*args):
+        calls.append(args)
+        return tensor(*args)
+
+    monkeypatch.setattr(context_module, "tensor_over", counted)
+    monkeypatch.setattr(equivalence, "tensor_over", counted, raising=False)
+    report = verify_projective_equivalence(t2_corner, cat_t2, cat_corner_s)
+    members = [v for v in report.verdicts if v.check.endswith("invertible on member")]
+    assert members and len(calls) == 2 * len(members)
 
 
 def test_sampled_dedup_miss_marks_catalog_sampled(t2, monkeypatch):
