@@ -182,11 +182,15 @@ def _cmd_closed(ws, args):
     return report, [f"closed: {'true' if ok else 'false'}"]
 
 
-def _catalog_pair(ws, args, r_alg, s_alg):
-    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
+def _budget(args) -> int:
+    """--budget, else the library's lattice budget; the machine report's
+    inputs keep the flag as given."""
+    return args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
 
+
+def _catalog_pair(ws, args, r_alg, s_alg):
     def build(alg, dim):
-        return build_catalog(alg, dim, budget=budget,
+        return build_catalog(alg, dim, budget=_budget(args),
                              allow_sampling=True, seed=args.seed)
 
     if args.max_dim is not None:
@@ -220,8 +224,7 @@ def _cmd_equiv_strict(ws, args):
 def _cmd_equiv_proj(ws, args):
     ctx, _ = _one_context(ws, args)
     cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    return verify_projective_equivalence(ctx, cat_r, cat_s, **kwargs), []
+    return verify_projective_equivalence(ctx, cat_r, cat_s, budget=_budget(args)), []
 
 
 def _cmd_compose(ws, args):
@@ -262,10 +265,9 @@ def _cmd_graded_equiv(ws, args):
             dim_r = rec_r.max_dim
         if rec_s is not None and rec_s.max_dim is not None and rec_s.algebra_name == s_name:
             dim_s = rec_s.max_dim
-    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
-    cat_r = build_graded_catalog(gctx.graded_r, dim_r, budget=budget,
+    cat_r = build_graded_catalog(gctx.graded_r, dim_r, budget=_budget(args),
                                  allow_sampling=True, seed=args.seed)
-    cat_s = build_graded_catalog(gctx.graded_s, dim_s, budget=budget,
+    cat_s = build_graded_catalog(gctx.graded_s, dim_s, budget=_budget(args),
                                  allow_sampling=True, seed=args.seed)
     return verify_graded_kato_muller(gctx, cat_r, cat_s), []
 
@@ -278,8 +280,7 @@ def _cmd_catalog(ws, args):
     else:
         raise WorkspaceError("catalog needs --module to pick the algebra", "--module")
     max_dim = args.max_dim if args.max_dim is not None else 3
-    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
-    cat = build_catalog(alg, max_dim, budget=budget,
+    cat = build_catalog(alg, max_dim, budget=_budget(args),
                         allow_sampling=True, seed=args.seed)
     dims = [m.dim for m in cat]
     report = Report("module catalog")

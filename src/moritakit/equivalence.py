@@ -423,91 +423,95 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
     """Does every map from p_mod lift along quotients with ideal-killed
     kernels?  For each catalog module X and submodule K killed by the
     generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto.  The K
-    are enumerated up to DEFAULT_ENUM_BUDGET (see _lift_targets)."""
-    top = ideal_action_image(tt.ideal, p_mod).quotient()[0]
-    return _lifting_verdict(top, p_mod, *_lift_targets(tt, catalog, DEFAULT_ENUM_BUDGET))
-
-
-def _lift_targets(tt: TorsionTheory, catalog: Catalog, budget: int) -> tuple:
-    """(targets, exhaustive): each catalog module X with (K basis, K, X/K)
-    for its submodules K killed by the ideal, all within the budget, else
-    _ORACLE_SAMPLES from seed 0.  One list serves every candidate module."""
+    are enumerated up to DEFAULT_ENUM_BUDGET, else _ORACLE_SAMPLES from
+    seed 0.  Hom(P, -) is left exact, so the map is onto exactly when its
+    kernel Hom(P, K) = Hom(P/IP, K) (a map into K, which I kills, kills IP)
+    has dim Hom(P, X) - dim Hom(P, X/K).  The catalog-bounded reference for
+    verify_projective_equivalence's Ext^1 criterion."""
     f = tt.algebra.field
+    top = ideal_action_image(tt.ideal, p_mod).quotient()[0]
     exhaustive = True
-    targets = []
+    failures = []
     for x in catalog:
         if x.algebra != tt.algebra:
             raise ValueError("catalog module over the wrong algebra")
         ann = annihilator(x, tt.ideal.basis.vectors)
-        inner_subs, complete = submodule_supply(ann.as_module(), budget, _ORACLE_SAMPLES, 0)
+        subs, complete = submodule_supply(ann.as_module(), DEFAULT_ENUM_BUDGET, _ORACLE_SAMPLES, 0)
         exhaustive = exhaustive and complete
-        quotients = []
-        for sub in inner_subs:
+        hom_px = hom_space(p_mod, x).dim
+        for sub in subs:
             k_basis = Basis.span(f, x.dim, [ann.basis.from_coords(v) for v in sub.basis.vectors])
-            quotients.append((k_basis, sub.as_module(), quotient_module(x, k_basis)[0]))
-        targets.append((x, quotients))
-    return targets, exhaustive
-
-
-def _lifting_verdict(top: LeftModule, p: LeftModule, targets, exhaustive: bool) -> OracleVerdict:
-    """Hom(P, -) is left exact, so Hom(P, X) -> Hom(P, X/K) is onto exactly
-    when its kernel Hom(P, K) = Hom(P/IP, K) (a map into K, which I kills,
-    kills IP) has dim Hom(P, X) - dim Hom(P, X/K); top is P/IP."""
-    failures = []
-    for x, quotients in targets:
-        hom_px = hom_space(p, x).dim
-        for k_basis, k, quo in quotients:
-            hom_pq = hom_space(p, quo).dim
-            if hom_pq and hom_px - hom_space(top, k).dim != hom_pq:
+            hom_pq = hom_space(p_mod, quotient_module(x, k_basis)[0]).dim
+            if hom_pq and hom_px - hom_space(top, sub.as_module()).dim != hom_pq:
                 failures.append((x, k_basis))
     return OracleVerdict(not failures, exhaustive, tuple(failures))
 
 
-def _flagged(report: Report, verdict: OracleVerdict) -> OracleVerdict:
-    if not verdict.exhaustive:
+def _torsion_simples(tt: TorsionTheory, budget: int) -> tuple:
+    """(simples, exhaustive): one simple module killed by the ideal I per
+    isomorphism class.  A simple S with IS = 0 is a simple quotient of R/I;
+    the submodules of R/I are walked within budget, else _ORACLE_SAMPLES
+    from seed 0, and a quotient is simple when it has two submodules."""
+    r_mod_i = quotient_module(regular_module(tt.algebra), tt.ideal.basis)[0]
+    subs, exhaustive = submodule_supply(r_mod_i, budget, _ORACLE_SAMPLES, 0)
+    simples = []
+    for sub in subs:
+        s = sub.quotient()[0]
+        s_subs, complete = submodule_supply(s, budget, _ORACLE_SAMPLES, 0)
+        exhaustive = exhaustive and complete
+        if len(s_subs) == 2 and not any(is_isomorphic(t, s).found for t in simples):
+            simples.append(s)
+    return simples, exhaustive
+
+
+def _ideal_projective(report: Report, simples: tuple, p: LeftModule) -> bool:
+    """Whether every map from p lifts along each X -> X/K with IK = 0:
+    exactly when Ext^1(p, S) = 0 for each simple S killed by I.  K has a
+    composition series with such factors and Ext^1(p, -) is half exact;
+    conversely, the middle term of a non-split class in Ext^1(p, S) is an X
+    along which id_p does not lift.  simples is _torsion_simples' pair."""
+    mods, exhaustive = simples
+    if not exhaustive:
         report.flag("sampled projectivity oracle")
-    return verdict
+    return not any(extension_space(s, p).dim for s in mods)
 
 
-def _projective_class_filter(report, tt, catalog, targets):
-    """The ideal-full (P/IP = 0) catalog members that pass the oracle."""
-    members = []
-    for i, p in enumerate(catalog):
-        top = ideal_action_image(tt.ideal, p).quotient()[0]
-        if top.dim == 0 and _flagged(report, _lifting_verdict(top, p, *targets)):
-            members.append((i, p))
-    return members
+def _ideal_full(tt: TorsionTheory, p: LeftModule) -> bool:
+    return ideal_action_image(tt.ideal, p).dim == p.dim
 
 
 def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                                  budget: int = DEFAULT_ENUM_BUDGET) -> Report:
+                                  budget: int = DEFAULT_LATTICE_BUDGET) -> Report:
     """The tensor functors restrict to an equivalence between the classes
     of ideal-full, ideal-projective modules on the two sides; units are
-    the eta and rho maps, whose inner tensor products are the images; each
-    side's lift targets are built once.  Sampled catalogs and oracles are
-    flagged, oracles per verdict (Report)."""
+    the eta and rho maps, whose inner tensor products are the images.
+    Projectivity is _ideal_projective's Ext^1 criterion against each
+    side's torsion simples, found once within budget.  Sampled catalogs
+    and simples are flagged, simples per verdict (Report)."""
     report = Report("projective class equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
-    targets_r = _lift_targets(t_i, catalog_r, budget)
-    targets_s = _lift_targets(t_j, catalog_s, budget)
-    r_members = _projective_class_filter(report, t_i, catalog_r, targets_r)
-    s_members = _projective_class_filter(report, t_j, catalog_s, targets_s)
+    simples_r = _torsion_simples(t_i, budget)
+    simples_s = _torsion_simples(t_j, budget)
+    r_members = [(i, p) for i, p in enumerate(catalog_r)
+                 if _ideal_full(t_i, p) and _ideal_projective(report, simples_r, p)]
+    s_members = [(i, p) for i, p in enumerate(catalog_s)
+                 if _ideal_full(t_j, p) and _ideal_projective(report, simples_s, p)]
     report.record("R side", "projective class size", True,
                   note=f"{len(r_members)} of {len(catalog_r)} qualify")
     report.record("S side", "projective class size", True,
                   note=f"{len(s_members)} of {len(catalog_s)} qualify")
     # the S side is the R side of the reversed context, where rho is eta
-    for side, members, c, t_there, targets_there, unit in (
-            ("R", r_members, ctx, t_j, targets_s, "eta"),
-            ("S", s_members, reverse_context(ctx), t_i, targets_r, "rho")):
+    for side, members, c, t_there, simples_there, unit in (
+            ("R", r_members, ctx, t_j, simples_s, "eta"),
+            ("S", s_members, reverse_context(ctx), t_i, simples_r, "rho")):
         for i, p in members:
             subject = f"{side}-member[{i}] (dim {p.dim})"
             em = eta_map(c, p)
             gp = em.inner.as_left_module()
-            top = ideal_action_image(t_there.ideal, gp).quotient()[0]
-            proj = _flagged(report, _lifting_verdict(top, gp, *targets_there))
-            report.record(subject, "tensor image in the projective class", top.dim == 0 and bool(proj))
+            proj = _ideal_projective(report, simples_there, gp)
+            report.record(subject, "tensor image in the projective class",
+                          _ideal_full(t_there, gp) and proj)
             ok = em.matrix.is_invertible()
             report.record(subject, f"{unit} invertible on member", ok, witness=em.matrix)
     return report

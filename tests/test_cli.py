@@ -364,6 +364,18 @@ def test_equiv_proj_budget_zero_samples_and_flags(capsys):
     assert code == 1
 
 
+def test_equiv_proj_passes_on_a_catalog_without_p2(capsys):
+    # the dim <= 1 catalog lacks P2, the extension that keeps S2 out of
+    # the class; the Ext^1 criterion does not need it
+    code, out, _ = run(capsys, "equiv-proj", T2, "--context", "t2corner", "--max-dim", "1",
+                       "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert "budget" not in doc["inputs"]
+    assert doc["summary"]["flags"] == []
+    assert doc["verdicts"][0]["note"] == "1 of 3 qualify"
+
+
 def test_unknown_command_names_the_choices(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", T2, "--context", "t2corner"])

@@ -38,8 +38,10 @@ from moritakit.modules import (
     IsoResult,
     LeftModule,
     direct_sum,
+    extension_space,
     is_isomorphic,
     iso_invariant,
+    middle_term,
     regular_module,
     validate_module,
 )
@@ -433,6 +435,70 @@ def test_projective_verifier_tensors_twice_per_member(t2_corner, cat_t2, cat_cor
     report = verify_projective_equivalence(t2_corner, cat_t2, cat_corner_s)
     members = [v for v in report.verdicts if v.check.endswith("invertible on member")]
     assert members and len(calls) == 2 * len(members)
+
+
+def _diagonal_corner(n, p, idem, max_dim):
+    alg = upper_triangular_algebra(Field.gf(p), n)
+    ctx = corner_context(alg, alg.basis_vector(idem))
+    return ctx, build_catalog(ctx.R, max_dim), build_catalog(ctx.S, max_dim)
+
+
+@pytest.mark.parametrize("n, p, idem, max_dim, note", [
+    (2, 2, 2, 1, "1 of 3 qualify"),
+    (3, 2, 5, 1, "1 of 4 qualify"),
+    (3, 2, 5, 2, "1 of 12 qualify"),
+    (3, 3, 5, 2, "1 of 12 qualify"),
+], ids=["T2/GF(2) e22<=1", "T3/GF(2) e33<=1", "T3/GF(2) e33<=2", "T3/GF(3) e33<=2"])
+def test_projective_class_holds_beyond_small_catalogs(n, p, idem, max_dim, note):
+    # these catalogs miss the non-split extension that shows the simple top
+    # of the corner's projective is not ideal-projective, so a
+    # catalog-bounded oracle keeps it and the round trip fails; the Ext^1
+    # criterion drops it
+    report = verify_projective_equivalence(*_diagonal_corner(n, p, idem, max_dim))
+    assert report.passed and report.flags == []
+    assert report.verdicts[0].note == note
+
+
+def test_s2_is_not_ideal_projective_over_t2(t2, t2_corner, s1, s2, p2, cat_corner_s):
+    # P2 is the middle term of the non-split class of Ext^1(S2, S1), and I
+    # kills S1, so id_S2 does not lift along P2 -> S2
+    ext = extension_space(s1, s2)
+    assert ext.dim == 1
+    assert is_isomorphic(middle_term(s1, s2, ext.from_coords((GF2.one,))), p2).found
+    report = verify_projective_equivalence(t2_corner, user_catalog(t2, [s2]), cat_corner_s)
+    assert report.verdicts[0].note == "0 of 1 qualify"
+    # the catalog-bounded reference needs P2 in the catalog to see it
+    t_i, _ = context_theories(t2_corner)
+    assert is_I_projective_oracle(t_i, s2, build_catalog(t2, 1))
+    assert not is_I_projective_oracle(t_i, s2, build_catalog(t2, 2))
+
+
+def test_torsion_simples_fit_the_default_budget():
+    # R/I, not R, is walked: a walk of R would sample at DEFAULT_ENUM_BUDGET
+    # (5**3 is past 81; T3/GF(3), 3**6, is a case of the test above)
+    report = verify_projective_equivalence(*_diagonal_corner(2, 5, 2, 2))
+    assert report.passed and report.flags == []
+
+
+@pytest.mark.parametrize("alg, idem, max_dim", [
+    (upper_triangular_algebra(GF3, 2), 0, 3),
+    (upper_triangular_algebra(GF3, 2), 2, 3),
+    (full_matrix_algebra(GF2, 2), 0, 4),
+    (upper_triangular_algebra(GF2, 3), 5, 3),
+], ids=["T2/GF(3) e11", "T2/GF(3) e22", "M2/GF(2) e11", "T3/GF(2) e33"])
+def test_projective_class_sizes_match_catalog_oracle(alg, idem, max_dim):
+    # where the catalogs hold every middle term that matters, the Ext^1
+    # criterion and the catalog-bounded oracle pick the same members
+    ctx = corner_context(alg, alg.basis_vector(idem))
+    cats = (build_catalog(ctx.R, max_dim), build_catalog(ctx.S, max_dim))
+    report = verify_projective_equivalence(ctx, *cats)
+    notes = [v.note for v in report.verdicts if v.check == "projective class size"]
+    expected = []
+    for tt, cat in zip(context_theories(ctx), cats):
+        full = [x for x in cat if equivalence.ideal_action_image(tt.ideal, x).dim == x.dim]
+        members = [x for x in full if is_I_projective_oracle(tt, x, cat)]
+        expected.append(f"{len(members)} of {len(cat)} qualify")
+    assert notes == expected
 
 
 def test_sampled_dedup_miss_marks_catalog_sampled(t2, monkeypatch):
