@@ -188,25 +188,35 @@ def _budget(args) -> int:
     return args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
 
 
+def _built(builder, alg, max_dim: int, args):
+    """builder (build_catalog or build_graded_catalog) within --budget, sampled past it."""
+    return builder(alg, max_dim, budget=_budget(args), allow_sampling=True, seed=args.seed)
+
+
+def _recipe(ws, args, recipe_name, alg):
+    """The workspace catalog recipe recipe_name when it is for alg and no
+    --max-dim overrides it, else None."""
+    rec = None if args.max_dim is not None else ws.catalogs.get(recipe_name)
+    return rec if rec is not None and ws.algebras[rec.algebra_name] == alg else None
+
+
+def _catalog_dim(ws, args, recipe_name, alg) -> int:
+    """--max-dim, else recipe_name's max_dim when it is for alg, else _DEFAULT_CATALOG_DIM."""
+    rec = _recipe(ws, args, recipe_name, alg)
+    if rec is not None and rec.max_dim is not None:
+        return rec.max_dim
+    return args.max_dim if args.max_dim is not None else _DEFAULT_CATALOG_DIM
+
+
 def _catalog_pair(ws, args, r_alg, s_alg):
-    def build(alg, dim):
-        return build_catalog(alg, dim, budget=_budget(args),
-                             allow_sampling=True, seed=args.seed)
-
-    if args.max_dim is not None:
-        return build(r_alg, args.max_dim), build(s_alg, args.max_dim)
-
-    def from_recipe(recipe_name, alg):
-        rec = ws.catalogs.get(recipe_name)
-        if rec is None or ws.algebras[rec.algebra_name] != alg:
-            return None
-        if rec.module_names is not None:
+    """catR and catS: a recipe's module list, else a catalog built to _catalog_dim."""
+    def catalog(recipe_name, alg):
+        rec = _recipe(ws, args, recipe_name, alg)
+        if rec is not None and rec.module_names is not None:
             return user_catalog(alg, [ws.left_module(n) for n in rec.module_names])
-        return build(alg, rec.max_dim)
+        return _built(build_catalog, alg, _catalog_dim(ws, args, recipe_name, alg), args)
 
-    cat_r = from_recipe("catR", r_alg) or build(r_alg, _DEFAULT_CATALOG_DIM)
-    cat_s = from_recipe("catS", s_alg) or build(s_alg, _DEFAULT_CATALOG_DIM)
-    return cat_r, cat_s
+    return catalog("catR", r_alg), catalog("catS", s_alg)
 
 
 def _cmd_equiv(ws, args):
@@ -257,18 +267,11 @@ def _cmd_iso(ws, args):
 def _cmd_graded_equiv(ws, args):
     _, name = _one_context(ws, args)
     gctx = ws.grading_for_context(name).contexts[name]
-    r_name, s_name = ws.context_names[name][:2]
-    dim_r = dim_s = args.max_dim if args.max_dim is not None else 3
-    if args.max_dim is None:
-        rec_r, rec_s = ws.catalogs.get("catR"), ws.catalogs.get("catS")
-        if rec_r is not None and rec_r.max_dim is not None and rec_r.algebra_name == r_name:
-            dim_r = rec_r.max_dim
-        if rec_s is not None and rec_s.max_dim is not None and rec_s.algebra_name == s_name:
-            dim_s = rec_s.max_dim
-    cat_r = build_graded_catalog(gctx.graded_r, dim_r, budget=_budget(args),
-                                 allow_sampling=True, seed=args.seed)
-    cat_s = build_graded_catalog(gctx.graded_s, dim_s, budget=_budget(args),
-                                 allow_sampling=True, seed=args.seed)
+    # a module-list recipe does not apply to a graded catalog
+    cat_r = _built(build_graded_catalog, gctx.graded_r,
+                   _catalog_dim(ws, args, "catR", gctx.graded_r.base), args)
+    cat_s = _built(build_graded_catalog, gctx.graded_s,
+                   _catalog_dim(ws, args, "catS", gctx.graded_s.base), args)
     return verify_graded_kato_muller(gctx, cat_r, cat_s), []
 
 
@@ -279,9 +282,8 @@ def _cmd_catalog(ws, args):
         alg = next(iter(ws.algebras.values()))
     else:
         raise WorkspaceError("catalog needs --module to pick the algebra", "--module")
-    max_dim = args.max_dim if args.max_dim is not None else 3
-    cat = build_catalog(alg, max_dim, budget=_budget(args),
-                        allow_sampling=True, seed=args.seed)
+    # no recipe is read: the catalog of one algebra is --max-dim or the default
+    cat = _built(build_catalog, alg, _catalog_dim(ws, args, None, alg), args)
     dims = [m.dim for m in cat]
     report = Report("module catalog")
     report.flag_sampled_catalogs(cat)

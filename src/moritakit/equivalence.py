@@ -23,7 +23,7 @@ from .context import (
     rho_map,
     trace_ideals,
 )
-from .exactlin import Basis, Matrix, random_scalar
+from .exactlin import Basis, Matrix, points_fit, random_scalar
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_LATTICE_BUDGET,
@@ -52,7 +52,6 @@ from .torsion import (
 
 DEFAULT_CATALOG_SAMPLES = 64
 DEFAULT_NATURALITY_SAMPLES = 40
-_ORACLE_SAMPLES = 64
 
 
 class Catalog:
@@ -141,35 +140,40 @@ def _module_sort_key(m: LeftModule):
     return (m.dim, tuple(tuple(tuple(row) for row in a.entries) for a in m.action))
 
 
-def _keep_new_class(buckets: dict, key, mod, is_iso) -> tuple:
-    """Keep mod unless it is isomorphic to a kept module with the same
-    invariant key; only those are searched, since a different key is
-    already a proof of non-isomorphism.  The first module of a class stays
-    its representative.
+class _ClassLedger:
+    """One representative per isomorphism class, the first of each, in the
+    order kept.  A candidate is searched only against kept modules with its
+    invariant key, since a different key proves non-isomorphism.  proven
+    turns False when a module is kept although a search against its bucket
+    sampled and missed, which proves nothing."""
 
-    Returns (match, proven): match is the kept module mod is isomorphic
-    to, or None when mod was kept; proven is False when mod was kept
-    although a search against its bucket sampled and missed, which proves
-    nothing."""
-    bucket = buckets.setdefault(key, [])
-    proven = True
-    for r in bucket:
-        res = is_iso(r, mod)
-        if res.found:
-            return r, True
-        proven = proven and res.exhaustive
-    bucket.append(mod)
-    return None, proven
+    __slots__ = ("reps", "proven", "_buckets", "_is_iso")
 
+    def __init__(self, is_iso):
+        self.reps = []
+        self.proven = True
+        self._buckets = {}
+        self._is_iso = is_iso
 
-def _dedup_provenance(provenance: str, proven: bool) -> str:
-    """provenance, marked sampled when a kept class rests on a sampled iso
-    miss (searches run from seed 0)."""
-    if proven:
-        return provenance
-    if provenance.startswith("sampled("):
-        return provenance[:-1] + "; iso dedup seed=0)"
-    return "sampled(iso dedup seed=0)"
+    def add(self, key, mod) -> None:
+        bucket = self._buckets.setdefault(key, [])
+        proven = True
+        for r in bucket:
+            res = self._is_iso(r, mod)
+            if res.found:
+                return
+            proven = proven and res.exhaustive
+        bucket.append(mod)
+        self.reps.append(mod)
+        self.proven = self.proven and proven
+
+    def catalog(self, algebra, provenance: str, sort_key) -> Catalog:
+        """The representatives sorted by sort_key; provenance is marked sampled
+        when a kept class rests on a sampled iso miss (searches from seed 0)."""
+        if not self.proven:
+            provenance = (provenance[:-1] + "; iso dedup seed=0)" if provenance.startswith("sampled(")
+                          else "sampled(iso dedup seed=0)")
+        return Catalog(algebra, tuple(sorted(self.reps, key=sort_key)), provenance)
 
 
 def build_catalog(algebra: Algebra, max_dim: int,
@@ -196,34 +200,28 @@ def build_catalog(algebra: Algebra, max_dim: int,
     both give isomorphic middle terms, so the zero class and one point per
     line of a complement of B^1 in Z^1 cover M.
 
-    Deduplication searches for an isomorphism only between modules with
-    equal iso_invariant keys (dim, rank of each basis action, dim End).
-    Every entry of the key is preserved by N = P M P^-1 over the fixed
-    algebra basis, so a different key proves non-isomorphism, and the
-    catalog is exactly what comparing against every kept module gives.  The
-    first candidate of each class stays its representative, and the
-    representatives are sorted by (dim, action matrices).
+    Deduplication is a _ClassLedger keyed by iso_invariant (dim, rank of
+    each basis action, dim End).  Every entry of the key is preserved by
+    N = P M P^-1 over the fixed algebra basis, so a different key proves
+    non-isomorphism, and the catalog is exactly what comparing against
+    every kept module gives.  The representatives are sorted by (dim,
+    action matrices).
 
-    budget bounds p**dim R for the submodule walks, and p**e for each
-    Ext^1 space of dim e.  Past it, or over Q, with allow_sampling the walk
-    takes sample_submodules and an Ext space DEFAULT_CATALOG_SAMPLES
-    seeded classes, and the catalog is sampled(seed=...); without it
-    BudgetExceeded is raised.  A class kept after a sampled iso search
-    missed also marks the catalog sampled.
+    The submodules of a module, or the points of an Ext^1 space, are
+    walked when its points fit the budget (exactlin.points_fit).  Past it,
+    with allow_sampling the walk takes sample_submodules and an Ext space
+    DEFAULT_CATALOG_SAMPLES seeded classes, and the catalog is
+    sampled(seed=...); without it BudgetExceeded is raised.  A class kept
+    after a sampled iso search missed also marks the catalog sampled.
     """
     field = algebra.field
     samples = DEFAULT_CATALOG_SAMPLES if allow_sampling else None
     rng = random.Random(seed)
-    reps = []
-    buckets = {}
-    proven = exact = True
+    ledger = _ClassLedger(is_isomorphic)
+    exact = True
 
     def add(mod: LeftModule) -> None:
-        nonlocal proven
-        match, miss_proven = _keep_new_class(buckets, iso_invariant(mod), mod, is_isomorphic)
-        if match is None:
-            reps.append(mod)
-            proven = proven and miss_proven
+        ledger.add(iso_invariant(mod), mod)
 
     def supply(mod: LeftModule) -> list:
         nonlocal exact
@@ -233,7 +231,7 @@ def build_catalog(algebra: Algebra, max_dim: int,
 
     def classes(e: int):
         nonlocal exact
-        if field.is_prime_field and field.p ** e <= budget:
+        if points_fit(field, e, budget):
             return _projective_points(field, e)
         if samples is None:
             raise BudgetExceeded(f"an Ext space of dim {e} exceeds catalog budget {budget}")
@@ -245,8 +243,8 @@ def build_catalog(algebra: Algebra, max_dim: int,
     for sub in supply(reg):
         if reg.dim - sub.dim <= max_dim:
             add(sub.quotient()[0])
-    simples = [(j, s) for j, s in enumerate(reps) if s.dim > 0 and len(supply(s)) == 2]
-    for i, t in enumerate(reps):  # reps grows while it is walked
+    simples = [(j, s) for j, s in enumerate(ledger.reps) if s.dim > 0 and len(supply(s)) == 2]
+    for i, t in enumerate(ledger.reps):  # reps grows while it is walked
         for j, s in simples:
             if t.dim == 0 or s.dim + t.dim > max_dim:
                 continue
@@ -255,9 +253,8 @@ def build_catalog(algebra: Algebra, max_dim: int,
             for coeffs in classes(ext.dim):
                 add(middle_term(s, t, ext.from_coords(coeffs)))
 
-    reps.sort(key=_module_sort_key)
     provenance = f"exhaustive-up-to-dim({max_dim})" if exact else f"sampled(seed={seed})"
-    return Catalog(algebra, tuple(reps), _dedup_provenance(provenance, proven))
+    return ledger.catalog(algebra, provenance, _module_sort_key)
 
 
 def user_catalog(algebra: Algebra, modules) -> Catalog:
@@ -423,8 +420,8 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
     """Does every map from p_mod lift along quotients with ideal-killed
     kernels?  For each catalog module X and submodule K killed by the
     generating ideal, Hom(p_mod, X) -> Hom(p_mod, X/K) must be onto.  The K
-    are enumerated up to DEFAULT_ENUM_BUDGET, else _ORACLE_SAMPLES from
-    seed 0.  Hom(P, -) is left exact, so the map is onto exactly when its
+    are enumerated up to DEFAULT_ENUM_BUDGET, else DEFAULT_CATALOG_SAMPLES
+    from seed 0.  Hom(P, -) is left exact, so the map is onto exactly when its
     kernel Hom(P, K) = Hom(P/IP, K) (a map into K, which I kills, kills IP)
     has dim Hom(P, X) - dim Hom(P, X/K).  The catalog-bounded reference for
     verify_projective_equivalence's Ext^1 criterion."""
@@ -436,7 +433,7 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
         if x.algebra != tt.algebra:
             raise ValueError("catalog module over the wrong algebra")
         ann = annihilator(x, tt.ideal.basis.vectors)
-        subs, complete = submodule_supply(ann.as_module(), DEFAULT_ENUM_BUDGET, _ORACLE_SAMPLES, 0)
+        subs, complete = submodule_supply(ann.as_module(), DEFAULT_ENUM_BUDGET, DEFAULT_CATALOG_SAMPLES, 0)
         exhaustive = exhaustive and complete
         hom_px = hom_space(p_mod, x).dim
         for sub in subs:
@@ -450,14 +447,15 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
 def _torsion_simples(tt: TorsionTheory, budget: int) -> tuple:
     """(simples, exhaustive): one simple module killed by the ideal I per
     isomorphism class.  A simple S with IS = 0 is a simple quotient of R/I;
-    the submodules of R/I are walked within budget, else _ORACLE_SAMPLES
-    from seed 0, and a quotient is simple when it has two submodules."""
+    the submodules of R/I (0 over any field when I = R) are walked within
+    budget, else DEFAULT_CATALOG_SAMPLES from seed 0, and a quotient is
+    simple when it has two submodules."""
     r_mod_i = quotient_module(regular_module(tt.algebra), tt.ideal.basis)[0]
-    subs, exhaustive = submodule_supply(r_mod_i, budget, _ORACLE_SAMPLES, 0)
+    subs, exhaustive = submodule_supply(r_mod_i, budget, DEFAULT_CATALOG_SAMPLES, 0)
     simples = []
     for sub in subs:
         s = sub.quotient()[0]
-        s_subs, complete = submodule_supply(s, budget, _ORACLE_SAMPLES, 0)
+        s_subs, complete = submodule_supply(s, budget, DEFAULT_CATALOG_SAMPLES, 0)
         exhaustive = exhaustive and complete
         if len(s_subs) == 2 and not any(is_isomorphic(t, s).found for t in simples):
             simples.append(s)

@@ -153,19 +153,25 @@ def random_scalar(field: Field, rng) -> Scalar:
     return field.of_int(rng.randint(-3, 3))
 
 
+def points_fit(field: Field, d: int, budget: int) -> bool:
+    """Whether field^d has at most budget points: p**d over GF(p); over Q
+    one for d = 0, else infinitely many.  So budget 0 always samples."""
+    return field.p ** d <= budget if field.is_prime_field else (d == 0 and budget >= 1)
+
+
 def invertible_search(field: Field, maps: Sequence[Matrix], accept: Callable, exhaust: int,
                       samples: int, rng, base: Optional[Matrix] = None) -> tuple:
     """(hit, exhaustive): the first hit of accept(c, matrix) over the
     tuples c whose member base + sum c_i maps[i] (base None: zero) of n x n
     matrices is invertible, or None; accept() sees only invertible members.
 
-    Over GF(p) with p**len(maps) <= exhaust, _invertible_walk offers every
-    such tuple in lexicographic order, so a miss is a proof; otherwise
+    When points_fit(field, len(maps), exhaust), _invertible_walk offers
+    every such tuple in lexicographic order, so a miss is a proof; otherwise
     `samples` draws of random_scalar from the caller's rng are offered, and
     a miss proves nothing.  Each member is formed once, zero coefficients
     skipped.
     """
-    exhaustive = field.is_prime_field and field.p ** len(maps) <= exhaust
+    exhaustive = points_fit(field, len(maps), exhaust)
     members = (_invertible_walk(field, maps, base) if exhaustive
                else _invertible_draws(field, maps, base, samples, rng))
     for coeffs, total in members:

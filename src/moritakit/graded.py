@@ -20,8 +20,7 @@ from .context import MoritaContext, _corner, raw_pairing, reverse_context
 from .equivalence import (
     Catalog,
     Report,
-    _dedup_provenance,
-    _keep_new_class,
+    _ClassLedger,
     build_catalog,
     record_trace_ideals,
 )
@@ -332,8 +331,10 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          allow_sampling: bool = False,
                          seed: int = 0) -> Catalog:
     """Every valid grading of every base isomorphism class, deduplicated
-    by graded isomorphism.  A sampled base catalog, or a class kept after
-    a sampled graded iso search missed, taints the provenance.
+    by graded isomorphism in a _ClassLedger.  The base catalog, and so
+    every walk behind it, is build_catalog's under the same budget,
+    sampling and seed.  A sampled base catalog, or a class kept after a
+    sampled graded iso search missed, taints the provenance.
 
     A graded isomorphism is an isomorphism of the base modules, and the
     base representatives are pairwise non-isomorphic, so candidates are
@@ -342,22 +343,15 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
     base_cat = build_catalog(galg.base, max_dim, budget=budget,
                              allow_sampling=allow_sampling, seed=seed)
     order = galg.group.order
-    reps = []
-    buckets = {}
-    proven = True
+    ledger = _ClassLedger(is_graded_isomorphic)
     for index, mod in enumerate(base_cat):
         for assignment in itertools.product(range(order), repeat=mod.dim):
             try:
                 cand = GradedModule(galg, mod, assignment)
             except ValueError:
                 continue
-            key = (index, cand.component_dims())
-            match, exact = _keep_new_class(buckets, key, cand, is_graded_isomorphic)
-            if match is None:
-                reps.append(cand)
-                proven = proven and exact
-    reps.sort(key=lambda g: (g.dim, g.degrees))
-    return Catalog(galg, tuple(reps), _dedup_provenance(base_cat.provenance, proven))
+            ledger.add((index, cand.component_dims()), cand)
+    return ledger.catalog(galg, base_cat.provenance, lambda g: (g.dim, g.degrees))
 
 
 def check_bimodule_degrees(bim: Bimodule, graded_left: GradedAlgebra,

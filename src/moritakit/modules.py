@@ -30,6 +30,7 @@ from .exactlin import (
     closure,
     invertible_search,
     kernel_basis,
+    points_fit,
     quotient_structure,
     random_scalar,
     rank,
@@ -493,8 +494,8 @@ def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
 
 
 def _projective_points(field, n: int):
-    """One nonzero vector of field^n per line: first nonzero coordinate 1."""
-    scalars = [field.of_int(t) for t in range(field.p)]
+    """One nonzero vector of field^n per line, none for n = 0: first nonzero coordinate 1."""
+    scalars = [field.of_int(t) for t in range(field.p)] if n else []
     for lead in range(n):
         head = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(scalars, repeat=n - lead - 1):
@@ -512,14 +513,12 @@ def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> li
     0 to X.
 
     Cost: one span per projective point, (p**dim - 1)/(p - 1) of them,
-    then one span per (submodule L, projective point of m/L).  Requires a
-    prime field and p**dim within budget; raises BudgetExceeded otherwise.
+    then one span per (submodule L, projective point of m/L).  Requires
+    points_fit(field, dim, budget) (over Q, dim 0); raises BudgetExceeded otherwise.
     """
     field = m.algebra.field
-    if not field.is_prime_field:
-        raise BudgetExceeded("submodule enumeration needs a finite field")
-    if field.p ** m.dim > budget:
-        raise BudgetExceeded(f"{field.p}**{m.dim} exceeds submodule budget {budget}")
+    if not points_fit(field, m.dim, budget):
+        raise BudgetExceeded(f"{field!r}^{m.dim} exceeds submodule budget {budget}")
     # the closures, grouped by their points' support bitmasks
     by_support = {}
     for v in _projective_points(field, m.dim):

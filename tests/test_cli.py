@@ -343,6 +343,34 @@ def test_catalog_recipe_with_listed_modules(capsys, tmp_path):
     assert summary["flags"] == ["sampled catalog: user-supplied"]
 
 
+def test_catalog_recipe_with_no_modules_is_an_empty_catalog(capsys, tmp_path):
+    # an empty list is still the recipe's catalog, not a cue to build one
+    path = _t2_with_catalog_recipe(tmp_path, [])
+    code, out, _ = run(capsys, "equiv", path, "--context", "t2corner", "--format", "machine")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["verdict_count"] == 10
+    assert summary["flags"] == ["sampled catalog: user-supplied"]
+
+
+def test_graded_equiv_reads_the_max_dim_recipes(capsys, tmp_path):
+    # t2_corner's catR and catS recipes both bound at 3, and --max-dim
+    # overrides them; a module-list recipe does not apply to a graded
+    # catalog, so catR falls back to the default bound 3 next to catS's 1
+    path = _t2_with_catalog_recipe(tmp_path, ["S1", "S2", "T2reg"])
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["catalogs"]["catS"]["max_dim"] = 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for argv, count in (([T2], 167), ([T2, "--max-dim", "2"], 71), ([path], 146)):
+        code, out, _ = run(capsys, "graded-equiv", *argv, "--context", "t2corner",
+                           "--format", "machine")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert (summary["verdict_count"], summary["flags"]) == (count, [])
+
+
 def test_catalog_recipe_with_unknown_module_is_input_error(capsys, tmp_path):
     path = _t2_with_catalog_recipe(tmp_path, ["S1", "ghost"])
     code, out, err = run(capsys, "equiv", path, "--context", "t2corner")

@@ -377,9 +377,9 @@ def test_report_failures_listing(t2_corner, cat_t2, cat_corner_s):
     assert all(not v.passed for v in report.failures())
 
 
-def test_projective_verifier_builds_each_lift_target_once(t2, t2_corner, monkeypatch):
-    # the lift targets (annihilator submodules and their quotients) do not
-    # depend on the candidate projective, so each side's are built once
+def test_projective_verifier_walks_only_r_mod_i(t2, t2_corner, monkeypatch):
+    # one walk of R/I and one per quotient on each side, whatever the
+    # catalogs: R/I = S1 has two submodules, and on the S side R/J = 0 has one
     cat_r = build_catalog(t2, 4)
     cat_s = build_catalog(t2_corner.S, 4)
     calls = []
@@ -391,8 +391,7 @@ def test_projective_verifier_builds_each_lift_target_once(t2, t2_corner, monkeyp
 
     monkeypatch.setattr(equivalence, "submodule_supply", counted)
     report = verify_projective_equivalence(t2_corner, cat_r, cat_s)
-    assert 0 < len(calls) <= len(cat_r) + len(cat_s)
-    # the shared targets give the public oracle's verdicts
+    assert len(calls) == 5
     t_i, _ = context_theories(t2_corner)
     members = [i for i, p in enumerate(cat_r)
                if equivalence.ideal_action_image(t_i.ideal, p).basis.dim == p.dim
@@ -478,6 +477,18 @@ def test_torsion_simples_fit_the_default_budget():
     # (5**3 is past 81; T3/GF(3), 3**6, is a case of the test above)
     report = verify_projective_equivalence(*_diagonal_corner(2, 5, 2, 2))
     assert report.passed and report.flags == []
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["M2(Q)", "M3(Q)"])
+def test_projective_verifier_walks_a_zero_r_mod_i_exactly_over_q(n):
+    # I = R at e11, so R/I = 0, whose one submodule needs no sampling
+    alg = full_matrix_algebra(Field.rationals(), n)
+    ctx = corner_context(alg, alg.basis_vector(0))
+    s = regular_module(ctx.S)
+    report = verify_projective_equivalence(ctx, user_catalog(ctx.R, [regular_module(ctx.R)]),
+                                           user_catalog(ctx.S, [s, direct_sum(s, s)]))
+    assert report.passed
+    assert report.flags == ["sampled catalog: user-supplied"]
 
 
 @pytest.mark.parametrize("alg, idem, max_dim", [

@@ -15,6 +15,7 @@ from moritakit.exactlin import (
     invertible_combinations,
     invertible_search,
     kernel_basis,
+    points_fit,
     quotient_structure,
     rank,
     rref,
@@ -286,6 +287,15 @@ def test_invertible_combinations_reach_the_last_tuple(d):
     # their full sum, the identity, is invertible
     units = [Matrix(GF2, [[int(r == c == i) for c in range(d)] for r in range(d)]) for i in range(d)]
     assert list(invertible_combinations(GF2, units)) == [(1,) * d]
+
+
+def test_points_fit_counts_the_points_of_the_space():
+    gf2 = Field.gf(2)
+    assert points_fit(gf2, 3, 8) and not points_fit(gf2, 3, 7)
+    # k^0 is one point over every field, and Q^d for d > 0 is infinite
+    assert points_fit(QQ, 0, 1) and not points_fit(QQ, 1, 10 ** 9)
+    # so budget 0 fits no space at all
+    assert not points_fit(gf2, 0, 0) and not points_fit(QQ, 0, 0)
 
 
 def test_invertible_search_miss_is_a_proof():

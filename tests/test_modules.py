@@ -10,6 +10,7 @@ from moritakit.algebra import full_matrix_algebra, two_sided_ideal_closure, uppe
 from moritakit.context import corner_context
 from moritakit.equivalence import build_catalog
 from moritakit.modules import (
+    DEFAULT_LATTICE_BUDGET,
     BudgetExceeded,
     Bimodule,
     LeftModule,
@@ -366,3 +367,11 @@ def test_bounded_supply_is_the_lattice_cut_at_each_codimension():
         sampled, exhaustive = submodule_supply(mod, 0, 8, 0)
         assert not exhaustive
         assert [s.basis for s in sampled] == [s.basis for s in sample_submodules(mod, 8, 0)]
+
+
+def test_zero_module_over_q_is_walked_exactly():
+    # Q^0 has one point, so its walk fits the budget and proves its one submodule
+    reg = regular_module(upper_triangular_algebra(QQ, 2))
+    zero = quotient_module(reg, Basis.full(QQ, reg.dim))[0]
+    subs, exhaustive = submodule_supply(zero, DEFAULT_LATTICE_BUDGET, 8, 0)
+    assert exhaustive and len(subs) == 1
