@@ -253,9 +253,7 @@ def _cmd_iso(ws, args):
     (first, first_name), (second, second_name) = pairs
     res = contexts_isomorphic(first, second, seed=args.seed)
     report = Report("context isomorphism search")
-    witness = None
-    if res.found:
-        witness = {"u": res.u, "v": res.v}
+    witness = dict(zip(("u", "v"), res.map_)) if res.found else None
     note = "exhaustive search" if res.exhaustive else f"sampled search (seed {args.seed})"
     if not res.exhaustive:
         report.flag(f"sampled iso search (seed {args.seed})")

@@ -33,6 +33,7 @@ from .modules import (
     DEFAULT_ISO_SAMPLES,
     Bimodule,
     HomBasis,
+    IsoResult,
     LeftModule,
     TensorProduct,
     _intertwiners,
@@ -363,26 +364,10 @@ def bimodule_hom_space(a: Bimodule, b: Bimodule) -> HomBasis:
     return HomBasis(a.left_module(), b.left_module(), basis)
 
 
-class ContextIsoResult:
-    __slots__ = ("u", "v", "exhaustive")
-
-    def __init__(self, u: Optional[Matrix], v: Optional[Matrix], exhaustive: bool):
-        self.u = u
-        self.v = v
-        self.exhaustive = exhaustive
-
-    @property
-    def found(self) -> bool:
-        return self.u is not None
-
-    @property
-    def proven_none(self) -> bool:
-        return self.u is None and self.exhaustive
-
-
-def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> ContextIsoResult:
+def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> IsoResult:
     """Search for bimodule isos u: M1 -> M2, v: N1 -> N2 carrying one
     pairing pair to the other: phi2 (u (x) v) = phi1, psi2 (v (x) u) = psi1.
+    A hit is an IsoResult whose map_ is the pair (u, v).
 
     Unequal trace ideals (isomorphism invariants) or dims, or a zero
     bimodule Hom, are an immediate proven 'none'.  invertible_search offers
@@ -396,17 +381,17 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
     i1, j1 = trace_ideals(c1)
     i2, j2 = trace_ideals(c2)
     if i1.basis != i2.basis or j1.basis != j2.basis:
-        return ContextIsoResult(None, None, True)
+        return IsoResult(None, True)
     if c1.M.dim != c2.M.dim or c1.N.dim != c2.N.dim:
-        return ContextIsoResult(None, None, True)
+        return IsoResult(None, True)
     f = c1.R.field
     hom_u = bimodule_hom_space(c1.M, c2.M)
     hom_v = bimodule_hom_space(c1.N, c2.N)
     if hom_u.dim == 0 or hom_v.dim == 0:
         if c1.M.dim == 0 and c1.N.dim == 0:
             zero = Matrix.zeros(f, 0, 0)
-            return ContextIsoResult(zero, zero, True)
-        return ContextIsoResult(None, None, True)
+            return IsoResult((zero, zero), True)
+        return IsoResult(None, True)
 
     rng = random.Random(seed)
     v_exhaustive = True
@@ -442,5 +427,5 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
                                         DEFAULT_ISO_SAMPLES, rng)
     if hit is None:
         # a miss is a proof only when every search behind it was exhaustive
-        return ContextIsoResult(None, None, exhaustive and v_exhaustive)
-    return ContextIsoResult(hit[0], hit[1], exhaustive)
+        return IsoResult(None, exhaustive and v_exhaustive)
+    return IsoResult(hit, exhaustive)

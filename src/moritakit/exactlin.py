@@ -166,10 +166,10 @@ def invertible_search(field: Field, maps: Sequence[Matrix], accept: Callable, ex
     matrices is invertible, or None; accept() sees only invertible members.
 
     When points_fit(field, len(maps), exhaust), _invertible_walk offers
-    every such tuple in lexicographic order, so a miss is a proof; otherwise
-    `samples` draws of random_scalar from the caller's rng are offered, and
-    a miss proves nothing.  Each member is formed once, zero coefficients
-    skipped.
+    every such tuple in lexicographic order, pruned on one kernel chain, so
+    a miss is a proof; otherwise `samples` draws of random_scalar from the
+    caller's rng are offered, and a miss proves nothing.  Each member is
+    formed once, zero coefficients skipped.
     """
     exhaustive = points_fit(field, len(maps), exhaust)
     members = (_invertible_walk(field, maps, base) if exhaustive
@@ -209,35 +209,28 @@ def _invertible_walk(field: Field, maps: Sequence[Matrix], base: Optional[Matrix
     A depth-first walk over the coordinates.  At depth j with partial sum
     P, every completion is P + Q, Q in the span of maps[j:], and agrees
     with P on K_j, the common kernel of maps[j:].  So when P is not
-    injective on K_j, or P^T on the common kernel of the transposes, the
-    whole subtree is singular and is skipped.  K_j grows with j, and at a
-    leaf it is the whole space, where the same test is invertibility.
+    injective on K_j the whole subtree is singular and is skipped.  K_j
+    grows with j, and at a leaf it is the whole space, where the same test
+    is invertibility: one kernel chain decides every member.
     """
     k, p, n = len(maps), field.p, maps[0].rows
     mats = [m.entries for m in maps]
-    right = _common_kernels(field, mats, n)
-    left = _common_kernels(field, [m.transpose().entries for m in maps], n)
+    kernels = _common_kernels(field, mats, n)
     root = ((0,) * n,) * n if base is None else base.entries
-    # the root's P is the base; a zero base passes exactly when both common
-    # kernels are 0, which needs no elimination
-    if (right[0] or left[0]) if base is None else not (
-            _injective_on(field, root, right[0]) and _injective_on(field, tuple(zip(*root)), left[0])):
+    # the root's P is the base; a zero one passes exactly when K_0 is 0
+    if kernels[0] if base is None else not _injective_on(field, root, kernels[0]):
         return
 
     def walk(j, total, prefix):
-        # invariant: total is injective on right[j], total^T on left[j]
+        # invariant: total is injective on kernels[j]
         if j == k:
             yield prefix, total
             return
         h = mats[j]
         for c in range(p):
             nxt = total if c == 0 else _plus_multiple(p, total, c, h)
-            # where a kernel did not grow, total's test carries over; at a
-            # leaf the right test alone decides invertibility
-            if len(right[j + 1]) > len(right[j]) and not _injective_on(field, nxt, right[j + 1]):
-                continue
-            if j + 1 < k and len(left[j + 1]) > len(left[j]) and not _injective_on(
-                    field, tuple(zip(*nxt)), left[j + 1]):
+            # where the kernel did not grow, total's test carries over
+            if len(kernels[j + 1]) > len(kernels[j]) and not _injective_on(field, nxt, kernels[j + 1]):
                 continue
             yield from walk(j + 1, nxt, prefix + (c,))
 

@@ -357,11 +357,13 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
 def check_bimodule_degrees(bim: Bimodule, graded_left: GradedAlgebra,
                            graded_right: GradedAlgebra, degs: Sequence[int], name: str) -> None:
     """Raise ValueError, naming the bimodule `name`, unless degs grade bim:
-    one degree per basis vector, and each basis element of degree g of the
-    left (right) algebra sends degree d to g.d (d.g)."""
+    one degree per basis vector in range, and each basis element of degree
+    g of the left (right) algebra sends degree d to g.d (d.g)."""
     group = graded_left.group
     if len(degs) != bim.dim:
         raise ValueError(f"{name}: one degree per basis vector is required")
+    if any(not 0 <= d < group.order for d in degs):
+        raise ValueError(f"{name}: degree index out of range")
     for i, act in enumerate(bim.left_action):
         j = _stray_column(act, [group.mul(graded_left.degrees[i], d) for d in degs], degs)
         if j is not None:

@@ -183,8 +183,6 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 def direct_sum(a: LeftModule, b: LeftModule) -> LeftModule:
     """a + b, block diagonal actions: the split extension middle_term(a, b, 0)."""
-    if a.algebra != b.algebra:
-        raise ValueError("direct sum over different algebras")
     return middle_term(a, b, (a.algebra.field.zero,) * (a.algebra.dim * a.dim * b.dim))
 
 
@@ -248,6 +246,8 @@ def annihilator(m: LeftModule, vectors: Sequence[Sequence]) -> Submodule:
 
 def ideal_action_image(ideal: Ideal, m: LeftModule) -> Submodule:
     """The submodule I.M spanned by a.x for a in the ideal, x in M."""
+    if ideal.algebra != m.algebra:
+        raise ValueError("ideal and module over different algebras")
     vecs = [col for v in ideal.basis.vectors for col in m.action_of(v).columns()]
     return Submodule(m, Basis.span(m.algebra.field, m.dim, vecs))
 
@@ -589,6 +589,8 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     coordinate a*block + r*t + c.  Each f in Z^1 is reduced by B^1's RREF,
     so the span is a complement.  f and f + inner give isomorphic middle
     terms (middle_term), and the zero class gives S + T (direct_sum)."""
+    if s.algebra != t.algebra:
+        raise ValueError("extension between modules over different algebras")
     alg = s.algebra
     f = alg.field
     td = t.dim
@@ -617,6 +619,8 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
 def middle_term(s: LeftModule, t: LeftModule, cocycle: Sequence) -> LeftModule:
     """The extension of T by S that a derivation of extension_space gives:
     k^s + k^t with a acting as [[rho_S(a), f(a)], [0, rho_T(a)]]."""
+    if s.algebra != t.algebra:
+        raise ValueError("extension of modules over different algebras")
     f = s.algebra.field
     block = s.dim * t.dim
     pad = (f.zero,) * s.dim
@@ -631,13 +635,14 @@ def middle_term(s: LeftModule, t: LeftModule, cocycle: Sequence) -> LeftModule:
 class IsoResult:
     """Outcome of an isomorphism search.
 
-    map_ is an invertible intertwiner when found.  When map_ is None,
-    exhaustive distinguishes a proved 'none' from a sampled 'not found'.
+    map_ is the witness when found: an invertible intertwiner, or the pair
+    (u, v) of a context isomorphism.  When map_ is None, exhaustive
+    distinguishes a proved 'none' from a sampled 'not found'.
     """
 
     __slots__ = ("map_", "exhaustive")
 
-    def __init__(self, map_: Optional[Matrix], exhaustive: bool):
+    def __init__(self, map_: Union[Matrix, tuple, None], exhaustive: bool):
         self.map_ = map_
         self.exhaustive = exhaustive
 

@@ -57,6 +57,8 @@ class TorsionTheory:
 
     @classmethod
     def from_ideal(cls, algebra: Algebra, ideal: Ideal) -> "TorsionTheory":
+        if ideal.algebra != algebra:
+            raise ValueError("ideal over a different algebra")
         stable, exponent = stabilize_ideal(algebra, ideal)
         theory = cls(algebra, ideal, stable, exponent)
         # the stabilization must be idempotent or nothing downstream holds

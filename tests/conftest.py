@@ -1,7 +1,7 @@
 import pytest
 
 from moritakit.exactlin import Basis, Field, Matrix
-from moritakit.algebra import full_matrix_algebra, upper_triangular_algebra
+from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
 from moritakit.modules import LeftModule, Submodule, regular_module
 
 GF2 = Field.gf(2)
@@ -17,6 +17,14 @@ def t2():
 def m2():
     """Full 2x2 matrix algebra over GF(2); basis order (e11, e12, e21, e22)."""
     return full_matrix_algebra(GF2, 2)
+
+
+@pytest.fixture(scope="session")
+def kkk():
+    """k x k x k over GF(2), three orthogonal idempotents: T2's dimension,
+    so only an algebra check tells the two apart."""
+    e = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    return Algebra(GF2, 3, [[e[i] if i == j else (0, 0, 0) for j in range(3)] for i in range(3)], (1, 1, 1))
 
 
 def scalar_module(algebra, weights):

@@ -8,6 +8,7 @@ import pytest
 
 from moritakit.cli import main
 from moritakit.exactlin import Basis
+from moritakit.workspace import builtin_workspaces
 
 WORKSPACE_DIR = os.path.join(os.path.dirname(__file__), "..", "workspaces")
 T2 = os.path.join(WORKSPACE_DIR, "t2_corner.json")
@@ -139,6 +140,37 @@ def test_iso_reflexive(capsys):
     code, out, _ = run(capsys, "iso", T2, "--context", "t2corner", "--context", "t2corner")
     assert code == 0
     assert "isomorphic: true" in out
+
+
+def test_iso_over_the_rationals_is_a_flagged_sampled_search(capsys, tmp_path):
+    # over Q no walk is exhaustive, so the hit is a sampled one; under
+    # --strict-sampling the verdicts stay and the run fails
+    doc = builtin_workspaces()["identity.json"]
+    doc["field"] = {"kind": "rationals"}
+    path = tmp_path / "identity_q.json"
+    path.write_text(json.dumps(doc))
+    argv = ["iso", str(path), "--context", "identity", "--context", "identity", "--format", "machine"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    relaxed = json.loads(out)
+    assert relaxed["summary"]["flags"] == ["sampled iso search (seed 0)"]
+    assert [v["note"] for v in relaxed["verdicts"]] == ["sampled search (seed 0)"]
+    assert relaxed["verdicts"][0]["pass"] is True
+    code, out, _ = run(capsys, *argv, "--strict-sampling")
+    assert code == 1
+    assert json.loads(out)["verdicts"] == relaxed["verdicts"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["equiv", T2, "--context", "t2corner", "--context", "t2corner"], "exactly one --context"),
+    (["iso", T2, "--context", "t2corner"], "exactly two --context"),
+    (["torsion", T2, "--module", "T2reg", "--ideal", "J"], "live over different algebras"),
+    (["catalog", T2], "catalog needs --module"),
+], ids=["equiv-two-contexts", "iso-one-context", "torsion-foreign-ideal", "catalog-no-module"])
+def test_mismatched_arguments_are_input_errors(capsys, argv, text):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert text in err
 
 
 def test_catalog_command(capsys):

@@ -751,6 +751,25 @@ def test_catalog_iso_sweep_tests_few_maps(monkeypatch):
     assert 0 < len(tested) <= 194
 
 
+def test_catalog_iso_sweep_builds_one_kernel_chain_per_search(monkeypatch):
+    # the walk prunes on the common kernels of the maps only
+    walks, chains = [], []
+    real_walk, real_kernels = exactlin._invertible_walk, exactlin._common_kernels
+
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    def kernels(*args):
+        chains.append(args)
+        return real_kernels(*args)
+
+    monkeypatch.setattr(exactlin, "_invertible_walk", walk)
+    monkeypatch.setattr(exactlin, "_common_kernels", kernels)
+    build_catalog(_radical_square_zero(GF2, 2), 4)
+    assert walks and len(chains) == len(walks)
+
+
 def test_strict_verifier_names_the_s_side(t2_corner, cat_t2, cat_corner_s):
     # reversed, the corner's proper trace ideal lies in S; a zero pairing
     # fails both sides, and each is recorded

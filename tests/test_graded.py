@@ -352,6 +352,13 @@ def test_graded_context_rejects_wrong_pairing_degrees(gt2):
         GradedContext(ctx, gt2, gs, (0, 0), (0,))
 
 
+def test_graded_context_rejects_out_of_range_degrees(gt2):
+    ctx = corner_context(gt2.base, E22)
+    gs = GradedAlgebra(ctx.S, gt2.group, (0,))
+    with pytest.raises(ValueError, match="M: degree index out of range"):
+        GradedContext(ctx, gt2, gs, (1, 5), (0,))
+
+
 def test_graded_context_rejects_wrong_n_degrees(c2):
     # checkerboard M2 at e11: N = span{e11, e12} needs degrees (0, 1), since
     # the right action of e12 moves e11 to e12; M's degrees stay right

@@ -23,6 +23,7 @@ from moritakit.modules import (
     hom_space,
     ideal_action_image,
     is_isomorphic,
+    middle_term,
     quotient_module,
     regular_bimodule,
     regular_module,
@@ -239,6 +240,23 @@ def test_ideal_action_image(t2, t2_regular):
     ideal = two_sided_ideal_closure(t2, [E22])
     image = ideal_action_image(ideal, t2_regular)
     assert image.basis == Basis.span(GF2, 3, [E12, E22])
+
+
+def test_extension_space_rejects_modules_over_different_algebras(s1, kkk):
+    with pytest.raises(ValueError, match="over different algebras"):
+        extension_space(s1, regular_module(kkk))
+
+
+def test_middle_term_rejects_modules_over_different_algebras(s1, kkk):
+    other = regular_module(kkk)
+    with pytest.raises(ValueError, match="over different algebras"):
+        middle_term(s1, other, (0,) * (3 * other.dim))
+
+
+def test_ideal_action_image_rejects_a_module_over_another_algebra(t2, kkk):
+    ideal = two_sided_ideal_closure(t2, [E22])
+    with pytest.raises(ValueError, match="over different algebras"):
+        ideal_action_image(ideal, regular_module(kkk))
 
 
 def test_submodule_stability_enforced(t2_regular):

@@ -78,6 +78,13 @@ def test_nilpotent_ideal_stabilizes_to_zero(t2):
     assert tt.exponent == 2
 
 
+def test_from_ideal_rejects_an_ideal_of_another_algebra(t2, kkk):
+    # T2's corner trace ideal is an ideal of k x k x k's space too, but not
+    # one of its ideals; the stabilization must not be reached
+    with pytest.raises(ValueError, match="different algebra"):
+        TorsionTheory.from_ideal(kkk, two_sided_ideal_closure(t2, [(0, 0, 1)]))
+
+
 def test_torsion_submodule_of_regular(theory, t2_regular):
     t = torsion_submodule(theory, t2_regular)
     assert t.basis == Basis.span(GF2, 3, [E11, E12])
