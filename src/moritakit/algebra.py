@@ -22,7 +22,7 @@ from .exactlin import (
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "mul", "unit", "_left_mats", "_right_mats", "_gens")
+    __slots__ = ("field", "dim", "mul", "unit", "_left_mats", "_right_mats", "_gens", "_hash")
 
     def __init__(self, field: Field, dim: int, mul: Sequence[Sequence[Sequence]], unit: Sequence):
         if dim < 0:
@@ -136,7 +136,12 @@ class Algebra:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.dim, self.mul, self.unit))
+        # cached, as the modules over it hash it: see modules._Module
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.field, self.dim, self.mul, self.unit))
+            return h
 
     def __repr__(self) -> str:
         return f"Algebra(dim {self.dim} over {self.field})"

@@ -25,6 +25,7 @@ from .exactlin import (
     Matrix,
     invertible_search,
     kernel_basis,
+    points_fit,
     solve,
     sparse_kernel_basis,
 )
@@ -372,9 +373,11 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
     Unequal trace ideals (isomorphism invariants) or dims, or a zero
     bimodule Hom, are an immediate proven 'none'.  invertible_search offers
     the invertible u (DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, from the
-    seed); for each the conditions are linear in v, so v is solved.  Only
-    degenerate pairings leave slack: a singular particular solution v is
-    the base of a second invertible_search over v + ker (256, 64, same rng).
+    seed); where it would sample, u = I is offered first, and a hit there
+    is a proof.  For each u the conditions are linear in v, so v is
+    solved.  Only degenerate pairings leave slack: a singular particular
+    solution v is the base of a second invertible_search over v + ker
+    (256, 64, same rng).
     """
     if c1.R != c2.R or c1.S != c2.S:
         raise ValueError("context isomorphism needs matching algebra pairs")
@@ -423,6 +426,15 @@ def contexts_isomorphic(c1: MoritaContext, c2: MoritaContext, seed: int = 0) -> 
         v_exhaustive = v_exhaustive and exhaustive
         return None if v is None else (u, v)
 
+    if not points_fit(f, hom_u.dim, DEFAULT_ISO_EXHAUST):
+        # where the walk would sample, u = I goes first, as is_isomorphic
+        # tries the identity: a hit is a proof, and a miss leaves the draws
+        # of the search as they were
+        eye = Matrix.identity(f, c1.M.dim)
+        hit = pair_for(None, eye) if hom_u.coords(eye) is not None else None
+        if hit is not None:
+            return IsoResult(hit, True)
+        rng.seed(seed)
     hit, exhaustive = invertible_search(f, hom_u.matrices, pair_for, DEFAULT_ISO_EXHAUST,
                                         DEFAULT_ISO_SAMPLES, rng)
     if hit is None:

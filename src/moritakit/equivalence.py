@@ -29,6 +29,7 @@ from .modules import (
     DEFAULT_LATTICE_BUDGET,
     BudgetExceeded,
     LeftModule,
+    _memo_scope,
     _projective_points,
     annihilator,
     direct_sum,
@@ -378,6 +379,7 @@ def _kato_muller_side(report: Report, label: str, modules, theory_here, theory_t
         report.record_round_trip(subject, "round trip isomorphic", is_isomorphic(back, x), note)
 
 
+@_memo_scope()
 def verify_kato_muller(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog) -> Report:
     """Quotient-category equivalence through the hom functors.
 

@@ -31,6 +31,7 @@ from .modules import (
     HomBasis,
     IsoResult,
     LeftModule,
+    _memo_scope,
     _search_invertible,
     hom_module,
     hom_space,
@@ -326,6 +327,7 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
 GradedCatalog = Catalog
 
 
+@_memo_scope()
 def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          budget: int = DEFAULT_LATTICE_BUDGET,
                          allow_sampling: bool = False,
@@ -440,6 +442,7 @@ def hom_functor_to_s_graded(gctx: GradedContext, gx: GradedModule) -> GradedModu
     return GradedModule(gctx.graded_s, mod, degs)
 
 
+@_memo_scope()
 def verify_graded_kato_muller(gctx: GradedContext, gcat_r: Catalog,
                               gcat_s: Catalog) -> Report:
     """The graded quotient-equivalence run: closedness, hom-image

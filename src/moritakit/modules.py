@@ -15,6 +15,9 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import itertools
 import random
 from typing import Optional, Sequence, Union
@@ -49,11 +52,51 @@ class BudgetExceeded(Exception):
     with sampling and must then flag every derived verdict as sampled."""
 
 
+# the functor memo of the open _memo_scope, None outside one
+_MEMO = contextvars.ContextVar("moritakit_functor_memo", default=None)
+
+
+@contextlib.contextmanager
+def _memo_scope():
+    """Open the functor memo for one call, as a context manager or a
+    decorator: the outermost scope owns a fresh dict and drops it on exit,
+    normal or not, and a nested scope reuses the open one.  So nothing is
+    cached from one library call to the next."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(fn):
+    """fn computed once per argument tuple while a _memo_scope is open, and
+    as before outside one.  Arguments are keyed by value (modules and
+    algebras cache their hash) or by identity (TorsionTheory has no __eq__),
+    and a key holds its arguments alive.  fn must be pure and its results
+    immutable, since every hit shares them."""
+    @functools.wraps(fn)
+    def memoized(*args):
+        memo = _MEMO.get()
+        if memo is None:
+            return fn(*args)
+        key = (fn, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            memo[key] = out = fn(*args)
+            return out
+    return memoized
+
+
 class _Module:
     """A one-sided module: one action matrix per algebra basis vector.
     LeftModule and RightModule differ only in which way products act."""
 
-    __slots__ = ("algebra", "dim", "action")
+    __slots__ = ("algebra", "dim", "action", "_hash")
     _hash_tag = ()
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix]):
@@ -74,7 +117,13 @@ class _Module:
         )
 
     def __hash__(self) -> int:
-        return hash(self._hash_tag + (self.algebra, self.dim, self.action))
+        # cached: the object is immutable, and an object made without
+        # __init__ fills the slot on first use
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._hash_tag + (self.algebra, self.dim, self.action))
+            return h
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim {self.dim} over {self.algebra!r})"
@@ -93,7 +142,8 @@ class Bimodule:
     """Left module over one algebra, right module over another, with
     commuting actions."""
 
-    __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action")
+    __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action",
+                 "_hash", "_left")
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action):
         _check_action_shape(left_algebra, dim, left_action)
@@ -105,7 +155,12 @@ class Bimodule:
         self.right_action = tuple(right_action)
 
     def left_module(self) -> LeftModule:
-        return LeftModule(self.left_algebra, self.dim, self.left_action)
+        # one object per bimodule, so that a memo key hashes it once
+        try:
+            return self._left
+        except AttributeError:
+            self._left = m = LeftModule(self.left_algebra, self.dim, self.left_action)
+            return m
 
     def right_module(self) -> RightModule:
         return RightModule(self.right_algebra, self.dim, self.right_action)
@@ -121,7 +176,12 @@ class Bimodule:
         )
 
     def __hash__(self) -> int:
-        return hash((self.left_algebra, self.right_algebra, self.dim, self.left_action, self.right_action))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.left_algebra, self.right_algebra, self.dim,
+                                   self.left_action, self.right_action))
+            return h
 
     def __repr__(self) -> str:
         return f"Bimodule(dim {self.dim}, {self.left_algebra!r} / {self.right_algebra!r})"
@@ -296,6 +356,7 @@ class HomBasis:
         return self._reshape(self.basis.from_coords(coeffs))
 
 
+@_memoized
 def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
     """Solve the intertwining equations for all maps source -> target.
 
@@ -333,6 +394,7 @@ def _intertwiners(sd: int, td: int, action_pairs) -> list:
     return rows
 
 
+@_memoized
 def hom_module(bim: Bimodule, x: LeftModule) -> tuple:
     """Hom over the left algebra from a bimodule into a module.
 

@@ -21,6 +21,7 @@ from .modules import (
     HomBasis,
     LeftModule,
     Submodule,
+    _memoized,
     annihilator,
     hom_space,
     hom_structure,
@@ -106,6 +107,7 @@ class ClosednessResult:
         return self.closed
 
 
+@_memoized
 def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
     """alpha(x)(a) = a.x; X is closed exactly when alpha is invertible.
     Only the space Hom_R(Iinf, X) is solved for, not its module structure."""
@@ -131,6 +133,7 @@ class Localization(NamedTuple):
     hom: HomBasis
 
 
+@_memoized
 def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
     """Hom_R(Iinf, X / torsion) with the canonical map x |-> (a |-> a.x̄):
     the module structure is put on closedness_map's hom space, which is

@@ -142,9 +142,10 @@ def test_iso_reflexive(capsys):
     assert "isomorphic: true" in out
 
 
-def test_iso_over_the_rationals_is_a_flagged_sampled_search(capsys, tmp_path):
-    # over Q no walk is exhaustive, so the hit is a sampled one; under
-    # --strict-sampling the verdicts stay and the run fails
+def test_iso_over_the_rationals_finds_the_identity_pair_as_a_proof(capsys, tmp_path):
+    # over Q the walk over u would sample, so u = I is offered first; its
+    # hit proves isomorphism, so nothing is flagged and --strict-sampling
+    # passes with the same verdicts
     doc = builtin_workspaces()["identity.json"]
     doc["field"] = {"kind": "rationals"}
     path = tmp_path / "identity_q.json"
@@ -153,11 +154,14 @@ def test_iso_over_the_rationals_is_a_flagged_sampled_search(capsys, tmp_path):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     relaxed = json.loads(out)
-    assert relaxed["summary"]["flags"] == ["sampled iso search (seed 0)"]
-    assert [v["note"] for v in relaxed["verdicts"]] == ["sampled search (seed 0)"]
-    assert relaxed["verdicts"][0]["pass"] is True
+    assert relaxed["summary"]["flags"] == []
+    [verdict] = relaxed["verdicts"]
+    assert verdict["pass"] is True
+    assert verdict["note"] == "exhaustive search"
+    eye = [["1" if r == c else "0" for c in range(3)] for r in range(3)]
+    assert verdict["witness"] == {"u": eye, "v": eye}
     code, out, _ = run(capsys, *argv, "--strict-sampling")
-    assert code == 1
+    assert code == 0
     assert json.loads(out)["verdicts"] == relaxed["verdicts"]
 
 
