@@ -15,6 +15,8 @@ from .exactlin import (
     Field,
     Matrix,
     _combination,
+    _dot_products,
+    _pivot_rows,
     closure,
     quotient_structure,
     unit_vector,
@@ -212,7 +214,9 @@ class Ideal:
     construction, so every Ideal in circulation satisfies the invariant.
     It is asserted for the generators (Algebra.generator_indices, on an
     algebra that passes validate_algebra) only: the a with aI in I, like
-    those with Ia in I, form a subalgebra.
+    those with Ia in I, form a subalgebra.  One rank test covers every
+    (generator, side); only when it fails are the products walked, to
+    name the first that escapes.
     """
 
     __slots__ = ("algebra", "basis")
@@ -220,13 +224,19 @@ class Ideal:
     def __init__(self, algebra: Algebra, basis: Basis):
         if basis.ambient_dim != algebra.dim:
             raise ValueError("ideal basis lives in the wrong ambient space")
-        for i in algebra.generator_indices():
-            e = algebra.basis_vector(i)
-            for v in basis.vectors:
-                if not basis.contains_vector(algebra.multiply(e, v)):
-                    raise ValueError(f"not left-stable: e_{i} * basis vector escapes the span")
-                if not basis.contains_vector(algebra.multiply(v, e)):
-                    raise ValueError(f"not right-stable: basis vector * e_{i} escapes the span")
+        f, gens = algebra.field, algebra.generator_indices()
+        rows = list(basis.vectors)
+        for i in gens:
+            for m in (algebra._basis_left_mats()[i], algebra._basis_right_mats()[i]):
+                rows += _dot_products(f, basis.vectors, m.entries)
+        if len(_pivot_rows(f, rows, algebra.dim)[1]) != basis.dim:
+            for i in gens:
+                e = algebra.basis_vector(i)
+                for v in basis.vectors:
+                    if not basis.contains_vector(algebra.multiply(e, v)):
+                        raise ValueError(f"not left-stable: e_{i} * basis vector escapes the span")
+                    if not basis.contains_vector(algebra.multiply(v, e)):
+                        raise ValueError(f"not right-stable: basis vector * e_{i} escapes the span")
         self.algebra = algebra
         self.basis = basis
 

@@ -342,7 +342,8 @@ class HomBasis:
         ent = [vec[r * cols : (r + 1) * cols] for r in range(rows)]
         return Matrix(self.source.algebra.field, ent, cols=cols)
 
-    def vectorize(self, f: Matrix) -> tuple:
+    @staticmethod
+    def vectorize(f: Matrix) -> tuple:
         return tuple(x for row in f.entries for x in row)
 
     def coords(self, f: Matrix) -> Optional[tuple]:

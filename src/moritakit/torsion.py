@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import Algebra, Ideal, ideal_product, stabilize_ideal
 from .context import MoritaContext, eta_map
-from .exactlin import Basis, Matrix, closure, kernel_basis, unit_vector
+from .exactlin import Basis, Matrix, _dot_products, closure, kernel_basis, unit_vector
 from .modules import (
     DEFAULT_ENUM_BUDGET,
     Bimodule,
@@ -40,6 +40,11 @@ class TorsionTheory:
     exponent is the least n with I^n = I^(n+1); exponent 1 means the
     generating ideal was already idempotent and the torsion class is
     closed under extensions without passing to the stabilization.
+
+    from_ideal checks that the stabilization is idempotent once per
+    theory: at exponent 1 stabilize_ideal's stop test has compared I.I
+    with I, so only a higher exponent forms Iinf.Iinf.  The bimodule
+    actions are read off the algebra's cached multiplication matrices.
     """
 
     __slots__ = ("algebra", "ideal", "stable_ideal", "exponent", "_bim")
@@ -49,11 +54,10 @@ class TorsionTheory:
         self.ideal = ideal
         self.stable_ideal = stable_ideal
         self.exponent = exponent
-        vecs = stable_ideal.basis
-        es = [algebra.basis_vector(i) for i in range(algebra.dim)]
+        f, vecs = algebra.field, stable_ideal.basis
         broken = "stabilized ideal is not two-sided stable"
-        left = [vecs.coords_matrix((algebra.multiply(e, v) for v in vecs.vectors), broken) for e in es]
-        right = [vecs.coords_matrix((algebra.multiply(v, e) for v in vecs.vectors), broken) for e in es]
+        left, right = ([vecs.coords_matrix(_dot_products(f, vecs.vectors, m.entries), broken) for m in mats]
+                       for mats in (algebra._basis_left_mats(), algebra._basis_right_mats()))
         self._bim = Bimodule(algebra, algebra, vecs.dim, left, right)
 
     @classmethod
@@ -63,7 +67,7 @@ class TorsionTheory:
         stable, exponent = stabilize_ideal(algebra, ideal)
         theory = cls(algebra, ideal, stable, exponent)
         # the stabilization must be idempotent or nothing downstream holds
-        if ideal_product(algebra, stable, stable) != stable:
+        if exponent > 1 and ideal_product(algebra, stable, stable) != stable:
             raise AssertionError("stabilized ideal is not idempotent")
         return theory
 
@@ -110,15 +114,23 @@ class ClosednessResult:
 @_memoized
 def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
     """alpha(x)(a) = a.x; X is closed exactly when alpha is invertible.
-    Only the space Hom_R(Iinf, X) is solved for, not its module structure."""
+    Only the space Hom_R(Iinf, X) is solved for, not its module structure.
+
+    When Iinf is the whole algebra R nothing is solved: f |-> f(1)
+    inverts alpha, since f(a) = a.f(1), so Hom_R(R, X) is the span of
+    alpha's columns, whose canonical basis is the one the solve gives."""
     if x.algebra != tt.algebra:
         raise ValueError("module is over the wrong algebra")
     f = tt.algebra.field
-    h = hom_space(tt.ideal_bimodule.left_module(), x)
+    source = tt.ideal_bimodule.left_module()
     acts = [x.action_of(v) for v in tt.stable_ideal.basis.vectors]
-    # column k is the map a |-> a.x_k, read in the coordinates of the hom
-    alpha = h.coords_matrix((Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim)
-                             for k in range(x.dim)), "alpha image escaped Hom_R(Iinf, X)")
+    # column k is the map a |-> a.x_k
+    cols = [Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim) for k in range(x.dim)]
+    if tt.stable_ideal.dim == tt.algebra.dim:
+        h = HomBasis(source, x, Basis.span(f, x.dim * source.dim, [HomBasis.vectorize(c) for c in cols]))
+    else:
+        h = hom_space(source, x)
+    alpha = h.coords_matrix(cols, "alpha image escaped Hom_R(Iinf, X)")
     return ClosednessResult(alpha.is_invertible(), alpha, h)
 
 

@@ -565,6 +565,32 @@ def is_ideal_all_basis(alg, basis):
                for e in (alg.basis_vector(i) for i in range(alg.dim)) for v in basis.vectors)
 
 
+def first_ideal_escape(alg, basis):
+    """The ValueError message Ideal(alg, basis) must raise, or None: the
+    first product e_g v or v e_g outside the span, walked generator by
+    generator, vector by vector, left before right."""
+    for i in alg.generator_indices():
+        e = alg.basis_vector(i)
+        for v in basis.vectors:
+            if not basis.contains_vector(alg.multiply(e, v)):
+                return f"not left-stable: e_{i} * basis vector escapes the span"
+            if not basis.contains_vector(alg.multiply(v, e)):
+                return f"not right-stable: basis vector * e_{i} escapes the span"
+    return None
+
+
+def ideal_bimodule_by_products(tt):
+    """The R-R-bimodule Iinf with each action read one product e_i v or
+    v e_i at a time through Algebra.multiply."""
+    alg, vecs = tt.algebra, tt.stable_ideal.basis
+    es = [alg.basis_vector(i) for i in range(alg.dim)]
+    left = [vecs.coords_matrix((alg.multiply(e, v) for v in vecs.vectors), "left product escaped")
+            for e in es]
+    right = [vecs.coords_matrix((alg.multiply(v, e) for v in vecs.vectors), "right product escaped")
+             for e in es]
+    return Bimodule(alg, alg, vecs.dim, left, right)
+
+
 def workspace_dense(path):
     """The objects of a workspace file built with the dense constructions
     above: algebras from the JSON (checked by validate_algebra), modules

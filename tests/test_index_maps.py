@@ -33,6 +33,7 @@ from bruteforce import (
     context_laws_all_basis,
     counit_kron,
     eta_kron,
+    first_ideal_escape,
     induced_map_kron,
     is_ideal_all_basis,
     module_laws_all_pairs,
@@ -250,3 +251,15 @@ def test_ideal_check_on_generators_accepts_exactly_the_ideals(alg):
             with pytest.raises(ValueError, match="stable"):
                 Ideal(alg, b)
     assert refused > 0
+
+
+@pytest.mark.parametrize("alg", LAW_ALGEBRAS)
+def test_ideal_refusal_names_the_first_escaping_product(alg):
+    # one rank test decides; the message is still the first escape in
+    # (generator, vector, left-then-right) order
+    for b in all_subspaces(alg.field, alg.dim):
+        want = first_ideal_escape(alg, b)
+        if want is not None:
+            with pytest.raises(ValueError) as err:
+                Ideal(alg, b)
+            assert str(err.value) == want

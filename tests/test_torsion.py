@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import moritakit.algebra as algebra_layer
+import moritakit.modules as modules_layer
+import moritakit.torsion as torsion_layer
 from moritakit.algebra import (
     Ideal,
     full_matrix_algebra,
@@ -35,7 +38,7 @@ from moritakit.torsion import (
     torsion_submodule,
 )
 
-from bruteforce import closedness_via_hom_module, localize_via_hom_module
+from bruteforce import closedness_via_hom_module, ideal_bimodule_by_products, localize_via_hom_module
 
 GF2 = Field.gf(2)
 E11 = (GF2.one, GF2.zero, GF2.zero)
@@ -277,3 +280,89 @@ def test_closed_via_eta_strict_context(m2):
     reg = regular_module(m2)
     for x in (reg, direct_sum(reg, reg)):
         assert closed_via_eta(ctx, x)
+
+
+def _whole_algebra_cases():
+    """(theory, modules) with Iinf the whole algebra: T2/GF(2) <= 3 and
+    M2/GF(2) <= 4 under the ideal R, and both sides of the M3(Q) corner."""
+    cases = []
+    for alg, max_dim in ((upper_triangular_algebra(GF2, 2), 3), (full_matrix_algebra(GF2, 2), 4)):
+        whole = two_sided_ideal_closure(alg, [alg.unit])
+        cases.append((TorsionTheory.from_ideal(alg, whole), build_catalog(alg, max_dim).modules))
+    return cases + _m3q_corner_cases()
+
+
+@pytest.mark.parametrize("tt, mods", _whole_algebra_cases(), ids=["T2-GF2", "M2-GF2", "M3Q-R", "M3Q-S"])
+def test_whole_algebra_closedness_solves_no_hom_space(monkeypatch, tt, mods):
+    # Hom_R(R, X) is the span of alpha's columns: no intertwining system is
+    # solved, counted at the kernel every hom_space solve calls
+    assert tt.stable_ideal.dim == tt.algebra.dim
+    solves = []
+    solve = modules_layer.sparse_kernel_basis
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(modules_layer, "sparse_kernel_basis", counted)
+    results = [closedness_map(tt, x) for x in mods]
+    assert solves == []
+    monkeypatch.undo()
+    for x, res in zip(mods, results):
+        closed, alpha, hom, _ = closedness_via_hom_module(tt, x)
+        assert (res.closed, res.alpha, res.hom.basis) == (closed, alpha, hom.basis)
+        assert res.closed
+
+
+def _trace_ideal_theories():
+    """Both corner theories of T2/GF(2) at e22, T3/GF(3) at e33, M2/GF(2)
+    and M3(Q) at e11 and T3(Q) at e22, and the radical of T3/GF(2)
+    (exponent 3, Iinf = 0)."""
+    gf3 = Field.gf(3)
+    corners = [(upper_triangular_algebra(GF2, 2), E22),
+               (upper_triangular_algebra(gf3, 3), (0, 0, 0, 0, 0, 1)),
+               (full_matrix_algebra(GF2, 2), (1, 0, 0, 0)),
+               (full_matrix_algebra(QQ, 3), (1, 0, 0, 0, 0, 0, 0, 0, 0)),
+               (upper_triangular_algebra(QQ, 3), (0, 0, 0, 1, 0, 0))]
+    theories = [tt for alg, e in corners for tt in context_theories(corner_context(alg, e))]
+    t3 = upper_triangular_algebra(GF2, 3)
+    radical = two_sided_ideal_closure(t3, [t3.basis_vector(1), t3.basis_vector(4)])
+    return theories + [TorsionTheory.from_ideal(t3, radical)]
+
+
+@pytest.mark.parametrize("tt", _trace_ideal_theories(),
+                         ids=["T2-GF2-R", "T2-GF2-S", "T3-GF3-R", "T3-GF3-S", "M2-GF2-R", "M2-GF2-S",
+                              "M3Q-R", "M3Q-S", "T3Q-R", "T3Q-S", "T3-GF2-radical"])
+def test_ideal_bimodule_matches_the_product_construction(tt):
+    assert tt.ideal_bimodule == ideal_bimodule_by_products(tt)
+
+
+def test_from_ideal_checks_idempotency_above_exponent_one(monkeypatch):
+    # a stabilization that claims exponent 2 for an ideal that is not
+    # idempotent is caught by the one product from_ideal forms
+    t3 = upper_triangular_algebra(GF2, 3)
+    radical = two_sided_ideal_closure(t3, [t3.basis_vector(1), t3.basis_vector(4)])
+    assert ideal_product(t3, radical, radical) != radical
+    monkeypatch.setattr(torsion_layer, "stabilize_ideal", lambda a, i: (radical, 2))
+    with pytest.raises(AssertionError, match="^stabilized ideal is not idempotent$"):
+        TorsionTheory.from_ideal(t3, radical)
+
+
+def test_from_ideal_forms_one_ideal_product_per_theory_at_exponent_one(monkeypatch, t2, theory):
+    calls = []
+
+    def counted(a, left, right):
+        calls.append((left, right))
+        return ideal_product(a, left, right)
+
+    for layer in (algebra_layer, torsion_layer):
+        monkeypatch.setattr(layer, "ideal_product", counted)
+    # exponent 1: stabilize_ideal's stop test is the idempotency check
+    assert TorsionTheory.from_ideal(t2, theory.ideal).exponent == 1
+    assert calls == [(theory.ideal, theory.ideal)]
+    # exponent 2: the powers I.I and 0.I, then Iinf.Iinf once
+    calls.clear()
+    radical = two_sided_ideal_closure(t2, [E12])
+    tt = TorsionTheory.from_ideal(t2, radical)
+    assert tt.exponent == 2
+    assert calls[-1] == (tt.stable_ideal, tt.stable_ideal) and len(calls) == 3
