@@ -227,7 +227,10 @@ def _cmd_equiv(ws, args):
 
 def _cmd_equiv_strict(ws, args):
     ctx, _ = _one_context(ws, args)
-    cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
+    if is_strict(ctx):
+        cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
+    else:  # the failed precondition is the whole report: no catalog is read
+        cat_r, cat_s = user_catalog(ctx.R, ()), user_catalog(ctx.S, ())
     return verify_strict_equivalence(ctx, cat_r, cat_s, seed=args.seed), []
 
 

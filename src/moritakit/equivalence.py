@@ -106,11 +106,13 @@ class Report:
 
     def record_round_trip(self, subject: str, check: str, iso, note: str = "") -> None:
         """Record a round-trip iso search, run from its default seed 0.  A
-        sampled miss disproves nothing, so it is flagged and noted."""
+        sampled miss disproves nothing, so it is flagged and noted.  The
+        witness is read first: it settles found with the walk alone."""
+        witness = iso.map_
         if not iso.found and not iso.exhaustive:
             self.flag("sampled iso search (seed 0)")
             note = "; ".join(filter(None, (note, "sampled search (seed 0)")))
-        self.record(subject, check, iso.found, witness=iso.map_, note=note)
+        self.record(subject, check, iso.found, witness=witness, note=note)
 
     def flag(self, text: str) -> None:
         if text not in self.flags:

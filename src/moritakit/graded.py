@@ -272,7 +272,9 @@ def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tup
 def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
     """Search for an invertible degree-preserving map (an identity-degree
     hom), by is_isomorphic's DEFAULT_ISO_EXHAUST / DEFAULT_ISO_SAMPLES search
-    (_search_invertible) over the degree-preserving component."""
+    (_search_invertible) over the degree-preserving component: where it is
+    exhaustive, found and the lexicographically first map_ are each computed
+    when read."""
     if gm.algebra != gn.algebra:
         raise ValueError("graded iso needs modules over the same graded algebra")
     if gm.dim != gn.dim or gm.component_dims() != gn.component_dims():

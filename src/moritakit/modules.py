@@ -22,6 +22,7 @@ import itertools
 import random
 from typing import Optional, Sequence, Union
 
+from . import exactlin
 from .algebra import Algebra, Ideal
 from .exactlin import (
     Basis,
@@ -45,6 +46,7 @@ DEFAULT_ENUM_BUDGET = 81  # p**dim cap: dim <= 6 over GF(2), dim <= 4 over GF(3)
 DEFAULT_LATTICE_BUDGET = 4096
 DEFAULT_ISO_EXHAUST = 4096  # p**d cap on exhaustive coefficient search
 DEFAULT_ISO_SAMPLES = 512
+DEFAULT_ISO_PROOF_DRAWS = 8  # seeded draws that may prove an exhaustive search's hit before it walks
 
 
 class BudgetExceeded(Exception):
@@ -701,21 +703,51 @@ class IsoResult:
     map_ is the witness when found: an invertible intertwiner, or the pair
     (u, v) of a context isomorphism.  When map_ is None, exhaustive
     distinguishes a proved 'none' from a sampled 'not found'.
+
+    An exhaustive module search (_search_invertible) separates existence
+    from the witness, and computes each on its first read: found by
+    `prove`, the cheapest exact proof (None when it cannot decide), and
+    map_ by `walk`, the lexicographic sweep, which also settles found when
+    it is read first or when prove could not decide.  So a reader of found
+    alone, such as catalog dedup, walks only when no cheap proof applies,
+    and a reader of map_ first pays the walk and nothing else.
     """
 
-    __slots__ = ("map_", "exhaustive")
+    __slots__ = ("exhaustive", "_map", "_found", "_prove", "_walk")
 
     def __init__(self, map_: Union[Matrix, tuple, None], exhaustive: bool):
-        self.map_ = map_
         self.exhaustive = exhaustive
+        self._map = map_
+        self._found = map_ is not None
+        self._prove = self._walk = None
+
+    @classmethod
+    def _deferred(cls, prove, walk) -> "IsoResult":
+        """An exhaustive result whose found and map_ are computed when read."""
+        res = cls(None, True)
+        res._found, res._prove, res._walk = None, prove, walk
+        return res
+
+    @property
+    def map_(self) -> Union[Matrix, tuple, None]:
+        if self._walk is not None:
+            self._map, self._walk = self._walk(), None
+            self._found = self._map is not None
+        return self._map
 
     @property
     def found(self) -> bool:
-        return self.map_ is not None
+        if self._found is None:
+            self._found = self._prove()
+            if self._found is None:
+                return self.map_ is not None
+            if not self._found:
+                self._walk = None  # proved: map_ is None
+        return self._found
 
     @property
     def proven_none(self) -> bool:
-        return self.map_ is None and self.exhaustive
+        return not self.found and self.exhaustive
 
     def __repr__(self) -> str:
         if self.found:
@@ -737,8 +769,10 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
     tried first when it lies in the hom space; then _search_invertible,
     whose miss is a proof only when that search was exhaustive.  The
-    exhaustive search returns the first invertible map in lexicographic
-    coefficient order, so the witness does not depend on the pruning.
+    exhaustive search decides found by a common kernel or a seeded draw
+    where one applies, and its map_ is the first invertible map in
+    lexicographic coefficient order, computed when read, so the witness
+    depends neither on the pruning nor on the draws.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism search across different algebras")
@@ -754,13 +788,39 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     return _search_invertible(hom)
 
 
+def _invertible_proof(hom: HomBasis) -> Optional[bool]:
+    """Whether the hom space holds an invertible map, by the cheapest exact
+    proof over GF(p): False when its maps share a nonzero kernel (the root
+    test of exactlin._invertible_walk, one elimination of the stacked maps),
+    True when one of DEFAULT_ISO_PROOF_DRAWS draws from seed 0 is
+    invertible; None when neither holds and only the walk can decide."""
+    field, maps, n = hom.source.algebra.field, hom.matrices, hom.source.dim
+    if len(_pivot_rows(field, [r for m in maps for r in m.entries], n)[1]) < n:
+        return False
+    draws = exactlin._invertible_draws(field, maps, None, DEFAULT_ISO_PROOF_DRAWS, random.Random(0))
+    return True if next(draws, None) else None
+
+
 def _search_invertible(hom: HomBasis) -> IsoResult:
-    """An invertible member of the hom space, found by invertible_search
-    with DEFAULT_ISO_EXHAUST and DEFAULT_ISO_SAMPLES from seed 0: the first
-    invertible map of the lexicographic sweep, whose singular subtrees are
-    skipped, so a map is formed only for the hit; or a sampled draw."""
+    """An invertible member of the hom space.
+
+    Where the coefficient points fit DEFAULT_ISO_EXHAUST, the result is
+    exhaustive and deferred (IsoResult._deferred): found is decided by
+    _invertible_proof where it can (a common kernel or a seeded draw), else
+    by the walk; map_ is always the first invertible map of the
+    lexicographic sweep, whose singular subtrees are skipped, computed
+    when read.  Past the budget (over Q, always) invertible_search draws
+    DEFAULT_ISO_SAMPLES members from seed 0 at once, and a miss proves
+    nothing.
+    """
     if hom.dim == 0:
         return IsoResult(None, True)
-    hit, exhaustive = invertible_search(hom.source.algebra.field, hom.matrices, lambda c, m: m,
-                                        DEFAULT_ISO_EXHAUST, DEFAULT_ISO_SAMPLES, random.Random(0))
-    return IsoResult(hit, exhaustive)
+    field = hom.source.algebra.field
+
+    def search():
+        return invertible_search(field, hom.matrices, lambda c, m: m, DEFAULT_ISO_EXHAUST,
+                                 DEFAULT_ISO_SAMPLES, random.Random(0))
+
+    if not points_fit(field, hom.dim, DEFAULT_ISO_EXHAUST):
+        return IsoResult(*search())
+    return IsoResult._deferred(lambda: _invertible_proof(hom), lambda: search()[0])

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import moritakit.cli as cli
 from moritakit.cli import main
 from moritakit.exactlin import Basis
 from moritakit.workspace import builtin_workspaces
@@ -102,6 +103,26 @@ def test_equiv_strict_on_m2(capsys):
     code, out, _ = run(capsys, "equiv-strict", M2, "--context", "m2corner")
     assert code == 0
     assert "eta invertible" in out
+
+
+@pytest.mark.parametrize("path, context, builds, exit_code", [
+    pytest.param(T2, "t2corner", 0, 1, id="t2corner"),
+    pytest.param(M2, "m2corner", 2, 0, id="m2corner"),
+])
+def test_equiv_strict_builds_catalogs_only_for_onto_pairings(capsys, monkeypatch, path, context,
+                                                             builds, exit_code):
+    # t2corner's pairing into R is not onto, so its report is the failed
+    # precondition alone and no catalog is read
+    calls = []
+    real = cli.build_catalog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_catalog", counting)
+    code, _, _ = run(capsys, "equiv-strict", path, "--context", context)
+    assert (code, len(calls)) == (exit_code, builds)
 
 
 def test_equiv_proj_on_t2(capsys):

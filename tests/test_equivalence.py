@@ -45,7 +45,13 @@ from moritakit.modules import (
     regular_module,
     validate_module,
 )
-from moritakit.graded import FiniteGroup, GradedAlgebra, build_graded_catalog
+from moritakit.graded import (
+    FiniteGroup,
+    GradedAlgebra,
+    build_graded_catalog,
+    graded_corner_context,
+    verify_graded_kato_muller,
+)
 from moritakit.torsion import localize
 
 from bruteforce import (
@@ -703,7 +709,7 @@ def test_catalog_never_searches_between_sums_of_bricks(monkeypatch):
             assert not (of_bricks(m) and of_bricks(n))
 
 
-@pytest.mark.parametrize("build, has_misses", [
+_SEARCH_BUILDS = [
     pytest.param(lambda: build_catalog(upper_triangular_algebra(GF2, 2), 4), False, id="T2-GF2-4"),
     pytest.param(lambda: build_catalog(_rebased(upper_triangular_algebra(GF2, 2), _unimodular(3, 7)), 4),
                  False, id="T2-GF2-4-rebased7"),
@@ -711,7 +717,10 @@ def test_catalog_never_searches_between_sums_of_bricks(monkeypatch):
     pytest.param(lambda: build_graded_catalog(
         GradedAlgebra(upper_triangular_algebra(GF2, 2), FiniteGroup.cyclic(2), (0, 1, 0)), 3),
                  True, id="C2-graded-T2-3"),
-])
+]
+
+
+@pytest.mark.parametrize("build, has_misses", _SEARCH_BUILDS)
 def test_iso_search_matches_the_plain_lex_sweep(monkeypatch, build, has_misses):
     # the pruned sweep returns the plain sweep's first invertible map and
     # flag on every search of a build, hits and proofs of none alike
@@ -768,6 +777,67 @@ def test_catalog_iso_sweep_builds_one_kernel_chain_per_search(monkeypatch):
     monkeypatch.setattr(exactlin, "_common_kernels", kernels)
     build_catalog(_radical_square_zero(GF2, 2), 4)
     assert walks and len(chains) == len(walks)
+
+
+@pytest.mark.parametrize("build, has_misses", _SEARCH_BUILDS + [
+    pytest.param(lambda: build_catalog(_radical_square_zero(GF2, 3), 3), True, id="GF2[x,y,z]/(x,y,z)^2-3"),
+])
+def test_cheap_iso_decision_matches_the_plain_lex_sweep(monkeypatch, build, has_misses):
+    # found and exhaustive, read before the witness as dedup reads them, are
+    # decided by a common kernel or a draw where one applies; they and the
+    # witness read after them are the plain sweep's
+    searches, proofs = [], []
+    real, real_proof = modules._search_invertible, modules._invertible_proof
+
+    def recording(hom):
+        res = real(hom)
+        searches.append((hom, res, res.found, res.exhaustive))
+        return res
+
+    def proof(*args):
+        proofs.append(real_proof(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(modules, "_search_invertible", recording)
+    monkeypatch.setattr(graded, "_search_invertible", recording)
+    monkeypatch.setattr(modules, "_invertible_proof", proof)
+    build()
+    assert searches and True in proofs
+    if has_misses:
+        assert False in proofs
+    for hom, res, found, exhaustive in searches:
+        witness, plain_exhaustive = first_invertible_lex(hom)
+        assert (found, exhaustive) == (witness is not None, plain_exhaustive)
+        assert res.map_ == witness
+
+
+def test_round_trip_reports_run_no_draws(monkeypatch, t2, t2_corner, cat_t2, cat_corner_s):
+    # a round trip reads its witness first, so it pays the walk and no draws
+    gctx = graded_corner_context(GradedAlgebra(t2, FiniteGroup.cyclic(2), (0, 1, 0)), E22)
+    gcat_r, gcat_s = build_graded_catalog(gctx.graded_r, 3), build_graded_catalog(gctx.graded_s, 3)
+    draws, searches = [], []
+    real_draws, real = exactlin._invertible_draws, modules._search_invertible
+
+    def counting(*args):
+        draws.append(args)
+        return real_draws(*args)
+
+    def recording(hom):
+        res = real(hom)
+        searches.append((hom, res))
+        return res
+
+    monkeypatch.setattr(exactlin, "_invertible_draws", counting)
+    monkeypatch.setattr(modules, "_search_invertible", recording)
+    monkeypatch.setattr(graded, "_search_invertible", recording)
+    reports = [verify_kato_muller(t2_corner, cat_t2, cat_corner_s),
+               verify_graded_kato_muller(gctx, gcat_r, gcat_s)]
+    assert draws == []
+    assert all(r.passed for r in reports) and searches
+    witnesses = [v.witness for r in reports for v in r.verdicts if "round trip" in v.check]
+    for hom, res in searches:
+        assert any(w is res.map_ for w in witnesses)
+        assert (res.map_, res.exhaustive) == first_invertible_lex(hom)
 
 
 def test_strict_verifier_names_the_s_side(t2_corner, cat_t2, cat_corner_s):
