@@ -216,7 +216,8 @@ class Ideal:
     algebra that passes validate_algebra) only: the a with aI in I, like
     those with Ia in I, form a subalgebra.  One rank test covers every
     (generator, side); only when it fails are the products walked, to
-    name the first that escapes.
+    name the first that escapes.  The whole space is not tested, since
+    it holds every product.
     """
 
     __slots__ = ("algebra", "basis")
@@ -224,19 +225,20 @@ class Ideal:
     def __init__(self, algebra: Algebra, basis: Basis):
         if basis.ambient_dim != algebra.dim:
             raise ValueError("ideal basis lives in the wrong ambient space")
-        f, gens = algebra.field, algebra.generator_indices()
-        rows = list(basis.vectors)
-        for i in gens:
-            for m in (algebra._basis_left_mats()[i], algebra._basis_right_mats()[i]):
-                rows += _dot_products(f, basis.vectors, m.entries)
-        if len(_pivot_rows(f, rows, algebra.dim)[1]) != basis.dim:
+        if basis.dim != algebra.dim:
+            f, gens = algebra.field, algebra.generator_indices()
+            rows = list(basis.vectors)
             for i in gens:
-                e = algebra.basis_vector(i)
-                for v in basis.vectors:
-                    if not basis.contains_vector(algebra.multiply(e, v)):
-                        raise ValueError(f"not left-stable: e_{i} * basis vector escapes the span")
-                    if not basis.contains_vector(algebra.multiply(v, e)):
-                        raise ValueError(f"not right-stable: basis vector * e_{i} escapes the span")
+                for m in (algebra._basis_left_mats()[i], algebra._basis_right_mats()[i]):
+                    rows += _dot_products(f, basis.vectors, m.entries)
+            if len(_pivot_rows(f, rows, algebra.dim)[1]) != basis.dim:
+                for i in gens:
+                    e = algebra.basis_vector(i)
+                    for v in basis.vectors:
+                        if not basis.contains_vector(algebra.multiply(e, v)):
+                            raise ValueError(f"not left-stable: e_{i} * basis vector escapes the span")
+                        if not basis.contains_vector(algebra.multiply(v, e)):
+                            raise ValueError(f"not right-stable: basis vector * e_{i} escapes the span")
         self.algebra = algebra
         self.basis = basis
 
@@ -273,8 +275,12 @@ def stabilize_ideal(a: Algebra, ideal: Ideal) -> tuple:
     Returns:
         (stable, n) where stable = I^n = I^(n+1) and n is minimal.  The
         chain I >= I^2 >= ... strictly decreases in dimension until it
-        stabilizes, so this terminates within dim(A) steps.
+        stabilizes, so this terminates within dim(A) steps.  The whole
+        algebra is (A, 1) with no product formed: A.A holds 1.1 = 1, so
+        A.A = A.
     """
+    if ideal.dim == a.dim:
+        return ideal, 1
     current = ideal
     n = 1
     while True:

@@ -238,9 +238,7 @@ def regular_module(a: Algebra) -> LeftModule:
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
-    left = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
-    right = [a.right_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
-    return Bimodule(a, a, a.dim, left, right)
+    return Bimodule(a, a, a.dim, a._basis_left_mats(), a._basis_right_mats())
 
 
 def direct_sum(a: LeftModule, b: LeftModule) -> LeftModule:
@@ -266,6 +264,15 @@ class Submodule:
             raise ValueError("subspace is not action-stable")
         self.parent = parent
         self.basis = basis
+
+    @classmethod
+    def _of(cls, parent: LeftModule, basis: Basis) -> "Submodule":
+        """A Submodule on a basis that is stable by construction, such as a
+        sum of cyclic submodules: no stability test."""
+        sub = object.__new__(cls)
+        sub.parent = parent
+        sub.basis = basis
+        return sub
 
     @property
     def dim(self) -> int:
@@ -607,7 +614,7 @@ def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> li
                     found.add(join)
                     fresh.append(join)
         frontier = fresh
-    return [Submodule(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
+    return [Submodule._of(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
 
 
 def enumerate_submodules(m: LeftModule, budget: int = DEFAULT_ENUM_BUDGET) -> list:

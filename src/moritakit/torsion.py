@@ -27,6 +27,7 @@ from .modules import (
     hom_structure,
     ideal_action_image,
     quotient_module,
+    regular_bimodule,
     regular_module,
     submodule_supply,
 )
@@ -43,8 +44,12 @@ class TorsionTheory:
 
     from_ideal checks that the stabilization is idempotent once per
     theory: at exponent 1 stabilize_ideal's stop test has compared I.I
-    with I, so only a higher exponent forms Iinf.Iinf.  The bimodule
-    actions are read off the algebra's cached multiplication matrices.
+    with I, or I is the whole algebra, which holds 1.1, so only a higher
+    exponent forms Iinf.Iinf.  The bimodule actions are read off the
+    algebra's cached multiplication matrices: at Iinf = R they are those
+    matrices (regular_bimodule), since the full space's canonical basis
+    is the standard one; at a proper Iinf they are the products with
+    Iinf's basis, in its coordinates.
     """
 
     __slots__ = ("algebra", "ideal", "stable_ideal", "exponent", "_bim")
@@ -54,11 +59,15 @@ class TorsionTheory:
         self.ideal = ideal
         self.stable_ideal = stable_ideal
         self.exponent = exponent
-        f, vecs = algebra.field, stable_ideal.basis
-        broken = "stabilized ideal is not two-sided stable"
-        left, right = ([vecs.coords_matrix(_dot_products(f, vecs.vectors, m.entries), broken) for m in mats]
-                       for mats in (algebra._basis_left_mats(), algebra._basis_right_mats()))
-        self._bim = Bimodule(algebra, algebra, vecs.dim, left, right)
+        if stable_ideal.dim == algebra.dim:
+            self._bim = regular_bimodule(algebra)
+        else:
+            f, vecs = algebra.field, stable_ideal.basis
+            broken = "stabilized ideal is not two-sided stable"
+            left, right = ([vecs.coords_matrix(_dot_products(f, vecs.vectors, m.entries), broken)
+                            for m in mats]
+                           for mats in (algebra._basis_left_mats(), algebra._basis_right_mats()))
+            self._bim = Bimodule(algebra, algebra, vecs.dim, left, right)
 
     @classmethod
     def from_ideal(cls, algebra: Algebra, ideal: Ideal) -> "TorsionTheory":
@@ -135,6 +144,14 @@ def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
 
 
 def is_closed(tt: TorsionTheory, x: LeftModule) -> bool:
+    """Is alpha: X -> Hom_R(Iinf, X) invertible?  At Iinf = R every X is
+    closed, since f |-> f(1) inverts alpha (closedness_map), so nothing
+    is computed; closedness_map still builds alpha and Hom_R(R, X) there
+    for graded_closed_test and localize, which read them."""
+    if x.algebra != tt.algebra:
+        raise ValueError("module is over the wrong algebra")
+    if tt.stable_ideal.dim == tt.algebra.dim:
+        return True
     return closedness_map(tt, x).closed
 
 

@@ -376,6 +376,24 @@ def _modules_beyond_gf2():
     return [m for m in mods if m.algebra.field.p ** m.dim <= 81]
 
 
+def test_submodule_lattice_runs_no_stability_test(monkeypatch, t2_regular, p2, s1, s2):
+    # the walk forms only sums of cyclic submodules, which are stable by
+    # construction, so no member passes through Submodule's rank test
+    checked = []
+    init = Submodule.__init__
+
+    def counted(self, parent, basis):
+        checked.append(basis)
+        init(self, parent, basis)
+
+    monkeypatch.setattr(Submodule, "__init__", counted)
+    for mod in [t2_regular, p2, direct_sum(s1, s2)] + _modules_beyond_gf2():
+        subs = submodule_lattice(mod)
+        assert [s.basis for s in subs] == brute_submodules(mod)
+        assert all(type(s) is Submodule and s.parent is mod for s in subs)
+    assert checked == []
+
+
 def test_bounded_supply_is_the_lattice_cut_at_each_codimension():
     mods = _modules_beyond_gf2()
     assert len(mods) == 21

@@ -15,7 +15,7 @@ from moritakit.algebra import (
     two_sided_ideal_closure,
     upper_triangular_algebra,
 )
-from moritakit.context import corner_context, trace_ideals
+from moritakit.context import corner_context, reverse_context, trace_ideals
 from moritakit.equivalence import build_catalog, context_theories
 from moritakit.exactlin import QQ, Basis, Field, Matrix, kernel_basis
 from moritakit.modules import (
@@ -366,3 +366,69 @@ def test_from_ideal_forms_one_ideal_product_per_theory_at_exponent_one(monkeypat
     tt = TorsionTheory.from_ideal(t2, radical)
     assert tt.exponent == 2
     assert calls[-1] == (tt.stable_ideal, tt.stable_ideal) and len(calls) == 3
+
+
+def test_whole_algebra_theory_forms_no_products(monkeypatch):
+    # at I = R the unit decides: no ideal power, no idempotency product and
+    # no coordinates of the products with Iinf's basis
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for layer in (algebra_layer, torsion_layer):
+        for name in ("ideal_product", "_dot_products"):
+            monkeypatch.setattr(layer, name, counted(name, getattr(layer, name)))
+    for alg in (upper_triangular_algebra(GF2, 2), full_matrix_algebra(GF2, 2),
+                full_matrix_algebra(QQ, 3), upper_triangular_algebra(QQ, 3)):
+        whole = two_sided_ideal_closure(alg, [alg.unit])
+        calls.clear()
+        tt = TorsionTheory.from_ideal(alg, whole)
+        assert calls == []
+        assert (tt.exponent, tt.stable_ideal) == (1, whole)
+        assert tt.ideal_bimodule == ideal_bimodule_by_products(tt)
+    # a proper ideal still forms its powers: the radical of T3/GF(2) is
+    # nilpotent of index 3
+    t3 = upper_triangular_algebra(GF2, 3)
+    radical = two_sided_ideal_closure(t3, [t3.basis_vector(1), t3.basis_vector(4)])
+    calls.clear()
+    tt = TorsionTheory.from_ideal(t3, radical)
+    assert (tt.exponent, tt.stable_ideal.dim) == (3, 0)
+    assert "ideal_product" in calls and "_dot_products" in calls
+
+
+def _whole_side_cases():
+    """(context, theory, modules) for each corner side whose trace ideal is
+    the whole algebra, with the context reversed on the S side: both sides
+    of the M2/GF(2) corner at e11 (catalogs <= 4 and <= 3), the S side of
+    the T2/GF(2) corner at e22 (<= 3), and both sides of the M3(Q) corner."""
+    cases = []
+    for alg, e in ((full_matrix_algebra(GF2, 2), (1, 0, 0, 0)), (upper_triangular_algebra(GF2, 2), E22)):
+        ctx = corner_context(alg, e)
+        for side, max_dim in ((ctx, 4), (reverse_context(ctx), 3)):
+            tt = context_theories(side)[0]
+            if tt.stable_ideal.dim == side.R.dim:
+                cases.append((side, tt, build_catalog(side.R, max_dim).modules))
+    m3q = corner_context(full_matrix_algebra(QQ, 3), (1, 0, 0, 0, 0, 0, 0, 0, 0))
+    (t_i, r_mods), (t_j, s_mods) = _m3q_corner_cases()
+    return cases + [(m3q, t_i, r_mods), (reverse_context(m3q), t_j, s_mods)]
+
+
+@pytest.mark.parametrize("ctx, tt, mods", _whole_side_cases(),
+                         ids=["M2-GF2-R", "M2-GF2-S", "T2-GF2-S", "M3Q-R", "M3Q-S"])
+def test_whole_algebra_is_closed_builds_no_closedness_map(monkeypatch, ctx, tt, mods):
+    assert tt.stable_ideal.dim == tt.algebra.dim
+    calls, real = [], closedness_map
+    monkeypatch.setattr(torsion_layer, "closedness_map", lambda *args: calls.append(args) or real(*args))
+    verdicts = [is_closed(tt, x) for x in mods]
+    assert calls == []
+    monkeypatch.undo()
+    assert verdicts == [closedness_map(tt, x).closed for x in mods] == [closed_via_eta(ctx, x) for x in mods]
+    assert all(verdicts)
+    # the fast path still rejects a module over another algebra
+    other = regular_module(upper_triangular_algebra(Field.gf(3), 2))
+    with pytest.raises(ValueError, match="wrong algebra"):
+        is_closed(tt, other)
