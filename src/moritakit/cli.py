@@ -182,15 +182,12 @@ def _cmd_closed(ws, args):
     return report, [f"closed: {'true' if ok else 'false'}"]
 
 
-def _budget(args) -> int:
-    """--budget, else the library's lattice budget; the machine report's
-    inputs keep the flag as given."""
-    return args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
-
-
 def _built(builder, alg, max_dim: int, args):
-    """builder (build_catalog or build_graded_catalog) within --budget, sampled past it."""
-    return builder(alg, max_dim, budget=_budget(args), allow_sampling=True, seed=args.seed)
+    """builder (build_catalog or build_graded_catalog) within --budget, else
+    the library's lattice budget, sampled past it; the machine report's
+    inputs keep the flag as given."""
+    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
+    return builder(alg, max_dim, budget=budget, allow_sampling=True, seed=args.seed)
 
 
 def _recipe(ws, args, recipe_name, alg):
@@ -237,7 +234,7 @@ def _cmd_equiv_strict(ws, args):
 def _cmd_equiv_proj(ws, args):
     ctx, _ = _one_context(ws, args)
     cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    return verify_projective_equivalence(ctx, cat_r, cat_s, budget=_budget(args)), []
+    return verify_projective_equivalence(ctx, cat_r, cat_s), []
 
 
 def _cmd_compose(ws, args):

@@ -43,6 +43,7 @@ from .modules import (
     quotient_module,
     regular_module,
     submodule_supply,
+    tensor_over,
 )
 from .torsion import (
     OracleVerdict,
@@ -428,7 +429,9 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
     from seed 0.  Hom(P, -) is left exact, so the map is onto exactly when its
     kernel Hom(P, K) = Hom(P/IP, K) (a map into K, which I kills, kills IP)
     has dim Hom(P, X) - dim Hom(P, X/K).  The catalog-bounded reference for
-    verify_projective_equivalence's Ext^1 criterion."""
+    _in_projective_class's tensor criterion, Iinf (x)_R P = P, on
+    ideal-full P: the two agree once the catalog holds the middle terms
+    of the non-split extensions of P by the torsion simples."""
     f = tt.algebra.field
     top = ideal_action_image(tt.ideal, p_mod).quotient()[0]
     exhaustive = True
@@ -448,72 +451,59 @@ def is_I_projective_oracle(tt: TorsionTheory, p_mod: LeftModule, catalog: Catalo
     return OracleVerdict(not failures, exhaustive, tuple(failures))
 
 
-def _torsion_simples(tt: TorsionTheory, budget: int) -> tuple:
-    """(simples, exhaustive): one simple module killed by the ideal I per
-    isomorphism class.  A simple S with IS = 0 is a simple quotient of R/I;
-    the submodules of R/I (0 over any field when I = R) are walked within
-    budget, else DEFAULT_CATALOG_SAMPLES from seed 0, and a quotient is
-    simple when it has two submodules."""
-    r_mod_i = quotient_module(regular_module(tt.algebra), tt.ideal.basis)[0]
-    subs, exhaustive = submodule_supply(r_mod_i, budget, DEFAULT_CATALOG_SAMPLES, 0)
-    simples = []
-    for sub in subs:
-        s = sub.quotient()[0]
-        s_subs, complete = submodule_supply(s, budget, DEFAULT_CATALOG_SAMPLES, 0)
-        exhaustive = exhaustive and complete
-        if len(s_subs) == 2 and not any(is_isomorphic(t, s).found for t in simples):
-            simples.append(s)
-    return simples, exhaustive
+def _in_projective_class(tt: TorsionTheory, p: LeftModule) -> bool:
+    """Whether p is ideal-full (I.p = p) and every map from p lifts along
+    each X -> X/K with IK = 0: exactly when I.p = p and the multiplication
+    Iinf (x)_R p -> p is bijective, one tensor product over any field.
+
+      1. I.p = p iff Iinf.p = p, since Iinf = I^n and I^n.p = p.
+      2. The simples killed by I and by Iinf are the same: a nonzero
+         ideal action on a simple S is onto, so IS = S gives I^n.S = S.
+      3. Each such K has a composition series of these simples, and
+         Ext^1(p, -) is half exact; conversely the middle term of a
+         non-split class of Ext^1(p, S) is an X along which id_p does not
+         lift.  So p lifts iff Ext^1(p, S) = 0 for each such S, iff
+         Ext^1(p, Y) = 0 for every Y killed by Iinf, iff Tor_1(X, p) = 0
+         for every right module X killed by Iinf, since
+         Ext^1(p, DX) = D Tor_1(X, p) for the k-dual D (Cartan-Eilenberg,
+         Homological Algebra, VI.5).
+      4. That reduces to X = R/Iinf: X is a quotient of a free
+         R/Iinf-module F with kernel K, Iinf kills K, so
+         K (x)_R p = K (x)_R Iinf.p = 0, and Tor_1(F, p), a sum of copies
+         of Tor_1(R/Iinf, p), maps onto Tor_1(X, p).
+      5. Tor_1(R/Iinf, p) is the kernel of Iinf (x)_R p -> p, whose image
+         is Iinf.p = p, so it vanishes iff the dimensions agree.
+
+    is_I_projective_oracle is the catalog-bounded reference."""
+    return (ideal_action_image(tt.ideal, p).dim == p.dim
+            and tensor_over(tt.algebra, tt.ideal_bimodule, p).dim == p.dim)
 
 
-def _ideal_projective(report: Report, simples: tuple, p: LeftModule) -> bool:
-    """Whether every map from p lifts along each X -> X/K with IK = 0:
-    exactly when Ext^1(p, S) = 0 for each simple S killed by I.  K has a
-    composition series with such factors and Ext^1(p, -) is half exact;
-    conversely, the middle term of a non-split class in Ext^1(p, S) is an X
-    along which id_p does not lift.  simples is _torsion_simples' pair."""
-    mods, exhaustive = simples
-    if not exhaustive:
-        report.flag("sampled projectivity oracle")
-    return not any(extension_space(s, p).dim for s in mods)
-
-
-def _ideal_full(tt: TorsionTheory, p: LeftModule) -> bool:
-    return ideal_action_image(tt.ideal, p).dim == p.dim
-
-
-def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog, catalog_s: Catalog,
-                                  budget: int = DEFAULT_LATTICE_BUDGET) -> Report:
+def verify_projective_equivalence(ctx: MoritaContext, catalog_r: Catalog,
+                                  catalog_s: Catalog) -> Report:
     """The tensor functors restrict to an equivalence between the classes
     of ideal-full, ideal-projective modules on the two sides; units are
     the eta and rho maps, whose inner tensor products are the images.
-    Projectivity is _ideal_projective's Ext^1 criterion against each
-    side's torsion simples, found once within budget.  Sampled catalogs
-    and simples are flagged, simples per verdict (Report)."""
+    Membership is _in_projective_class's one tensor product, exact over
+    every field, so only sampled catalogs are flagged (Report)."""
     report = Report("projective class equivalence")
     report.flag_sampled_catalogs(catalog_r, catalog_s)
     t_i, t_j = context_theories(ctx)
-    simples_r = _torsion_simples(t_i, budget)
-    simples_s = _torsion_simples(t_j, budget)
-    r_members = [(i, p) for i, p in enumerate(catalog_r)
-                 if _ideal_full(t_i, p) and _ideal_projective(report, simples_r, p)]
-    s_members = [(i, p) for i, p in enumerate(catalog_s)
-                 if _ideal_full(t_j, p) and _ideal_projective(report, simples_s, p)]
+    r_members = [(i, p) for i, p in enumerate(catalog_r) if _in_projective_class(t_i, p)]
+    s_members = [(i, p) for i, p in enumerate(catalog_s) if _in_projective_class(t_j, p)]
     report.record("R side", "projective class size", True,
                   note=f"{len(r_members)} of {len(catalog_r)} qualify")
     report.record("S side", "projective class size", True,
                   note=f"{len(s_members)} of {len(catalog_s)} qualify")
     # the S side is the R side of the reversed context, where rho is eta
-    for side, members, c, t_there, simples_there, unit in (
-            ("R", r_members, ctx, t_j, simples_s, "eta"),
-            ("S", s_members, reverse_context(ctx), t_i, simples_r, "rho")):
+    for side, members, c, t_there, unit in (
+            ("R", r_members, ctx, t_j, "eta"),
+            ("S", s_members, reverse_context(ctx), t_i, "rho")):
         for i, p in members:
             subject = f"{side}-member[{i}] (dim {p.dim})"
             em = eta_map(c, p)
-            gp = em.inner.as_left_module()
-            proj = _ideal_projective(report, simples_there, gp)
             report.record(subject, "tensor image in the projective class",
-                          _ideal_full(t_there, gp) and proj)
+                          _in_projective_class(t_there, em.inner.as_left_module()))
             ok = em.matrix.is_invertible()
             report.record(subject, f"{unit} invertible on member", ok, witness=em.matrix)
     return report

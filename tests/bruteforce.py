@@ -246,6 +246,31 @@ def lifting_by_composites(tt, p, catalog):
     return not failures, tuple(failures)
 
 
+def torsion_simples(tt):
+    """One simple module killed by the ideal I per isomorphism class, by a
+    walk: a simple S with IS = 0 is a simple quotient of R/I, so every
+    submodule of R/I is walked (DEFAULT_LATTICE_BUDGET, no sampling) and
+    a quotient is kept when it has two submodules and is new up to iso."""
+    r_mod_i = quotient_module(regular_module(tt.algebra), tt.ideal.basis)[0]
+    simples = []
+    for sub in submodule_lattice(r_mod_i):
+        s = sub.quotient()[0]
+        if len(submodule_lattice(s)) == 2 and not any(is_isomorphic(t, s).found for t in simples):
+            simples.append(s)
+    return simples
+
+
+def projective_by_simples(tt, p, simples):
+    """Projective-class membership by the Ext^1 route: IP = P and
+    Ext^1(P, S) = 0 for each simple S of torsion_simples(tt).  K killed by
+    I has a composition series of such simples and Ext^1(P, -) is half
+    exact, so every P -> X/K lifts; conversely a non-split class of
+    Ext^1(P, S) has a middle term along which id_P does not lift."""
+    full = Basis.span(p.algebra.field, p.dim, [col for v in tt.ideal.basis.vectors
+                                               for col in p.action_of(v).columns()])
+    return full.dim == p.dim and not any(extension_space(s, p).dim for s in simples)
+
+
 def brute_rref(m):
     """Textbook Gauss-Jordan on the field's own operations: pivots are
     scaled to 1 and cleared above and below, one column at a time."""

@@ -442,8 +442,9 @@ def test_equiv_proj_budget_zero_samples_and_flags(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["inputs"]["budget"] == 0
-    assert doc["summary"]["flags"] == ["sampled catalog: sampled(seed=0)",
-                                       "sampled projectivity oracle"]
+    # the class test is one tensor product and never samples: only the
+    # catalogs, walked with budget 0, are flagged
+    assert doc["summary"]["flags"] == ["sampled catalog: sampled(seed=0)"]
     code, _, _ = run(capsys, "equiv-proj", T2, "--context", "t2corner", "--budget", "0",
                      "--strict-sampling")
     assert code == 1
@@ -459,6 +460,22 @@ def test_equiv_proj_passes_on_a_catalog_without_p2(capsys):
     assert "budget" not in doc["inputs"]
     assert doc["summary"]["flags"] == []
     assert doc["verdicts"][0]["note"] == "1 of 3 qualify"
+
+
+def test_equiv_proj_over_the_rationals_flags_only_the_catalog(capsys, tmp_path):
+    # the class test is one tensor product, exact over Q: R/I is not
+    # walked, so only the Q catalogs, which always sample, are flagged
+    doc = builtin_workspaces()["t2_corner.json"]
+    doc["field"] = {"kind": "rationals"}
+    path = tmp_path / "t2_corner_q.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "equiv-proj", str(path), "--context", "t2corner",
+                       "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["verdicts"]) == 14 and doc["summary"]["passed"] is True
+    assert [v["note"] for v in doc["verdicts"][:2]] == ["2 of 13 qualify", "4 of 4 qualify"]
+    assert doc["summary"]["flags"] == ["sampled catalog: sampled(seed=0)"]
 
 
 def test_unknown_command_names_the_choices(capsys):

@@ -1,5 +1,6 @@
 """Engine tests: catalogs, the four verifiers, and their cross-agreements."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,12 @@ import moritakit.equivalence as equivalence
 import moritakit.exactlin as exactlin
 import moritakit.graded as graded
 import moritakit.modules as modules
-from moritakit.algebra import Algebra, full_matrix_algebra, upper_triangular_algebra
+from moritakit.algebra import (
+    Algebra,
+    full_matrix_algebra,
+    two_sided_ideal_closure,
+    upper_triangular_algebra,
+)
 from moritakit.context import (
     MoritaContext,
     compose_contexts,
@@ -52,13 +58,15 @@ from moritakit.graded import (
     graded_corner_context,
     verify_graded_kato_muller,
 )
-from moritakit.torsion import localize
+from moritakit.torsion import TorsionTheory, localize
 
 from bruteforce import (
     brute_catalog,
     count_module_classes,
     first_invertible_lex,
     lifting_by_composites,
+    projective_by_simples,
+    torsion_simples,
 )
 
 GF2 = Field.gf(2)
@@ -384,8 +392,7 @@ def test_report_failures_listing(t2_corner, cat_t2, cat_corner_s):
 
 
 def test_projective_verifier_walks_only_r_mod_i(t2, t2_corner, monkeypatch):
-    # one walk of R/I and one per quotient on each side, whatever the
-    # catalogs: R/I = S1 has two submodules, and on the S side R/J = 0 has one
+    # not even R/I is walked: the class test is one tensor product
     cat_r = build_catalog(t2, 4)
     cat_s = build_catalog(t2_corner.S, 4)
     calls = []
@@ -397,7 +404,7 @@ def test_projective_verifier_walks_only_r_mod_i(t2, t2_corner, monkeypatch):
 
     monkeypatch.setattr(equivalence, "submodule_supply", counted)
     report = verify_projective_equivalence(t2_corner, cat_r, cat_s)
-    assert len(calls) == 5
+    assert calls == []
     t_i, _ = context_theories(t2_corner)
     members = [i for i, p in enumerate(cat_r)
                if equivalence.ideal_action_image(t_i.ideal, p).basis.dim == p.dim
@@ -427,7 +434,18 @@ def test_projective_oracle_matches_composite_surjectivity(alg, idem, max_dim):
 def test_projective_verifier_tensors_twice_per_member(t2_corner, cat_t2, cat_corner_s,
                                                       monkeypatch):
     # each member's image N (x) P is the inner tensor product of its unit,
-    # so the unit's two tensor products are the only ones formed
+    # so the unit's two tensor products are formed once; the class test
+    # forms Iinf (x) P once for each ideal-full catalog module and image
+    t_i, t_j = context_theories(t2_corner)
+    full_modules = full_images = 0
+    for c, here, there, cat in ((t2_corner, t_i, t_j, cat_t2),
+                                (reverse_context(t2_corner), t_j, t_i, cat_corner_s)):
+        simples = torsion_simples(here)
+        for p in cat:
+            full_modules += equivalence.ideal_action_image(here.ideal, p).dim == p.dim
+            if projective_by_simples(here, p, simples):
+                image = context_module.eta_map(c, p).inner.as_left_module()
+                full_images += equivalence.ideal_action_image(there.ideal, image).dim == image.dim
     calls = []
     tensor = context_module.tensor_over
 
@@ -439,7 +457,8 @@ def test_projective_verifier_tensors_twice_per_member(t2_corner, cat_t2, cat_cor
     monkeypatch.setattr(equivalence, "tensor_over", counted, raising=False)
     report = verify_projective_equivalence(t2_corner, cat_t2, cat_corner_s)
     members = [v for v in report.verdicts if v.check.endswith("invertible on member")]
-    assert members and len(calls) == 2 * len(members)
+    assert members and full_images
+    assert len(calls) == 2 * len(members) + full_modules + full_images
 
 
 def _diagonal_corner(n, p, idem, max_dim):
@@ -516,6 +535,27 @@ def test_projective_class_sizes_match_catalog_oracle(alg, idem, max_dim):
         members = [x for x in full if is_I_projective_oracle(tt, x, cat)]
         expected.append(f"{len(members)} of {len(cat)} qualify")
     assert notes == expected
+
+
+@pytest.mark.parametrize("n, ideals, raised, nonzero", [(3, 12, 6, 2), (4, 30, 20, 8)],
+                         ids=["T3/GF(2)", "T4/GF(2)"])
+def test_projective_class_matches_ext_against_torsion_simples(n, ideals, raised, nonzero):
+    # the one tensor product Iinf (x) P = P against the Ext^1 route over a
+    # walk of R/I, on every module to dim 3, under every two-sided ideal
+    # generated by at most two basis vectors: `raised` of them have
+    # exponent > 1, `nonzero` of those a nonzero Iinf
+    alg = upper_triangular_algebra(GF2, n)
+    cat = build_catalog(alg, 3)
+    gens = itertools.chain.from_iterable(itertools.combinations(range(alg.dim), k) for k in (1, 2))
+    theories = [TorsionTheory.from_ideal(alg, ideal) for ideal in dict.fromkeys(
+        two_sided_ideal_closure(alg, [alg.basis_vector(g) for g in gen]) for gen in gens)]
+    assert len(theories) == ideals
+    assert sum(tt.exponent > 1 for tt in theories) == raised
+    assert sum(tt.exponent > 1 and tt.stable_ideal.dim > 0 for tt in theories) == nonzero
+    for tt in theories:
+        simples = torsion_simples(tt)
+        for p in cat:
+            assert equivalence._in_projective_class(tt, p) == projective_by_simples(tt, p, simples)
 
 
 def test_sampled_dedup_miss_marks_catalog_sampled(t2, monkeypatch):

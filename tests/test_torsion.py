@@ -21,6 +21,8 @@ from moritakit.exactlin import QQ, Basis, Field, Matrix, kernel_basis
 from moritakit.modules import (
     LeftModule,
     direct_sum,
+    extension_space,
+    hom_space,
     is_isomorphic,
     quotient_module,
     regular_module,
@@ -432,3 +434,32 @@ def test_whole_algebra_is_closed_builds_no_closedness_map(monkeypatch, ctx, tt, 
     other = regular_module(upper_triangular_algebra(Field.gf(3), 2))
     with pytest.raises(ValueError, match="wrong algebra"):
         is_closed(tt, other)
+
+
+def _closedness_cases():
+    cases = []
+    for n, p in ((2, 2), (2, 3), (3, 2)):
+        alg = upper_triangular_algebra(Field.gf(p), n)
+        for i in range(alg.dim):
+            e = alg.basis_vector(i)
+            if alg.multiply(e, e) != e:
+                continue
+            ctx = corner_context(alg, e)
+            for tt, side in zip(context_theories(ctx), (ctx.R, ctx.S)):
+                cases.append(pytest.param(tt, side, id=f"T{n}/GF({p}) e{i} {'RS'[side != ctx.R]}"))
+    t3 = upper_triangular_algebra(Field.gf(2), 3)
+    for gens in ((0, 4), (1, 2), (1, 4), (1, 5)):
+        ideal = two_sided_ideal_closure(t3, [t3.basis_vector(g) for g in gens])
+        cases.append(pytest.param(TorsionTheory.from_ideal(t3, ideal), t3, id=f"T3/GF(2) ideal{gens}"))
+    return cases
+
+
+@pytest.mark.parametrize("tt, alg", _closedness_cases())
+def test_closedness_is_hom_and_ext_against_r_mod_iinf(tt, alg):
+    # X is closed iff Hom(R/Iinf, X) = 0 and Ext^1(R/Iinf, X) = 0
+    # (Stenstrom, Rings of Quotients, ch. IX): a third route, with no
+    # radical, on every module to dim 3, at exponents 1, 2 and 3
+    r_mod = quotient_module(regular_module(alg), tt.stable_ideal.basis)[0]
+    for x in build_catalog(alg, 3):
+        expected = hom_space(r_mod, x).dim == 0 and extension_space(x, r_mod).dim == 0
+        assert closedness_map(tt, x).closed == expected
