@@ -38,11 +38,13 @@ from .modules import (
     hom_space,
     ideal_action_image,
     is_isomorphic,
+    is_simple,
     iso_invariant,
     middle_term,
     quotient_module,
     regular_module,
     submodule_supply,
+    sum_invariant,
     tensor_over,
 )
 from .torsion import (
@@ -146,29 +148,42 @@ def _module_sort_key(m: LeftModule):
 
 class _ClassLedger:
     """One representative per isomorphism class, the first of each, in the
-    order kept.  A candidate is searched only against kept modules with its
-    invariant key, since a different key proves non-isomorphism.  proven
-    turns False when a module is kept although a search against its bucket
-    sampled and missed, which proves nothing."""
+    order kept, with its invariant key (keys[i] is that of reps[i]).  A
+    candidate is searched only against kept modules with its key, since a
+    different key proves non-isomorphism.  A candidate equal to one that a
+    search already found isomorphic to a kept module is dropped before it
+    is keyed.  Kept modules are not dropped so: a repeat of one is
+    searched, since that search may sample and miss.  proven turns False
+    when a module is kept although a search against its bucket sampled and
+    missed, which proves nothing."""
 
-    __slots__ = ("reps", "proven", "_buckets", "_is_iso")
+    __slots__ = ("reps", "keys", "proven", "_buckets", "_repeats", "_is_iso")
 
     def __init__(self, is_iso):
         self.reps = []
+        self.keys = []
         self.proven = True
         self._buckets = {}
+        self._repeats = set()
         self._is_iso = is_iso
 
-    def add(self, key, mod) -> None:
+    def add(self, mod, key_of) -> None:
+        """Keep mod unless it is a known repeat or isomorphic to a kept
+        module of its key, key_of(mod)."""
+        if mod in self._repeats:
+            return
+        key = key_of(mod)
         bucket = self._buckets.setdefault(key, [])
         proven = True
         for r in bucket:
             res = self._is_iso(r, mod)
             if res.found:
+                self._repeats.add(mod)
                 return
             proven = proven and res.exhaustive
         bucket.append(mod)
         self.reps.append(mod)
+        self.keys.append(key)
         self.proven = self.proven and proven
 
     def catalog(self, algebra, provenance: str, sort_key) -> Catalog:
@@ -194,7 +209,9 @@ def build_catalog(algebra: Algebra, max_dim: int,
          dim S + dim T <= max_dim: the split extension, direct_sum with the
          earlier-kept class first, then one middle_term per projective
          point of extension_space(S, T).  The simples are the quotients of
-         step 1 whose only submodules are 0 and themselves.
+         step 1 whose only submodules are 0 and themselves: where the
+         points fit the budget, those that each projective point generates
+         (is_simple), else by the supply below.
 
     This is complete, by induction on dimension: a nonzero module M has a
     simple submodule S, which is cyclic and so is isomorphic to a simple
@@ -208,7 +225,12 @@ def build_catalog(algebra: Algebra, max_dim: int,
     each basis action, dim End).  Every entry of the key is preserved by
     N = P M P^-1 over the fixed algebra basis, so a different key proves
     non-isomorphism, and the catalog is exactly what comparing against
-    every kept module gives.  The representatives are sorted by (dim,
+    every kept module gives.  A split sum is keyed from its summands' kept
+    keys (sum_invariant), with two small hom solves.  The build holds one
+    functor memo (_memo_scope), so the End solve of a key serves every
+    later search against that class: a search whose dim Hom(kept, new)
+    differs from dim End(kept) is a miss before any draw, kernel test or
+    walk (_invertible_proof).  The representatives are sorted by (dim,
     action matrices).
 
     The submodules of a module, or the points of an Ext^1 space, are
@@ -218,47 +240,49 @@ def build_catalog(algebra: Algebra, max_dim: int,
     sampled(seed=...); without it BudgetExceeded is raised.  A class kept
     after a sampled iso search missed also marks the catalog sampled.
     """
-    field = algebra.field
-    samples = DEFAULT_CATALOG_SAMPLES if allow_sampling else None
-    rng = random.Random(seed)
-    ledger = _ClassLedger(is_isomorphic)
-    exact = True
+    with _memo_scope():
+        field = algebra.field
+        samples = DEFAULT_CATALOG_SAMPLES if allow_sampling else None
+        rng = random.Random(seed)
+        ledger = _ClassLedger(is_isomorphic)
+        exact = True
 
-    def add(mod: LeftModule) -> None:
-        ledger.add(iso_invariant(mod), mod)
+        def supply(mod: LeftModule) -> list:
+            nonlocal exact
+            subs, exhaustive = submodule_supply(mod, budget, samples, seed)
+            exact = exact and exhaustive
+            return subs
 
-    def supply(mod: LeftModule) -> list:
-        nonlocal exact
-        subs, exhaustive = submodule_supply(mod, budget, samples, seed)
-        exact = exact and exhaustive
-        return subs
+        def simple(mod: LeftModule) -> bool:
+            return is_simple(mod) if points_fit(field, mod.dim, budget) else len(supply(mod)) == 2
 
-    def classes(e: int):
-        nonlocal exact
-        if points_fit(field, e, budget):
-            return _projective_points(field, e)
-        if samples is None:
-            raise BudgetExceeded(f"an Ext space of dim {e} exceeds catalog budget {budget}")
-        exact = False
-        draws = ([random_scalar(field, rng) for _ in range(e)] for _ in range(samples))
-        return [c for c in draws if any(c)]
+        def classes(e: int):
+            nonlocal exact
+            if points_fit(field, e, budget):
+                return _projective_points(field, e)
+            if samples is None:
+                raise BudgetExceeded(f"an Ext space of dim {e} exceeds catalog budget {budget}")
+            exact = False
+            draws = ([random_scalar(field, rng) for _ in range(e)] for _ in range(samples))
+            return [c for c in draws if any(c)]
 
-    reg = regular_module(algebra)
-    for sub in supply(reg):
-        if reg.dim - sub.dim <= max_dim:
-            add(sub.quotient()[0])
-    simples = [(j, s) for j, s in enumerate(ledger.reps) if s.dim > 0 and len(supply(s)) == 2]
-    for i, t in enumerate(ledger.reps):  # reps grows while it is walked
-        for j, s in simples:
-            if t.dim == 0 or s.dim + t.dim > max_dim:
-                continue
-            add(direct_sum(s, t) if j < i else direct_sum(t, s))
-            ext = extension_space(s, t)
-            for coeffs in classes(ext.dim):
-                add(middle_term(s, t, ext.from_coords(coeffs)))
+        reg = regular_module(algebra)
+        for sub in supply(reg):
+            if reg.dim - sub.dim <= max_dim:
+                ledger.add(sub.quotient()[0], iso_invariant)
+        simples = [(j, s) for j, s in enumerate(ledger.reps) if s.dim > 0 and simple(s)]
+        for i, t in enumerate(ledger.reps):  # reps grows while it is walked
+            for j, s in simples:
+                if t.dim == 0 or s.dim + t.dim > max_dim:
+                    continue
+                ledger.add(direct_sum(s, t) if j < i else direct_sum(t, s),
+                           lambda _: sum_invariant(s, t, ledger.keys[j], ledger.keys[i]))
+                ext = extension_space(s, t)
+                for coeffs in classes(ext.dim):
+                    ledger.add(middle_term(s, t, ext.from_coords(coeffs)), iso_invariant)
 
-    provenance = f"exhaustive-up-to-dim({max_dim})" if exact else f"sampled(seed={seed})"
-    return ledger.catalog(algebra, provenance, _module_sort_key)
+        provenance = f"exhaustive-up-to-dim({max_dim})" if exact else f"sampled(seed={seed})"
+        return ledger.catalog(algebra, provenance, _module_sort_key)
 
 
 def user_catalog(algebra: Algebra, modules) -> Catalog:

@@ -246,16 +246,19 @@ def graded_hom(gm: GradedModule, gn: GradedModule) -> GradedHom:
                               for sigma in range(gm.algebra.group.order)})
 
 
-def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int) -> HomBasis:
+def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int,
+                   endomorphisms=None) -> HomBasis:
     """The degree-sigma maps of a hom space between graded modules: its
     canonical basis vectors whose pivot has degree sigma.  The coordinates
     partition by degree and the space is the sum of its components, so the
     union of the components' RREF bases is in RREF: by uniqueness it is
-    full's basis, whose degree-sigma part is the component's RREF basis."""
+    full's basis, whose degree-sigma part is the component's RREF basis.
+    endomorphisms is passed to the HomBasis."""
     picked = [(v, c) for v, c in zip(full.basis.vectors, full.basis.pivots)
               if coord_degrees[c] == sigma]
     vecs, pivots = tuple(zip(*picked)) or ((), ())
-    return HomBasis(full.source, full.target, Basis(full.basis.field, len(coord_degrees), vecs, pivots))
+    return HomBasis(full.source, full.target, Basis(full.basis.field, len(coord_degrees), vecs, pivots),
+                    endomorphisms)
 
 
 def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tuple:
@@ -274,7 +277,8 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
     hom), by is_isomorphic's DEFAULT_ISO_EXHAUST / DEFAULT_ISO_SAMPLES search
     (_search_invertible) over the degree-preserving component: where it is
     exhaustive, found and the lexicographically first map_ are each computed
-    when read."""
+    when read.  The component's endomorphisms are the degree-preserving
+    ones of gm, so unequal dimensions are a miss before any draw."""
     if gm.algebra != gn.algebra:
         raise ValueError("graded iso needs modules over the same graded algebra")
     if gm.dim != gn.dim or gm.component_dims() != gn.component_dims():
@@ -282,9 +286,12 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
     if gm.dim == 0:
         return IsoResult(Matrix.zeros(gm.base.algebra.field, 0, 0), True)
     group = gm.algebra.group
-    h = _hom_component(hom_space(gm.base, gn.base),
-                       _hom_coord_degrees(group, gm.degrees, gn.degrees), group.identity)
-    return _search_invertible(h)
+
+    def preserving(gx: GradedModule, endomorphisms=None) -> HomBasis:
+        return _hom_component(hom_space(gm.base, gx.base), _hom_coord_degrees(group, gm.degrees, gx.degrees),
+                              group.identity, endomorphisms)
+
+    return _search_invertible(preserving(gn, lambda: preserving(gm)))
 
 
 _NOT_GRADED = "subspace is not graded: echelon basis vector mixes degrees"
@@ -354,7 +361,7 @@ def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                 cand = GradedModule(galg, mod, assignment)
             except ValueError:
                 continue
-            ledger.add((index, cand.component_dims()), cand)
+            ledger.add(cand, lambda c: (index, c.component_dims()))
     return ledger.catalog(galg, base_cat.provenance, lambda g: (g.dim, g.degrees))
 
 

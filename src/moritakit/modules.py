@@ -20,7 +20,7 @@ import contextvars
 import functools
 import itertools
 import random
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import exactlin
 from .algebra import Algebra, Ideal
@@ -326,14 +326,22 @@ class HomBasis:
 
     The basis lives in vectorized (row-major) coordinates and is in RREF,
     so coords() can read coefficients directly off the pivot positions.
+
+    endomorphisms, when given, returns the space of the same kind from
+    source to itself: End(source) for hom_space, its identity-degree part
+    for a graded component.  An invertible f in this space makes g |-> f g
+    a bijection from that space onto this one, so unequal dimensions
+    prove there is none (_invertible_proof).
     """
 
-    __slots__ = ("source", "target", "basis", "_mats")
+    __slots__ = ("source", "target", "basis", "endomorphisms", "_mats")
 
-    def __init__(self, source: LeftModule, target: LeftModule, basis: Basis):
+    def __init__(self, source: LeftModule, target: LeftModule, basis: Basis,
+                 endomorphisms: Optional[Callable[[], "HomBasis"]] = None):
         self.source = source
         self.target = target
         self.basis = basis
+        self.endomorphisms = endomorphisms
         self._mats = None
 
     @property
@@ -381,7 +389,8 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
         raise ValueError("hom between modules over different algebras")
     pairs = [(source.action[g], target.action[g]) for g in source.algebra.generator_indices()]
     rows = _intertwiners(source.dim, target.dim, pairs)
-    return HomBasis(source, target, sparse_kernel_basis(source.algebra.field, rows, source.dim * target.dim))
+    return HomBasis(source, target, sparse_kernel_basis(source.algebra.field, rows, source.dim * target.dim),
+                    functools.partial(hom_space, source, source))
 
 
 def _intertwiners(sd: int, td: int, action_pairs) -> list:
@@ -617,6 +626,16 @@ def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> li
     return [Submodule._of(m, b) for b in sorted(found, key=lambda b: (b.dim, b.vectors))]
 
 
+def is_simple(m: LeftModule) -> bool:
+    """len(submodule_lattice(m)) == 2 without the walk: m is simple iff it
+    is nonzero and each projective point generates all of it, since every
+    nonzero vector is a multiple of one.  The points are closed in
+    submodule_lattice's order until one generates a proper submodule, so a
+    non-simple m usually stops at the first.  Over GF(p) only."""
+    return m.dim > 0 and all(cyclic_submodule(m, v).dim == m.dim
+                             for v in _projective_points(m.algebra.field, m.dim))
+
+
 def enumerate_submodules(m: LeftModule, budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """submodule_lattice under the oracles' smaller default budget."""
     return submodule_lattice(m, budget)
@@ -654,8 +673,12 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     Z^1 is the space of derivations f: A -> Hom_k(T, S), with
     f(ab) = rho_S(a) f(b) + f(a) rho_T(b), vectorized as f(e_0), f(e_1), ...
     over the algebra basis, each an (s x t) block read row-major: one
-    sparse_kernel_basis over the structure constants, with one sparse row
-    of nonzero terms per equation (i, j, r, c).  B^1, the image of
+    sparse_kernel_basis, with one sparse row of nonzero terms per equation
+    (g, j, r, c) for a generator e_g (Algebra.generator_indices) and any
+    e_j, plus the rows of f(1) = 0.  Given f(1) = 0, the a for which the
+    rule holds for every b form a unital subalgebra (f(aa'b) expands
+    through a'b, then b), so one holding the generators is all of A, and
+    the kernel, with its canonical basis, is Z^1.  B^1, the image of
     h |-> (rho_S(a) h - h rho_T(a))_a, is spanned by the columns of the
     _intertwiners rows of every basis pair, row (a, r, c) being
     coordinate a*block + r*t + c.  Each f in Z^1 is reduced by B^1's RREF,
@@ -668,8 +691,9 @@ def extension_space(s: LeftModule, t: LeftModule) -> Basis:
     td = t.dim
     block = s.dim * td
     nvars = alg.dim * block
-    rows = []
-    for i, j in itertools.product(range(alg.dim), repeat=2):
+    units = [(k, u) for k, u in enumerate(alg.unit) if u]
+    rows = [{k * block + at: u for k, u in units} for at in range(block)]
+    for i, j in itertools.product(alg.generator_indices(), range(alg.dim)):
         for r, c in itertools.product(range(s.dim), range(td)):
             row = {}
             terms = [(j * block + q * td + c, s.action[i].entries[r][q]) for q in range(s.dim)]
@@ -770,16 +794,26 @@ def iso_invariant(m: LeftModule) -> tuple:
     return m.dim, tuple(rank(a) for a in m.action), hom_space(m, m).dim
 
 
+def sum_invariant(s: LeftModule, t: LeftModule, key_s: tuple, key_t: tuple) -> tuple:
+    """iso_invariant of direct_sum(s, t), or of direct_sum(t, s), from the
+    summands' keys: the dims add, and so do the ranks, as the actions are
+    block diagonal; End(S + T) = End S + Hom(S, T) + Hom(T, S) + End T.
+    Two hom solves of dim S * dim T unknowns each, no rank."""
+    return (key_s[0] + key_t[0], tuple(a + b for a, b in zip(key_s[1], key_t[1])),
+            key_s[2] + key_t[2] + hom_space(s, t).dim + hom_space(t, s).dim)
+
+
 def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     """Search the hom space for an invertible map.
 
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
     tried first when it lies in the hom space; then _search_invertible,
     whose miss is a proof only when that search was exhaustive.  The
-    exhaustive search decides found by a common kernel or a seeded draw
-    where one applies, and its map_ is the first invertible map in
-    lexicographic coefficient order, computed when read, so the witness
-    depends neither on the pruning nor on the draws.
+    exhaustive search decides found by dim Hom(m, n) against dim End(m),
+    a seeded draw or a common kernel where one applies, and its map_ is
+    the first invertible map in lexicographic coefficient order, computed
+    when read, so the witness depends neither on the pruning nor on the
+    draws.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism search across different algebras")
@@ -797,15 +831,21 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
 
 def _invertible_proof(hom: HomBasis) -> Optional[bool]:
     """Whether the hom space holds an invertible map, by the cheapest exact
-    proof over GF(p): False when its maps share a nonzero kernel (the root
-    test of exactlin._invertible_walk, one elimination of the stacked maps),
+    proof over GF(p), in this order: False when its dimension differs from
+    that of hom.endomorphisms() (a memo lookup inside a catalog build);
     True when one of DEFAULT_ISO_PROOF_DRAWS draws from seed 0 is
-    invertible; None when neither holds and only the walk can decide."""
+    invertible; False when its maps share a nonzero kernel (the root test
+    of exactlin._invertible_walk, one elimination of the stacked maps);
+    None when none of these holds and only the walk can decide."""
+    if hom.endomorphisms is not None and hom.endomorphisms().dim != hom.dim:
+        return False
     field, maps, n = hom.source.algebra.field, hom.matrices, hom.source.dim
+    draws = exactlin._invertible_draws(field, maps, None, DEFAULT_ISO_PROOF_DRAWS, random.Random(0))
+    if next(draws, None):
+        return True
     if len(_pivot_rows(field, [r for m in maps for r in m.entries], n)[1]) < n:
         return False
-    draws = exactlin._invertible_draws(field, maps, None, DEFAULT_ISO_PROOF_DRAWS, random.Random(0))
-    return True if next(draws, None) else None
+    return None
 
 
 def _search_invertible(hom: HomBasis) -> IsoResult:
@@ -813,12 +853,12 @@ def _search_invertible(hom: HomBasis) -> IsoResult:
 
     Where the coefficient points fit DEFAULT_ISO_EXHAUST, the result is
     exhaustive and deferred (IsoResult._deferred): found is decided by
-    _invertible_proof where it can (a common kernel or a seeded draw), else
-    by the walk; map_ is always the first invertible map of the
-    lexicographic sweep, whose singular subtrees are skipped, computed
-    when read.  Past the budget (over Q, always) invertible_search draws
-    DEFAULT_ISO_SAMPLES members from seed 0 at once, and a miss proves
-    nothing.
+    _invertible_proof where it can (a Hom dimension, a seeded draw or a
+    common kernel), else by the walk; map_ is always the first invertible
+    map of the lexicographic sweep, whose singular subtrees are skipped,
+    computed when read.  Past the budget (over Q, always)
+    invertible_search draws DEFAULT_ISO_SAMPLES members from seed 0 at
+    once, and a miss proves nothing.
     """
     if hom.dim == 0:
         return IsoResult(None, True)

@@ -446,8 +446,9 @@ def localize_via_hom_module(tt, x):
 
 
 def extension_space_dense(s, t):
-    """extension_space with every cocycle equation a dense row over the
-    whole derivation space, added up by the field's own operations."""
+    """extension_space with the cocycle equations of every basis pair
+    (i, j), not only of the generators, each a dense row over the whole
+    derivation space, added up by the field's own operations."""
     alg = s.algebra
     f = alg.field
     td = t.dim

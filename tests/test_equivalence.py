@@ -46,9 +46,12 @@ from moritakit.modules import (
     direct_sum,
     extension_space,
     is_isomorphic,
+    is_simple,
     iso_invariant,
     middle_term,
     regular_module,
+    submodule_lattice,
+    sum_invariant,
     validate_module,
 )
 from moritakit.graded import (
@@ -63,6 +66,7 @@ from moritakit.torsion import TorsionTheory, localize
 from bruteforce import (
     brute_catalog,
     count_module_classes,
+    extension_space_dense,
     first_invertible_lex,
     lifting_by_composites,
     projective_by_simples,
@@ -391,8 +395,9 @@ def test_report_failures_listing(t2_corner, cat_t2, cat_corner_s):
     assert all(not v.passed for v in report.failures())
 
 
-def test_projective_verifier_walks_only_r_mod_i(t2, t2_corner, monkeypatch):
-    # not even R/I is walked: the class test is one tensor product
+def test_projective_verifier_walks_no_submodules(t2, t2_corner, monkeypatch):
+    # the class test is one tensor product per module: no submodule of R,
+    # R/I or a catalog module is walked
     cat_r = build_catalog(t2, 4)
     cat_s = build_catalog(t2_corner.S, 4)
     calls = []
@@ -497,16 +502,17 @@ def test_s2_is_not_ideal_projective_over_t2(t2, t2_corner, s1, s2, p2, cat_corne
     assert not is_I_projective_oracle(t_i, s2, build_catalog(t2, 2))
 
 
-def test_torsion_simples_fit_the_default_budget():
-    # R/I, not R, is walked: a walk of R would sample at DEFAULT_ENUM_BUDGET
-    # (5**3 is past 81; T3/GF(3), 3**6, is a case of the test above)
+def test_projective_verifier_flags_nothing_on_a_gf5_corner():
+    # the class test is one tensor product, so nothing samples although
+    # 5**3 points of R are past DEFAULT_ENUM_BUDGET (81)
     report = verify_projective_equivalence(*_diagonal_corner(2, 5, 2, 2))
     assert report.passed and report.flags == []
 
 
 @pytest.mark.parametrize("n", [2, 3], ids=["M2(Q)", "M3(Q)"])
-def test_projective_verifier_walks_a_zero_r_mod_i_exactly_over_q(n):
-    # I = R at e11, so R/I = 0, whose one submodule needs no sampling
+def test_projective_verifier_flags_only_user_catalogs_over_q(n):
+    # I = R at e11, and the class test is one tensor product, exact over
+    # Q: only the user-supplied catalogs are flagged
     alg = full_matrix_algebra(Field.rationals(), n)
     ctx = corner_context(alg, alg.basis_vector(0))
     s = regular_module(ctx.S)
@@ -895,3 +901,110 @@ def test_strict_verifier_names_the_s_side(t2_corner, cat_t2, cat_corner_s):
     assert not report.passed
     one_epi = verify_one_epi(zero, cat_t2, cat_corner_s)
     assert one_epi.verdicts == report.verdicts[:1]
+
+
+_REUSE_BUILDS = [
+    pytest.param(upper_triangular_algebra(GF2, 2), 4, id="T2-GF2-4"),
+    pytest.param(upper_triangular_algebra(GF3, 2), 3, id="T2-GF3-3"),
+    pytest.param(full_matrix_algebra(GF2, 2), 4, id="M2-GF2-4"),
+    pytest.param(upper_triangular_algebra(GF2, 3), 3, id="T3-GF2-3"),
+]
+
+
+@pytest.mark.parametrize("algebra, max_dim", _REUSE_BUILDS)
+@pytest.mark.parametrize("basis_seed", [None, 3], ids=["standard", "rebased3"])
+def test_split_sum_key_is_the_invariant_of_the_sum(monkeypatch, algebra, max_dim, basis_seed):
+    # every split sum the build offers, keyed from its summands' keys, has
+    # the key iso_invariant gives the built sum, in either summand order
+    if basis_seed is not None:
+        algebra = _rebased(algebra, _unimodular(algebra.dim, basis_seed))
+    sums, keyed = [], []
+    real_sum, real_key = equivalence.direct_sum, equivalence.sum_invariant
+
+    def recording_sum(a, b):
+        sums.append((a, b, real_sum(a, b)))
+        return sums[-1][2]
+
+    def recording_key(s, t, key_s, key_t):
+        keyed.append((s, t, key_s, key_t, real_key(s, t, key_s, key_t)))
+        return keyed[-1][-1]
+
+    monkeypatch.setattr(equivalence, "direct_sum", recording_sum)
+    monkeypatch.setattr(equivalence, "sum_invariant", recording_key)
+    build_catalog(algebra, max_dim)
+    assert sums and keyed
+    for a, b, m in sums:
+        assert sum_invariant(a, b, iso_invariant(a), iso_invariant(b)) == iso_invariant(m)
+    for s, t, key_s, key_t, key in keyed:
+        assert (key_s, key_t) == (iso_invariant(s), iso_invariant(t))
+        assert key == iso_invariant(direct_sum(s, t)) == iso_invariant(direct_sum(t, s))
+
+
+@pytest.mark.parametrize("algebra, max_dim", _REUSE_BUILDS + [
+    pytest.param(_radical_square_zero(GF2, 2), 3, id="GF2[x,y]/(x,y)^2-3"),
+])
+def test_early_exit_simplicity_matches_the_lattice(algebra, max_dim):
+    cat = build_catalog(algebra, max_dim)
+    assert any(is_simple(m) for m in cat)
+    for m in cat:
+        assert is_simple(m) == (len(submodule_lattice(m)) == 2)
+
+
+@pytest.mark.parametrize("algebra, max_dim", [
+    pytest.param(_rebased(upper_triangular_algebra(GF3, 2), _unimodular(3, 3)), 2, id="T2-GF3-rebased3"),
+    pytest.param(_rebased(upper_triangular_algebra(GF2, 3), _unimodular(6, 3)), 2, id="T3-GF2-rebased3"),
+    pytest.param(_rebased(full_matrix_algebra(GF2, 2), _unimodular(4, 3)), 4, id="M2-GF2-rebased3"),
+    pytest.param(_rebased(_radical_square_zero(GF2, 2), _unimodular(3, 3)), 2, id="GF2[x,y]/(x,y)^2-rebased3"),
+])
+def test_generator_row_extension_space_matches_all_pairs_rows(algebra, max_dim):
+    # the (generator, basis) rows and f(1) = 0 cut out the same Z^1, with
+    # the same canonical basis, as the rows of every basis pair
+    assert len(algebra.generator_indices()) < algebra.dim
+    cat = build_catalog(algebra, max_dim).modules
+    for s, t in itertools.product(cat, repeat=2):
+        assert extension_space(s, t) == extension_space_dense(s, t)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_catalog(_radical_square_zero(GF2, 2), 4), id="GF2[x,y]/(x,y)^2-4"),
+    pytest.param(lambda: build_graded_catalog(
+        GradedAlgebra(upper_triangular_algebra(GF2, 2), FiniteGroup.cyclic(2), (0, 1, 0)), 3),
+                 id="C2-graded-T2-3"),
+])
+def test_hom_dimension_disproves_before_any_draw(monkeypatch, build):
+    # a dedup search whose Hom dimension differs from that of its source's
+    # endomorphisms is a proven miss, decided before any draw or kernel test
+    proofs, draws = [], []
+    real_proof, real_draws = modules._invertible_proof, exactlin._invertible_draws
+
+    def proof(hom):
+        before = len(draws)
+        proofs.append((hom, real_proof(hom), len(draws) - before))
+        return proofs[-1][1]
+
+    def counting(*args):
+        draws.append(args)
+        return real_draws(*args)
+
+    monkeypatch.setattr(modules, "_invertible_proof", proof)
+    monkeypatch.setattr(exactlin, "_invertible_draws", counting)
+    build()
+    disproved = [(res, drawn) for hom, res, drawn in proofs if hom.endomorphisms().dim != hom.dim]
+    assert disproved and all(res is False and drawn == 0 for res, drawn in disproved)
+    assert any(res is True for _, res, _ in proofs)
+
+
+def test_catalog_keys_no_known_repeat_twice(monkeypatch):
+    # a candidate equal to one already found isomorphic to a kept class is
+    # dropped before keying; only kept classes are keyed again
+    keyed = []
+    real = equivalence.iso_invariant
+
+    def recording(m):
+        keyed.append(m)
+        return real(m)
+
+    monkeypatch.setattr(equivalence, "iso_invariant", recording)
+    cat = build_catalog(upper_triangular_algebra(GF2, 2), 4)
+    repeats = {m for m in keyed if keyed.count(m) > 1}
+    assert repeats and repeats <= set(cat.modules)

@@ -182,3 +182,12 @@ def test_objects_made_without_init_hash_like_the_others(t2):
     bare.left_action, bare.right_action = bim.left_action, bim.right_action
     assert bare == bim and hash(bare) == hash(bim)
     assert bare.left_module() is bare.left_module() == bim.left_module()
+
+
+def test_a_catalog_build_holds_its_memo_for_the_call_only(monkeypatch, t2):
+    # every solve of the build sees one memo, so the End solve behind a
+    # class's key serves every later search against that class
+    seen = count_solves(monkeypatch)
+    build_catalog(t2, 4)
+    assert seen and all(seen)
+    assert modules._MEMO.get() is None
