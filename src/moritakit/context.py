@@ -39,7 +39,9 @@ from .modules import (
     TensorProduct,
     _intertwiners,
     hom_module,
+    hom_space,
     regular_bimodule,
+    regular_module,
     tensor_over,
 )
 
@@ -234,6 +236,23 @@ def rho_map(ctx: MoritaContext, y: LeftModule) -> NaturalMap:
     if y.algebra != ctx.S:
         raise ValueError("rho expects a left module over S")
     return _eta(reverse_context(ctx), y)
+
+
+def closed_via_eta(ctx: MoritaContext, x: LeftModule) -> bool:
+    """Closedness relative to the context: composition with eta on the
+    regular module must be a bijection Hom(R, X) -> Hom(M(x)N(x)R, X)."""
+    if x.algebra != ctx.R:
+        raise ValueError("module is over the wrong algebra")
+    u = regular_module(ctx.R)
+    em = eta_map(ctx, u)
+    outer_mod = em.outer.as_left_module()
+    h_u = hom_space(u, x)
+    h_fg = hom_space(outer_mod, x)
+    if h_u.dim != h_fg.dim:
+        return False
+    mat = h_fg.coords_matrix((beta @ em.matrix for beta in h_u.matrices),
+                             "composition with eta left the hom space")
+    return mat.is_invertible()
 
 
 def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:

@@ -110,7 +110,8 @@ class Report:
     def record_round_trip(self, subject: str, check: str, iso, note: str = "") -> None:
         """Record a round-trip iso search, run from its default seed 0.  A
         sampled miss disproves nothing, so it is flagged and noted.  The
-        witness is read first: it settles found with the walk alone."""
+        witness is read first, so found is read off it: the walk alone,
+        with no Hom-dimension proof and no draw."""
         witness = iso.map_
         if not iso.found and not iso.exhaustive:
             self.flag("sampled iso search (seed 0)")
@@ -228,10 +229,9 @@ def build_catalog(algebra: Algebra, max_dim: int,
     every kept module gives.  A split sum is keyed from its summands' kept
     keys (sum_invariant), with two small hom solves.  The build holds one
     functor memo (_memo_scope), so the End solve of a key serves every
-    later search against that class: a search whose dim Hom(kept, new)
-    differs from dim End(kept) is a miss before any draw, kernel test or
-    walk (_invertible_proof).  The representatives are sorted by (dim,
-    action matrices).
+    later search against that class, in modules._search_invertible's
+    order: dim Hom(kept, new) against dim End(kept), seeded draws, the
+    walk.  The representatives are sorted by (dim, action matrices).
 
     The submodules of a module, or the points of an Ext^1 space, are
     walked when its points fit the budget (exactlin.points_fit).  Past it,

@@ -246,19 +246,16 @@ def graded_hom(gm: GradedModule, gn: GradedModule) -> GradedHom:
                               for sigma in range(gm.algebra.group.order)})
 
 
-def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int,
-                   endomorphisms=None) -> HomBasis:
+def _hom_component(full: HomBasis, coord_degrees: Sequence[int], sigma: int) -> HomBasis:
     """The degree-sigma maps of a hom space between graded modules: its
     canonical basis vectors whose pivot has degree sigma.  The coordinates
     partition by degree and the space is the sum of its components, so the
     union of the components' RREF bases is in RREF: by uniqueness it is
-    full's basis, whose degree-sigma part is the component's RREF basis.
-    endomorphisms is passed to the HomBasis."""
+    full's basis, whose degree-sigma part is the component's RREF basis."""
     picked = [(v, c) for v, c in zip(full.basis.vectors, full.basis.pivots)
               if coord_degrees[c] == sigma]
     vecs, pivots = tuple(zip(*picked)) or ((), ())
-    return HomBasis(full.source, full.target, Basis(full.basis.field, len(coord_degrees), vecs, pivots),
-                    endomorphisms)
+    return HomBasis(full.source, full.target, Basis(full.basis.field, len(coord_degrees), vecs, pivots))
 
 
 def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tuple:
@@ -274,11 +271,11 @@ def degrees_for_hom_basis(hom: HomBasis, group, src_degrees, tgt_degrees) -> tup
 
 def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
     """Search for an invertible degree-preserving map (an identity-degree
-    hom), by is_isomorphic's DEFAULT_ISO_EXHAUST / DEFAULT_ISO_SAMPLES search
-    (_search_invertible) over the degree-preserving component: where it is
-    exhaustive, found and the lexicographically first map_ are each computed
-    when read.  The component's endomorphisms are the degree-preserving
-    ones of gm, so unequal dimensions are a miss before any draw."""
+    hom), by is_isomorphic's search (_search_invertible) over the
+    degree-preserving component, against the degree-preserving
+    endomorphisms of gm: where it is exhaustive, found (a Hom-dimension
+    disproof, then seeded draws, then the walk) and the lexicographically
+    first map_ are each computed when read."""
     if gm.algebra != gn.algebra:
         raise ValueError("graded iso needs modules over the same graded algebra")
     if gm.dim != gn.dim or gm.component_dims() != gn.component_dims():
@@ -287,11 +284,11 @@ def is_graded_isomorphic(gm: GradedModule, gn: GradedModule) -> IsoResult:
         return IsoResult(Matrix.zeros(gm.base.algebra.field, 0, 0), True)
     group = gm.algebra.group
 
-    def preserving(gx: GradedModule, endomorphisms=None) -> HomBasis:
+    def preserving(gx: GradedModule) -> HomBasis:
         return _hom_component(hom_space(gm.base, gx.base), _hom_coord_degrees(group, gm.degrees, gx.degrees),
-                              group.identity, endomorphisms)
+                              group.identity)
 
-    return _search_invertible(preserving(gn, lambda: preserving(gm)))
+    return _search_invertible(preserving(gn), lambda: preserving(gm))
 
 
 _NOT_GRADED = "subspace is not graded: echelon basis vector mixes degrees"

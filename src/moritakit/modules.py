@@ -22,7 +22,6 @@ import itertools
 import random
 from typing import Callable, Optional, Sequence, Union
 
-from . import exactlin
 from .algebra import Algebra, Ideal
 from .exactlin import (
     Basis,
@@ -326,22 +325,14 @@ class HomBasis:
 
     The basis lives in vectorized (row-major) coordinates and is in RREF,
     so coords() can read coefficients directly off the pivot positions.
-
-    endomorphisms, when given, returns the space of the same kind from
-    source to itself: End(source) for hom_space, its identity-degree part
-    for a graded component.  An invertible f in this space makes g |-> f g
-    a bijection from that space onto this one, so unequal dimensions
-    prove there is none (_invertible_proof).
     """
 
-    __slots__ = ("source", "target", "basis", "endomorphisms", "_mats")
+    __slots__ = ("source", "target", "basis", "_mats")
 
-    def __init__(self, source: LeftModule, target: LeftModule, basis: Basis,
-                 endomorphisms: Optional[Callable[[], "HomBasis"]] = None):
+    def __init__(self, source: LeftModule, target: LeftModule, basis: Basis):
         self.source = source
         self.target = target
         self.basis = basis
-        self.endomorphisms = endomorphisms
         self._mats = None
 
     @property
@@ -389,8 +380,7 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomBasis:
         raise ValueError("hom between modules over different algebras")
     pairs = [(source.action[g], target.action[g]) for g in source.algebra.generator_indices()]
     rows = _intertwiners(source.dim, target.dim, pairs)
-    return HomBasis(source, target, sparse_kernel_basis(source.algebra.field, rows, source.dim * target.dim),
-                    functools.partial(hom_space, source, source))
+    return HomBasis(source, target, sparse_kernel_basis(source.algebra.field, rows, source.dim * target.dim))
 
 
 def _intertwiners(sd: int, td: int, action_pairs) -> list:
@@ -576,7 +566,7 @@ def cyclic_submodule(m: LeftModule, v: Sequence) -> Basis:
 
 def _projective_points(field, n: int):
     """One nonzero vector of field^n per line, none for n = 0: first nonzero coordinate 1."""
-    scalars = [field.of_int(t) for t in range(field.p)] if n else []
+    scalars = [field.of_int(t) for t in range(field.p)] if n > 1 else []
     for lead in range(n):
         head = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(scalars, repeat=n - lead - 1):
@@ -595,10 +585,12 @@ def submodule_lattice(m: LeftModule, budget: int = DEFAULT_LATTICE_BUDGET) -> li
 
     Cost: one span per projective point, (p**dim - 1)/(p - 1) of them,
     then one span per (submodule L, projective point of m/L).  Requires
-    points_fit(field, dim, budget) (over Q, dim 0); raises BudgetExceeded otherwise.
+    points_fit(field, dim, budget), or dim 1 and budget >= 1, as a line has
+    one projective point over every field (so over Q, dim <= 1); raises
+    BudgetExceeded otherwise.
     """
     field = m.algebra.field
-    if not points_fit(field, m.dim, budget):
+    if not (points_fit(field, m.dim, budget) or (m.dim == 1 and budget >= 1)):
         raise BudgetExceeded(f"{field!r}^{m.dim} exceeds submodule budget {budget}")
     # the closures, grouped by their points' support bitmasks
     by_support = {}
@@ -735,13 +727,11 @@ class IsoResult:
     (u, v) of a context isomorphism.  When map_ is None, exhaustive
     distinguishes a proved 'none' from a sampled 'not found'.
 
-    An exhaustive module search (_search_invertible) separates existence
-    from the witness, and computes each on its first read: found by
-    `prove`, the cheapest exact proof (None when it cannot decide), and
-    map_ by `walk`, the lexicographic sweep, which also settles found when
-    it is read first or when prove could not decide.  So a reader of found
-    alone, such as catalog dedup, walks only when no cheap proof applies,
-    and a reader of map_ first pays the walk and nothing else.
+    An exhaustive module search (_search_invertible) keeps two answers,
+    each computed on first read: map_ by `walk`, the lexicographic sweep,
+    and found by `prove`, or off map_ when prove cannot decide or map_ was
+    read first.  So dedup, reading found alone, walks only when no proof
+    decides, and a round trip, reading map_ first, pays the walk alone.
     """
 
     __slots__ = ("exhaustive", "_map", "_found", "_prove", "_walk")
@@ -756,24 +746,21 @@ class IsoResult:
     def _deferred(cls, prove, walk) -> "IsoResult":
         """An exhaustive result whose found and map_ are computed when read."""
         res = cls(None, True)
-        res._found, res._prove, res._walk = None, prove, walk
+        res._prove, res._walk = prove, walk
         return res
 
     @property
     def map_(self) -> Union[Matrix, tuple, None]:
         if self._walk is not None:
-            self._map, self._walk = self._walk(), None
+            self._map, self._walk, self._prove = self._walk(), None, None
             self._found = self._map is not None
         return self._map
 
     @property
     def found(self) -> bool:
-        if self._found is None:
-            self._found = self._prove()
-            if self._found is None:
-                return self.map_ is not None
-            if not self._found:
-                self._walk = None  # proved: map_ is None
+        if self._prove is not None:
+            proved, self._prove = self._prove(), None
+            self._found = self.map_ is not None if proved is None else proved
         return self._found
 
     @property
@@ -807,13 +794,11 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     """Search the hom space for an invertible map.
 
     Policy: dimension mismatch is a proven 'none'; the identity matrix is
-    tried first when it lies in the hom space; then _search_invertible,
-    whose miss is a proof only when that search was exhaustive.  The
-    exhaustive search decides found by dim Hom(m, n) against dim End(m),
-    a seeded draw or a common kernel where one applies, and its map_ is
-    the first invertible map in lexicographic coefficient order, computed
-    when read, so the witness depends neither on the pruning nor on the
-    draws.
+    tried first when it lies in the hom space; then _search_invertible
+    against End(m), whose miss is a proof only when that search was
+    exhaustive.  Its map_ is the first invertible map in lexicographic
+    coefficient order, computed when read, so the witness depends neither
+    on the pruning nor on the proof that may decide found first.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism search across different algebras")
@@ -826,48 +811,36 @@ def is_isomorphic(m: LeftModule, n: LeftModule) -> IsoResult:
     ident = Matrix.identity(field, m.dim)
     if hom.coords(ident) is not None:
         return IsoResult(ident, True)
-    return _search_invertible(hom)
+    return _search_invertible(hom, lambda: hom_space(m, m))
 
 
-def _invertible_proof(hom: HomBasis) -> Optional[bool]:
-    """Whether the hom space holds an invertible map, by the cheapest exact
-    proof over GF(p), in this order: False when its dimension differs from
-    that of hom.endomorphisms() (a memo lookup inside a catalog build);
-    True when one of DEFAULT_ISO_PROOF_DRAWS draws from seed 0 is
-    invertible; False when its maps share a nonzero kernel (the root test
-    of exactlin._invertible_walk, one elimination of the stacked maps);
-    None when none of these holds and only the walk can decide."""
-    if hom.endomorphisms is not None and hom.endomorphisms().dim != hom.dim:
-        return False
-    field, maps, n = hom.source.algebra.field, hom.matrices, hom.source.dim
-    draws = exactlin._invertible_draws(field, maps, None, DEFAULT_ISO_PROOF_DRAWS, random.Random(0))
-    if next(draws, None):
-        return True
-    if len(_pivot_rows(field, [r for m in maps for r in m.entries], n)[1]) < n:
-        return False
-    return None
+def _search_invertible(hom: HomBasis, endomorphisms: Callable[[], HomBasis]) -> IsoResult:
+    """An invertible member of hom, endomorphisms() being the space of the
+    same kind from hom's source to itself.
 
-
-def _search_invertible(hom: HomBasis) -> IsoResult:
-    """An invertible member of the hom space.
-
-    Where the coefficient points fit DEFAULT_ISO_EXHAUST, the result is
-    exhaustive and deferred (IsoResult._deferred): found is decided by
-    _invertible_proof where it can (a Hom dimension, a seeded draw or a
-    common kernel), else by the walk; map_ is always the first invertible
-    map of the lexicographic sweep, whose singular subtrees are skipped,
-    computed when read.  Past the budget (over Q, always)
-    invertible_search draws DEFAULT_ISO_SAMPLES members from seed 0 at
-    once, and a miss proves nothing.
+    Where the coefficient points fit DEFAULT_ISO_EXHAUST the result is
+    exhaustive, and found is decided in this order: a miss when hom and
+    endomorphisms() differ in dimension (an invertible f in hom makes
+    g |-> f g a bijection between them); a hit when one of
+    DEFAULT_ISO_PROOF_DRAWS draws from seed 0 is invertible; else the
+    lexicographic walk, pruned on one kernel chain, whose first invertible
+    map is map_.  Each is computed when read (IsoResult._deferred).  Past
+    the budget (over Q, always) DEFAULT_ISO_SAMPLES draws from seed 0 are
+    made at once, and a miss proves nothing.
     """
     if hom.dim == 0:
         return IsoResult(None, True)
     field = hom.source.algebra.field
 
-    def search():
-        return invertible_search(field, hom.matrices, lambda c, m: m, DEFAULT_ISO_EXHAUST,
-                                 DEFAULT_ISO_SAMPLES, random.Random(0))
+    def search(exhaust: int = DEFAULT_ISO_EXHAUST, samples: int = DEFAULT_ISO_SAMPLES) -> tuple:
+        return invertible_search(field, hom.matrices, lambda c, m: m, exhaust, samples, random.Random(0))
 
     if not points_fit(field, hom.dim, DEFAULT_ISO_EXHAUST):
         return IsoResult(*search())
-    return IsoResult._deferred(lambda: _invertible_proof(hom), lambda: search()[0])
+
+    def prove() -> Optional[bool]:
+        if endomorphisms().dim != hom.dim:
+            return False
+        return True if search(0, DEFAULT_ISO_PROOF_DRAWS)[0] is not None else None
+
+    return IsoResult._deferred(prove, lambda: search()[0])

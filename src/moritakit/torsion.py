@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .algebra import Algebra, Ideal, ideal_product, stabilize_ideal
-from .context import MoritaContext, eta_map
 from .exactlin import Basis, Matrix, _dot_products, closure, kernel_basis, unit_vector
 from .modules import (
     DEFAULT_ENUM_BUDGET,
@@ -28,7 +27,6 @@ from .modules import (
     ideal_action_image,
     quotient_module,
     regular_bimodule,
-    regular_module,
     submodule_supply,
 )
 
@@ -246,23 +244,6 @@ def _vector_outside_column_span(m: Matrix) -> Optional[tuple]:
         if not span.contains_vector(e):
             return e
     raise AssertionError("span claims full rank but no missing vector found")
-
-
-def closed_via_eta(ctx: MoritaContext, x: LeftModule) -> bool:
-    """Closedness relative to the context: composition with eta on the
-    regular module must be a bijection Hom(R, X) -> Hom(M(x)N(x)R, X)."""
-    if x.algebra != ctx.R:
-        raise ValueError("module is over the wrong algebra")
-    u = regular_module(ctx.R)
-    em = eta_map(ctx, u)
-    outer_mod = em.outer.as_left_module()
-    h_u = hom_space(u, x)
-    h_fg = hom_space(outer_mod, x)
-    if h_u.dim != h_fg.dim:
-        return False
-    mat = h_fg.coords_matrix((beta @ em.matrix for beta in h_u.matrices),
-                             "composition with eta left the hom space")
-    return mat.is_invertible()
 
 
 def ideal_power_chain(tt: TorsionTheory, x: LeftModule) -> list:

@@ -14,6 +14,7 @@ import time
 from moritakit.algebra import full_matrix_algebra, upper_triangular_algebra
 from moritakit.cli import main as cli_main
 from moritakit.context import (
+    closed_via_eta,
     compose_contexts,
     contexts_isomorphic,
     corner_context,
@@ -47,7 +48,6 @@ from moritakit.graded import (
 from moritakit.modules import is_isomorphic, quotient_module, regular_module
 from moritakit.torsion import (
     TorsionTheory,
-    closed_via_eta,
     is_closed,
     is_torsion,
     is_torsion_free,

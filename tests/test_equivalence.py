@@ -766,26 +766,46 @@ _SEARCH_BUILDS = [
 ]
 
 
+def _record_searches(monkeypatch):
+    """Record every plain and graded _search_invertible call as (hom,
+    endomorphisms, result); every proof that a deferred result runs as
+    (hom, endomorphisms, verdict, draws made during it); and every draw."""
+    searches, proofs, draws = [], [], []
+    real, real_draws = modules._search_invertible, exactlin._invertible_draws
+
+    def counting(*args):
+        draws.append(args)
+        return real_draws(*args)
+
+    def recording(hom, endomorphisms):
+        res = real(hom, endomorphisms)
+        searches.append((hom, endomorphisms, res))
+        prove = res._prove
+        if prove is not None:
+            def proof():
+                before = len(draws)
+                proofs.append((hom, endomorphisms, prove(), len(draws) - before))
+                return proofs[-1][2]
+            res._prove = proof
+        return res
+
+    monkeypatch.setattr(exactlin, "_invertible_draws", counting)
+    monkeypatch.setattr(modules, "_search_invertible", recording)
+    monkeypatch.setattr(graded, "_search_invertible", recording)
+    return searches, proofs, draws
+
+
 @pytest.mark.parametrize("build, has_misses", _SEARCH_BUILDS)
 def test_iso_search_matches_the_plain_lex_sweep(monkeypatch, build, has_misses):
     # the pruned sweep returns the plain sweep's first invertible map and
     # flag on every search of a build, hits and proofs of none alike
-    searches = []
-    real = modules._search_invertible
-
-    def recording(hom):
-        res = real(hom)
-        searches.append((hom, res))
-        return res
-
-    monkeypatch.setattr(modules, "_search_invertible", recording)
-    monkeypatch.setattr(graded, "_search_invertible", recording)
+    searches, _, _ = _record_searches(monkeypatch)
     build()
     assert searches
-    for hom, res in searches:
+    for hom, _, res in searches:
         assert (res.map_, res.exhaustive) == first_invertible_lex(hom)
     if has_misses:
-        assert any(res.proven_none for _, res in searches)
+        assert any(res.proven_none for _, _, res in searches)
 
 
 def test_catalog_iso_sweep_tests_few_maps(monkeypatch):
@@ -830,28 +850,16 @@ def test_catalog_iso_sweep_builds_one_kernel_chain_per_search(monkeypatch):
 ])
 def test_cheap_iso_decision_matches_the_plain_lex_sweep(monkeypatch, build, has_misses):
     # found and exhaustive, read before the witness as dedup reads them, are
-    # decided by a common kernel or a draw where one applies; they and the
+    # decided by a Hom dimension or a draw where one applies; they and the
     # witness read after them are the plain sweep's
-    searches, proofs = [], []
-    real, real_proof = modules._search_invertible, modules._invertible_proof
-
-    def recording(hom):
-        res = real(hom)
-        searches.append((hom, res, res.found, res.exhaustive))
-        return res
-
-    def proof(*args):
-        proofs.append(real_proof(*args))
-        return proofs[-1]
-
-    monkeypatch.setattr(modules, "_search_invertible", recording)
-    monkeypatch.setattr(graded, "_search_invertible", recording)
-    monkeypatch.setattr(modules, "_invertible_proof", proof)
+    searches, proofs, _ = _record_searches(monkeypatch)
     build()
-    assert searches and True in proofs
+    verdicts = [verdict for _, _, verdict, _ in proofs]
+    assert searches and True in verdicts
     if has_misses:
-        assert False in proofs
-    for hom, res, found, exhaustive in searches:
+        assert False in verdicts
+    for hom, _, res in searches:
+        found, exhaustive = res.found, res.exhaustive
         witness, plain_exhaustive = first_invertible_lex(hom)
         assert (found, exhaustive) == (witness is not None, plain_exhaustive)
         assert res.map_ == witness
@@ -861,27 +869,13 @@ def test_round_trip_reports_run_no_draws(monkeypatch, t2, t2_corner, cat_t2, cat
     # a round trip reads its witness first, so it pays the walk and no draws
     gctx = graded_corner_context(GradedAlgebra(t2, FiniteGroup.cyclic(2), (0, 1, 0)), E22)
     gcat_r, gcat_s = build_graded_catalog(gctx.graded_r, 3), build_graded_catalog(gctx.graded_s, 3)
-    draws, searches = [], []
-    real_draws, real = exactlin._invertible_draws, modules._search_invertible
-
-    def counting(*args):
-        draws.append(args)
-        return real_draws(*args)
-
-    def recording(hom):
-        res = real(hom)
-        searches.append((hom, res))
-        return res
-
-    monkeypatch.setattr(exactlin, "_invertible_draws", counting)
-    monkeypatch.setattr(modules, "_search_invertible", recording)
-    monkeypatch.setattr(graded, "_search_invertible", recording)
+    searches, _, draws = _record_searches(monkeypatch)
     reports = [verify_kato_muller(t2_corner, cat_t2, cat_corner_s),
                verify_graded_kato_muller(gctx, gcat_r, gcat_s)]
     assert draws == []
     assert all(r.passed for r in reports) and searches
     witnesses = [v.witness for r in reports for v in r.verdicts if "round trip" in v.check]
-    for hom, res in searches:
+    for hom, _, res in searches:
         assert any(w is res.map_ for w in witnesses)
         assert (res.map_, res.exhaustive) == first_invertible_lex(hom)
 
@@ -973,25 +967,43 @@ def test_generator_row_extension_space_matches_all_pairs_rows(algebra, max_dim):
 ])
 def test_hom_dimension_disproves_before_any_draw(monkeypatch, build):
     # a dedup search whose Hom dimension differs from that of its source's
-    # endomorphisms is a proven miss, decided before any draw or kernel test
-    proofs, draws = [], []
-    real_proof, real_draws = modules._invertible_proof, exactlin._invertible_draws
-
-    def proof(hom):
-        before = len(draws)
-        proofs.append((hom, real_proof(hom), len(draws) - before))
-        return proofs[-1][1]
-
-    def counting(*args):
-        draws.append(args)
-        return real_draws(*args)
-
-    monkeypatch.setattr(modules, "_invertible_proof", proof)
-    monkeypatch.setattr(exactlin, "_invertible_draws", counting)
+    # endomorphisms is a proven miss, decided before any draw
+    _, proofs, _ = _record_searches(monkeypatch)
     build()
-    disproved = [(res, drawn) for hom, res, drawn in proofs if hom.endomorphisms().dim != hom.dim]
+    disproved = [(res, drawn) for hom, endo, res, drawn in proofs if endo().dim != hom.dim]
     assert disproved and all(res is False and drawn == 0 for res, drawn in disproved)
-    assert any(res is True for _, res, _ in proofs)
+    assert any(res is True for _, _, res, _ in proofs)
+
+
+@pytest.mark.parametrize("build, kernel_misses", [
+    pytest.param(lambda: build_catalog(_radical_square_zero(GF2, 3), 3), False, id="GF2[x,y,z]/(x,y,z)^2-3"),
+    pytest.param(lambda: build_graded_catalog(
+        GradedAlgebra(upper_triangular_algebra(GF2, 2), FiniteGroup.cyclic(2), (0, 1, 0)), 3),
+                 True, id="C2-graded-T2-3"),
+])
+def test_found_and_witness_agree_in_either_reading_order(monkeypatch, build, kernel_misses):
+    # found then map_, and map_ then found, on fresh results of every search
+    # of a build are the plain sweep's, and the map_-first order draws
+    # nothing.  Among them are misses with equal Hom and End dimensions,
+    # which only the walk decides; in the graded build one has maps with a
+    # common nonzero kernel, a miss that the walk's root test decides
+    real = modules._search_invertible
+    searches, _, draws = _record_searches(monkeypatch)
+    build()
+    walked, kernel = 0, 0
+    for hom, endo, _ in searches:
+        witness, exhaustive = first_invertible_lex(hom)
+        first = real(hom, endo)
+        assert (first.found, first.map_, first.exhaustive) == (witness is not None, witness, exhaustive)
+        before = len(draws)
+        second = real(hom, endo)
+        assert (second.map_, second.found, second.exhaustive) == (witness, witness is not None, exhaustive)
+        assert len(draws) == before
+        if witness is None and endo().dim == hom.dim:
+            walked += 1
+            stacked = Matrix(hom.basis.field, [r for m in hom.matrices for r in m.entries], cols=hom.source.dim)
+            kernel += exactlin.rank(stacked) < hom.source.dim
+    assert walked and (kernel > 0) == kernel_misses
 
 
 def test_catalog_keys_no_known_repeat_twice(monkeypatch):

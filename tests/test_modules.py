@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moritakit.modules as modules
 from moritakit.exactlin import QQ, Basis, Field, Matrix
 from moritakit.algebra import full_matrix_algebra, two_sided_ideal_closure, upper_triangular_algebra
 from moritakit.context import corner_context
@@ -411,3 +412,25 @@ def test_zero_module_over_q_is_walked_exactly():
     zero = quotient_module(reg, Basis.full(QQ, reg.dim))[0]
     subs, exhaustive = submodule_supply(zero, DEFAULT_LATTICE_BUDGET, 8, 0)
     assert exhaustive and len(subs) == 1
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3), QQ], ids=["GF2", "GF3", "Q"])
+@pytest.mark.parametrize("budget", [1, DEFAULT_LATTICE_BUDGET])
+def test_modules_of_dim_at_most_one_are_walked_exactly(monkeypatch, field, budget):
+    # a line has one projective point over every field, so a module of dim
+    # <= 1 has only 0 and itself, and its walk fits any budget >= 1
+    def no_sampling(*args):
+        raise AssertionError("sample_submodules called")
+
+    monkeypatch.setattr(modules, "sample_submodules", no_sampling)
+    reg = regular_module(upper_triangular_algebra(field, 2))
+    e11 = (field.one, field.zero, field.zero)
+    mods = [quotient_module(reg, Basis.full(field, 3))[0],
+            quotient_module(reg, Basis.span(field, 3, [e11, (field.zero, field.one, field.zero)]))[0],
+            Submodule(reg, Basis.span(field, 3, [e11])).as_module(),
+            regular_module(full_matrix_algebra(field, 1))]
+    assert [m.dim for m in mods] == [0, 1, 1, 1]
+    for m in mods:
+        subs, exhaustive = submodule_supply(m, budget, 64, 0)
+        assert exhaustive
+        assert [s.basis for s in subs] == [Basis.zero(field, m.dim), Basis.full(field, m.dim)][:m.dim + 1]

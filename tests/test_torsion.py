@@ -15,7 +15,7 @@ from moritakit.algebra import (
     two_sided_ideal_closure,
     upper_triangular_algebra,
 )
-from moritakit.context import corner_context, reverse_context, trace_ideals
+from moritakit.context import closed_via_eta, corner_context, reverse_context, trace_ideals
 from moritakit.equivalence import build_catalog, context_theories
 from moritakit.exactlin import QQ, Basis, Field, Matrix, kernel_basis
 from moritakit.modules import (
@@ -29,7 +29,6 @@ from moritakit.modules import (
 )
 from moritakit.torsion import (
     TorsionTheory,
-    closed_via_eta,
     closedness_map,
     ideal_power_chain,
     is_closed,
