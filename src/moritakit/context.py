@@ -272,14 +272,10 @@ def _eta(ctx: MoritaContext, x: LeftModule) -> NaturalMap:
 
 
 class AdjointUnit(NamedTuple):
-    """eta'(X): X -> Hom_S(N, Hom_R(M, X)) (or its rho' mirror), with the
-    intermediate hom modules it factors through."""
+    """eta'(X): X -> Hom_S(N, Hom_R(M, X)) (or its rho' mirror)."""
 
     matrix: Matrix  # target.dim x X.dim
     target: LeftModule
-    inner_module: LeftModule
-    inner_hom: HomBasis
-    outer_hom: HomBasis
 
 
 def eta_prime_map(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
@@ -310,7 +306,7 @@ def _eta_prime(ctx: MoritaContext, x: LeftModule) -> AdjointUnit:
 
     matrix = h2.coords_matrix((image(k) for k in range(x.dim)),
                               "eta' image escaped Hom(N, Hom(M, X))")
-    return AdjointUnit(matrix, h2_mod, h1_mod, h1, h2)
+    return AdjointUnit(matrix, h2_mod)
 
 
 class Counit(NamedTuple):

@@ -434,7 +434,6 @@ class TensorProduct:
     or bimodule N, presented as a quotient of the raw product space."""
 
     __slots__ = (
-        "middle",
         "left_factor",
         "right_factor",
         "relations",
@@ -445,9 +444,8 @@ class TensorProduct:
         "right_action",
     )
 
-    def __init__(self, middle, left_factor, right_factor, relations, quotient,
+    def __init__(self, left_factor, right_factor, relations, quotient,
                  left_algebra, left_action, right_algebra, right_action):
-        self.middle = middle
         self.left_factor = left_factor
         self.right_factor = right_factor
         self.relations = relations
@@ -551,7 +549,7 @@ def tensor_over(middle: Algebra, left, right) -> TensorProduct:
         eye_m = Matrix.identity(f, m)
         right_action = tuple(kron_columns(quot.projection, eye_m, act, quot.nonpivots)
                              for act in right.right_action)
-    return TensorProduct(middle, left, right, relations, quot,
+    return TensorProduct(left, right, relations, quot,
                          left.left_algebra, left_action, right_algebra, right_action)
 
 

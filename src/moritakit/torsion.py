@@ -145,7 +145,7 @@ def is_closed(tt: TorsionTheory, x: LeftModule) -> bool:
     """Is alpha: X -> Hom_R(Iinf, X) invertible?  At Iinf = R every X is
     closed, since f |-> f(1) inverts alpha (closedness_map), so nothing
     is computed; closedness_map still builds alpha and Hom_R(R, X) there
-    for graded_closed_test and localize, which read them."""
+    for localize, which reads them."""
     if x.algebra != tt.algebra:
         raise ValueError("module is over the wrong algebra")
     if tt.stable_ideal.dim == tt.algebra.dim:

@@ -71,14 +71,10 @@ class Workspace:
         raise WorkspaceError(f"unknown module {name!r}", "modules")
 
     def ideal(self, name: str) -> Ideal:
-        if name not in self.ideals:
-            raise WorkspaceError(f"unknown ideal {name!r}", "ideals")
-        return self.ideals[name]
+        return _named(self.ideals, "ideal", name, "ideals")
 
     def context(self, name: str) -> MoritaContext:
-        if name not in self.contexts:
-            raise WorkspaceError(f"unknown context {name!r}", "contexts")
-        return self.contexts[name]
+        return _named(self.contexts, "context", name, "contexts")
 
     def grading_for_context(self, context_name: str) -> Grading:
         """The unique grading covering all four objects of the context."""
@@ -95,6 +91,29 @@ class Workspace:
 def _expect(cond: bool, message: str, location: str) -> None:
     if not cond:
         raise WorkspaceError(message, location)
+
+
+def _located(location: str, make, *args):
+    """make(*args), with a ValueError it raises located at location."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise WorkspaceError(str(e), location) from None
+
+
+def _lawful(obj, problems: list, location: str):
+    """obj, unless a validator reported problems: then the first, located."""
+    if problems:
+        raise WorkspaceError(problems[0], location)
+    return obj
+
+
+def _named(table: dict, kind: str, name, location: str):
+    """table[name], or the located error that calls name (any JSON value) unknown."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise WorkspaceError(f"unknown {kind} {name!r}", location) from None
 
 
 def _non_negative_int(raw, message: str, location: str) -> int:
@@ -129,10 +148,7 @@ def _parse_field(obj, location: str) -> Field:
         p = obj.get("p")
         _expect(isinstance(p, int) and not isinstance(p, bool) and p >= 2,
                 "gf field needs a prime p >= 2", f"{location}.p")
-        try:
-            return Field.gf(p)
-        except ValueError as e:
-            raise WorkspaceError(str(e), f"{location}.p") from None
+        return _located(f"{location}.p", Field.gf, p)
     if kind == "rationals":
         return Field.rationals()
     raise WorkspaceError(f"unknown field kind {kind!r}", f"{location}.kind")
@@ -151,44 +167,25 @@ def _parse_algebra(field: Field, obj, location: str) -> Algebra:
                 f"mul[{i}] must have {dim} entries", f"{location}.mul[{i}]")
         mul.append([_vector(field, v, dim, f"{location}.mul[{i}][{j}]")
                     for j, v in enumerate(row)])
-    try:
-        a = Algebra(field, dim, mul, unit)
-    except ValueError as e:
-        raise WorkspaceError(str(e), location) from None
-    problems = validate_algebra(a)
-    if problems:
-        raise WorkspaceError(problems[0], location)
-    return a
+    a = _located(location, Algebra, field, dim, mul, unit)
+    return _lawful(a, validate_algebra(a), location)
 
 
 def _parse_module(ws: Workspace, obj, location: str):
     _expect(isinstance(obj, dict), "module must be an object", location)
     alg_name = obj.get("algebra")
     _expect(isinstance(alg_name, str), "module needs an algebra name", f"{location}.algebra")
-    _expect(alg_name in ws.algebras, f"unknown algebra {alg_name!r}", f"{location}.algebra")
-    a = ws.algebras[alg_name]
+    a = _named(ws.algebras, "algebra", alg_name, f"{location}.algebra")
     dim = _non_negative_int(obj.get("dim"), "dim must be a non-negative int", f"{location}.dim")
     action = _action_mats(ws.field, obj.get("action"), a.dim, dim, f"{location}.action")
     if "right_algebra" in obj:
-        r_name = obj["right_algebra"]
-        _expect(isinstance(r_name, str) and r_name in ws.algebras,
-                f"unknown algebra {r_name!r}", f"{location}.right_algebra")
-        b = ws.algebras[r_name]
+        b = _named(ws.algebras, "algebra", obj["right_algebra"], f"{location}.right_algebra")
         right = _action_mats(ws.field, obj.get("right_action"), b.dim, dim,
                              f"{location}.right_action")
-        try:
-            mod = Bimodule(a, b, dim, action, right)
-        except ValueError as e:
-            raise WorkspaceError(str(e), location) from None
+        mod = _located(location, Bimodule, a, b, dim, action, right)
     else:
-        try:
-            mod = LeftModule(a, dim, action)
-        except ValueError as e:
-            raise WorkspaceError(str(e), location) from None
-    problems = validate_module(mod)
-    if problems:
-        raise WorkspaceError(problems[0], location)
-    return mod
+        mod = _located(location, LeftModule, a, dim, action)
+    return _lawful(mod, validate_module(mod), location)
 
 
 def _action_mats(field: Field, raw, count: int, dim: int, location: str) -> list:
@@ -199,18 +196,12 @@ def _action_mats(field: Field, raw, count: int, dim: int, location: str) -> list
 
 def _parse_ideal(ws: Workspace, obj, location: str) -> Ideal:
     _expect(isinstance(obj, dict), "ideal must be an object", location)
-    alg_name = obj.get("algebra")
-    _expect(isinstance(alg_name, str) and alg_name in ws.algebras,
-            f"unknown algebra {alg_name!r}", f"{location}.algebra")
-    a = ws.algebras[alg_name]
+    a = _named(ws.algebras, "algebra", obj.get("algebra"), f"{location}.algebra")
     raw = obj.get("basis")
     _expect(isinstance(raw, list), "ideal basis must be a list of vectors",
             f"{location}.basis")
     vecs = [_vector(ws.field, v, a.dim, f"{location}.basis[{i}]") for i, v in enumerate(raw)]
-    try:
-        return Ideal(a, Basis.span(ws.field, a.dim, vecs))
-    except ValueError as e:
-        raise WorkspaceError(str(e), location) from None
+    return _located(location, Ideal, a, Basis.span(ws.field, a.dim, vecs))
 
 
 def _parse_context(ws: Workspace, obj, location: str):
@@ -221,26 +212,18 @@ def _parse_context(ws: Workspace, obj, location: str):
         _expect(isinstance(val, str), f"context needs the name {key}", f"{location}.{key}")
         names.append(val)
     r_name, s_name, m_name, n_name = names
-    _expect(r_name in ws.algebras, f"unknown algebra {r_name!r}", f"{location}.R")
-    _expect(s_name in ws.algebras, f"unknown algebra {s_name!r}", f"{location}.S")
-    _expect(m_name in ws.bimodules, f"unknown bimodule {m_name!r}", f"{location}.M")
-    _expect(n_name in ws.bimodules, f"unknown bimodule {n_name!r}", f"{location}.N")
-    r, s = ws.algebras[r_name], ws.algebras[s_name]
-    m, n = ws.bimodules[m_name], ws.bimodules[n_name]
+    r = _named(ws.algebras, "algebra", r_name, f"{location}.R")
+    s = _named(ws.algebras, "algebra", s_name, f"{location}.S")
+    m = _named(ws.bimodules, "bimodule", m_name, f"{location}.M")
+    n = _named(ws.bimodules, "bimodule", n_name, f"{location}.N")
     _expect(m.left_algebra == r and m.right_algebra == s,
             f"{m_name!r} is not an {r_name}-{s_name} bimodule", f"{location}.M")
     _expect(n.left_algebra == s and n.right_algebra == r,
             f"{n_name!r} is not an {s_name}-{r_name} bimodule", f"{location}.N")
     phi = _matrix(ws.field, obj.get("phi"), r.dim, m.dim * n.dim, f"{location}.phi")
     psi = _matrix(ws.field, obj.get("psi"), s.dim, n.dim * m.dim, f"{location}.psi")
-    try:
-        ctx = MoritaContext.from_raw_maps(r, s, m, n, phi, psi)
-    except ValueError as e:
-        raise WorkspaceError(str(e), location) from None
-    problems = validate_context(ctx)
-    if problems:
-        raise WorkspaceError(problems[0], location)
-    return ctx, tuple(names)
+    ctx = _located(location, MoritaContext.from_raw_maps, r, s, m, n, phi, psi)
+    return _lawful(ctx, validate_context(ctx), location), tuple(names)
 
 
 def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
@@ -272,13 +255,9 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
                 f"expected a list of {want} degree indices", loc)
         _expect(all(0 <= d < group.order for d in raw), "degree index out of range", loc)
         degrees[name] = tuple(raw)
-    graded_algebras = {}
-    for name, degs in degrees.items():
-        if name in ws.algebras:
-            try:
-                graded_algebras[name] = GradedAlgebra(ws.algebras[name], group, degs)
-            except ValueError as e:
-                raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
+    graded_algebras = {name: _located(f"{location}.degrees.{name}", GradedAlgebra,
+                                      ws.algebras[name], group, degs)
+                       for name, degs in degrees.items() if name in ws.algebras}
     contexts = {}  # every context whose R, S, M and N all have degrees here
     for cname, (r_name, s_name, m_name, n_name) in sorted(ws.context_names.items()):
         if all(n in degrees for n in (r_name, s_name, m_name, n_name)):
@@ -319,8 +298,7 @@ def _algebra_name_of(ws: Workspace, a: Algebra) -> Optional[str]:
 def _parse_catalog(ws: Workspace, obj, location: str) -> CatalogRecipe:
     _expect(isinstance(obj, dict), "catalog must be an object", location)
     alg_name = obj.get("algebra")
-    _expect(isinstance(alg_name, str) and alg_name in ws.algebras,
-            f"unknown algebra {alg_name!r}", f"{location}.algebra")
+    alg = _named(ws.algebras, "algebra", alg_name, f"{location}.algebra")
     if "modules" in obj:
         mods = obj["modules"]
         _expect(isinstance(mods, list) and all(isinstance(x, str) for x in mods),
@@ -328,7 +306,7 @@ def _parse_catalog(ws: Workspace, obj, location: str) -> CatalogRecipe:
         for mname in mods:
             _expect(mname in ws.modules or mname in ws.bimodules,
                     f"unknown module {mname!r}", f"{location}.modules")
-            _expect(ws.left_module(mname).algebra == ws.algebras[alg_name],
+            _expect(ws.left_module(mname).algebra == alg,
                     f"{mname!r} is over a different algebra", f"{location}.modules")
         return CatalogRecipe(alg_name, None, tuple(mods))
     max_dim = _non_negative_int(obj.get("max_dim"), "catalog needs max_dim or a modules list",
@@ -358,6 +336,8 @@ def parse_workspace(path: str) -> Workspace:
         ws.algebras[name] = _parse_algebra(ws.field, data["algebras"][name],
                                            f"algebras.{name}")
     for name in sorted(data.get("modules", {})):
+        # gradings key degrees by bare name, so no module may share an algebra's
+        _expect(name not in ws.algebras, f"{name!r} is already an algebra", f"modules.{name}")
         mod = _parse_module(ws, data["modules"][name], f"modules.{name}")
         if isinstance(mod, Bimodule):
             ws.bimodules[name] = mod

@@ -36,7 +36,8 @@ from moritakit.modules import (
     regular_module,
     submodule_lattice,
 )
-from moritakit.torsion import torsion_submodule
+from moritakit.graded import _stray_column, degrees_for_hom_basis, ideal_degrees
+from moritakit.torsion import closedness_map, torsion_submodule
 
 
 def all_vectors(field, n):
@@ -681,6 +682,19 @@ def hom_component_by_kernel(full, coord_degrees, sigma):
     combos = kernel_basis(Matrix(f, rows, cols=full.dim)) if rows else Basis.full(f, full.dim)
     vecs = [full.basis.from_coords(c) for c in combos.vectors]
     return HomBasis(full.source, full.target, Basis.span(f, size, vecs))
+
+
+def graded_closed_by_degrees(tt, gm):
+    """Graded closedness read off degrees: the closedness map alpha must be
+    invertible and send each coordinate of degree d into the degree-d
+    component of Hom_R(Iinf, X), whose basis degrees are read off the hom
+    basis against the stabilized ideal's degrees."""
+    galg = gm.algebra
+    res = closedness_map(tt, gm.base)
+    if not res.closed:
+        return False
+    hdegs = degrees_for_hom_basis(res.hom, galg.group, ideal_degrees(tt, galg), gm.degrees)
+    return _stray_column(res.alpha, gm.degrees, hdegs) is None
 
 
 def smash_algebra(galg):

@@ -2,7 +2,7 @@ import pytest
 
 import moritakit.graded as graded
 import moritakit.torsion as torsion
-from moritakit.algebra import Algebra, Ideal, full_matrix_algebra, validate_algebra
+from moritakit.algebra import Algebra, Ideal, full_matrix_algebra, upper_triangular_algebra, validate_algebra
 from moritakit.context import corner_context, trace_ideals
 from moritakit.equivalence import build_catalog, verify_kato_muller
 from moritakit.exactlin import Basis, Field, Matrix
@@ -27,7 +27,7 @@ from moritakit.graded import (
 from moritakit.modules import IsoResult, LeftModule, hom_space, regular_module
 from moritakit.torsion import TorsionTheory, is_closed, torsion_submodule
 
-from bruteforce import hom_component_by_kernel, localize_via_hom_module, smash_algebra
+from bruteforce import graded_closed_by_degrees, hom_component_by_kernel, localize_via_hom_module, smash_algebra
 
 GF2 = Field.gf(2)
 E22 = (0, 0, 1)
@@ -263,6 +263,39 @@ def test_graded_closed_errors_on_nongraded_ideal():
     gm = GradedModule(galg, regular_module(kc2), (0, 1))
     with pytest.raises(ValueError, match="not graded"):
         graded_closed_test(tt, gm)
+
+
+CLOSEDNESS_CORNERS = [
+    pytest.param(Field.gf(2), 2, (0, 1, 0), E22, 3, {False, True}, id="T2-GF2-e22"),
+    pytest.param(Field.gf(2), 2, (0, 1, 0), (1, 0, 0), 3, {False, True}, id="T2-GF2-e11"),
+    pytest.param(Field.gf(3), 2, (0, 1, 0), E22, 3, {False, True}, id="T2-GF3-e22"),
+    pytest.param(Field.gf(3), 2, (0, 1, 0), (1, 0, 0), 3, {False, True}, id="T2-GF3-e11"),
+    # strict: both trace ideals are whole algebras, so every module is closed
+    pytest.param(Field.gf(2), None, (0, 1, 1, 0), (1, 0, 0, 0), 3, {True}, id="M2-GF2-checkerboard-e11"),
+    pytest.param(Field.gf(2), 3, (0, 1, 2, 0, 1, 0), (1, 0, 0, 0, 0, 0), 2, {False, True},
+                 id="T3-GF2-C3-e11"),
+]
+
+
+@pytest.mark.parametrize("field, n, degrees, e, max_dim, seen", CLOSEDNESS_CORNERS)
+def test_graded_closedness_needs_no_degree_reading(field, n, degrees, e, max_dim, seen):
+    # alpha(x): a |-> a.x has the degree of x, so on graded inputs the plain
+    # closedness test agrees with reading alpha's columns against the
+    # degrees of Hom_R(Iinf, X), on both sides of the corner and under
+    # every suspension (T2 and T3 graded by path length, M2 checkerboard)
+    base = upper_triangular_algebra(field, n) if n else full_matrix_algebra(field, 2)
+    group = FiniteGroup.cyclic(len(set(degrees)))
+    gctx = graded_corner_context(GradedAlgebra(base, group, degrees), e)
+    verdicts = set()
+    for galg, ideal in zip((gctx.graded_r, gctx.graded_s), trace_ideals(gctx.context)):
+        tt = TorsionTheory.from_ideal(galg.base, ideal)
+        for gm in build_graded_catalog(galg, max_dim):
+            for sigma in range(group.order):
+                shifted = suspension(gm, sigma)
+                verdict = graded_closed_test(tt, shifted)
+                assert verdict == graded_closed_by_degrees(tt, shifted)
+                verdicts.add(verdict)
+    assert verdicts == seen
 
 
 def test_graded_localize_regular(gt2, greg, corner_theory):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import moritakit.workspace as workspace_layer
 from moritakit.context import is_strict, trace_ideals
 from moritakit.exactlin import Field
 from moritakit.workspace import (
@@ -238,3 +239,95 @@ def test_bimodule_degrees_checked_outside_a_graded_context(tmp_path):
     with pytest.raises(WorkspaceError, match="left action breaks the grading") as info:
         parse_workspace(path)
     assert info.value.location == "gradings.c2.degrees.Mid"
+
+
+# ---------------------------------------------- located errors, per site
+
+
+def _rejected(name):
+    def make(*args):
+        raise ValueError(f"rejected by {name}")
+    return make
+
+
+def _edit(path, value):
+    # set one entry of the shipped t2_corner document, by a dotted path
+    # whose integer parts index lists
+    def apply(doc):
+        *head, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return apply
+
+
+# One malformed t2_corner document per site where the loader turns a
+# library error into a located one, or resolves a name.  The Algebra,
+# LeftModule and Bimodule constructors only raise on shapes that the
+# loader has already checked, so no document reaches them: those rows
+# swap the constructor for one that raises.
+LOCATED_SITES = [
+    ("field.p", 4, None, "field order 4 is not prime", "field.p"),
+    ("algebras.S.mul", [[[0]]], None, "left unit law fails at basis 0", "algebras.S"),
+    (None, None, "Algebra", "rejected by Algebra", "algebras.S"),
+    ("modules.S1.algebra", "nope", None, "unknown algebra 'nope'", "modules.S1.algebra"),
+    ("modules.M.right_algebra", "nope", None, "unknown algebra 'nope'", "modules.M.right_algebra"),
+    ("modules.M.right_algebra", ["S"], None, "unknown algebra ['S']", "modules.M.right_algebra"),
+    (None, None, "Bimodule", "rejected by Bimodule", "modules.M"),
+    (None, None, "LeftModule", "rejected by LeftModule", "modules.S1"),
+    ("modules.S1.action.0", [[0]], None, "unit does not act as the identity", "modules.S1"),
+    ("modules.M.right_action.0", [[0, 0], [0, 0]], None,
+     "right unit does not act as the identity", "modules.M"),
+    ("ideals.I.algebra", "nope", None, "unknown algebra 'nope'", "ideals.I.algebra"),
+    ("ideals.I.basis", [[1, 0, 0]], None,
+     "not right-stable: basis vector * e_1 escapes the span", "ideals.I"),
+    ("contexts.t2corner.R", "nope", None, "unknown algebra 'nope'", "contexts.t2corner.R"),
+    ("contexts.t2corner.S", "nope", None, "unknown algebra 'nope'", "contexts.t2corner.S"),
+    ("contexts.t2corner.M", "nope", None, "unknown bimodule 'nope'", "contexts.t2corner.M"),
+    ("contexts.t2corner.N", "nope", None, "unknown bimodule 'nope'", "contexts.t2corner.N"),
+    ("contexts.t2corner.psi", [[1, 0]], None,
+     "psi is not well-defined on the tensor quotient", "contexts.t2corner"),
+    ("contexts.t2corner.phi", [[0, 0], [0, 0], [0, 0]], None,
+     "phi/psi compatibility in M fails at (0, 0, 1)", "contexts.t2corner"),
+    ("gradings.c2.degrees.S", [1], None,
+     "unit is not concentrated in the identity degree", "gradings.c2.degrees.S"),
+    ("catalogs.catR.algebra", "nope", None, "unknown algebra 'nope'", "catalogs.catR.algebra"),
+    ("catalogs.catR.algebra", 3, None, "unknown algebra 3", "catalogs.catR.algebra"),
+]
+
+
+@pytest.mark.parametrize("path, value, constructor, message, location", LOCATED_SITES,
+                         ids=[path or f"{constructor}()" for path, _, constructor, _, _ in LOCATED_SITES])
+def test_each_loader_site_names_its_error(tmp_path, monkeypatch, path, value, constructor,
+                                          message, location):
+    doc = builtin_workspaces()["t2_corner.json"]
+    if path is not None:
+        _edit(path, value)(doc)
+    if constructor is not None:
+        monkeypatch.setattr(workspace_layer, constructor, _rejected(constructor))
+    with pytest.raises(WorkspaceError) as info:
+        parse_workspace(write_ws(tmp_path, doc))
+    assert (info.value.message, info.value.location) == (message, location)
+
+
+@pytest.mark.parametrize("lookup, message, location", [
+    ("ideal", "unknown ideal 'nope'", "ideals"),
+    ("context", "unknown context 'nope'", "contexts"),
+])
+def test_workspace_lookups_name_their_error(lookup, message, location):
+    ws = parse_workspace(shipped("t2_corner.json"))
+    with pytest.raises(WorkspaceError) as info:
+        getattr(ws, lookup)("nope")
+    assert (info.value.message, info.value.location) == (message, location)
+
+
+@pytest.mark.parametrize("degree", [[0], [1]])
+def test_a_module_may_not_share_an_algebra_name(tmp_path, degree):
+    # degrees are keyed by name, so a module named like an algebra would
+    # read the algebra's degree list or lend it its own
+    doc = builtin_workspaces()["t2_corner.json"]
+    doc["modules"]["S"] = dict(doc["modules"]["S1"])
+    doc["gradings"]["c2"]["degrees"]["S"] = degree
+    with pytest.raises(WorkspaceError) as info:
+        parse_workspace(write_ws(tmp_path, doc))
+    assert info.value.location == "modules.S"
