@@ -6,12 +6,13 @@ an (S,S)-bimodule map, subject to the two compatibility identities
 
     phi(m (x) n).m' = m.psi(n (x) m')      psi(n (x) m).n' = n.phi(m (x) n')
 
-Both tensor spaces are computed once per context with the canonical basis
-convention from tensor_over, and phi/psi are stored as matrices on those
-computed spaces.  Workspace files and the corner construction provide the
-maps on the raw product basis; from_raw_maps checks well-definedness
-(vanishing on the balancing relations) before pushing down, and
-raw_pairing reads a pairing back on that basis.
+A context is built from its pairings on the raw product bases, the form
+that workspace files, the corner construction and composition provide.
+The constructor computes both tensor spaces once with the canonical basis
+convention from tensor_over, checks well-definedness (vanishing on the
+balancing relations), and stores phi/psi as matrices on those computed
+spaces; raw_pairing reads a pairing back on the raw basis.  The identity
+context is the corner at the unit.
 """
 
 from __future__ import annotations
@@ -40,58 +41,49 @@ from .modules import (
     _intertwiners,
     hom_module,
     hom_space,
-    regular_bimodule,
     regular_module,
     tensor_over,
 )
 
 
 class MoritaContext:
+    """(R, S, M, N, phi, psi) from the pairings on the raw product bases.
+
+    phi_raw column i*dim(N)+j is phi(m_i (x) n_j) against M and N basis
+    pairs; psi_raw likewise with N major.  Raises ValueError on bimodules
+    over the wrong algebras, on a pairing of the wrong shape, and on a
+    pairing that fails to vanish on the balancing relations (not
+    well-defined on the tensor quotient).  The tensor spaces built for that
+    check are the ones the context keeps.
+    """
+
     __slots__ = ("R", "S", "M", "N", "MN", "NM", "phi", "psi")
 
-    def __init__(self, R: Algebra, S: Algebra, M: Bimodule, N: Bimodule, phi: Matrix, psi: Matrix):
+    def __init__(self, R: Algebra, S: Algebra, M: Bimodule, N: Bimodule,
+                 phi_raw: Matrix, psi_raw: Matrix):
         if M.left_algebra != R or M.right_algebra != S:
             raise ValueError("M must be an (R, S)-bimodule")
         if N.left_algebra != S or N.right_algebra != R:
             raise ValueError("N must be an (S, R)-bimodule")
-        self._attach(R, S, M, N, tensor_over(S, M, N), tensor_over(R, N, M), phi, psi)
-
-    def _attach(self, R, S, M, N, MN: TensorProduct, NM: TensorProduct,
-                phi: Matrix, psi: Matrix) -> None:
-        if phi.rows != R.dim or phi.cols != MN.dim:
-            raise ValueError(f"phi is {phi.rows}x{phi.cols}, want {R.dim}x{MN.dim}")
-        if psi.rows != S.dim or psi.cols != NM.dim:
-            raise ValueError(f"psi is {psi.rows}x{psi.cols}, want {S.dim}x{NM.dim}")
-        self.R, self.S, self.M, self.N = R, S, M, N
-        self.MN, self.NM = MN, NM
-        self.phi, self.psi = phi, psi
-
-    @classmethod
-    def from_raw_maps(cls, R, S, M, N, phi_raw: Matrix, psi_raw: Matrix) -> "MoritaContext":
-        """Build from maps given on the raw product bases.
-
-        phi_raw columns are indexed (i, j) |-> i*dim(N)+j against M and N
-        basis pairs; psi_raw likewise with N major.  Raises ValueError if a
-        map fails to vanish on the balancing relations (not well-defined on
-        the tensor quotient).  The tensor spaces built for that check are
-        the ones the context keeps.
-        """
+        for name, raw, rows in (("phi", phi_raw, R.dim), ("psi", psi_raw, S.dim)):
+            if raw.rows != rows or raw.cols != M.dim * N.dim:
+                raise ValueError(f"{name} is {raw.rows}x{raw.cols}, want {rows}x{M.dim * N.dim}")
         MN = tensor_over(S, M, N)
         NM = tensor_over(R, N, M)
         for name, raw, t in (("phi", phi_raw, MN), ("psi", psi_raw, NM)):
             if any(any(raw.apply(rel)) for rel in t.relations.vectors):
                 raise ValueError(f"{name} is not well-defined on the tensor quotient")
-        ctx = object.__new__(cls)
-        ctx._attach(R, S, M, N, MN, NM, phi_raw.pick_cols(MN.quotient.nonpivots),
-                    psi_raw.pick_cols(NM.quotient.nonpivots))
-        return ctx
+        self.R, self.S, self.M, self.N = R, S, M, N
+        self.MN, self.NM = MN, NM
+        self.phi = phi_raw.pick_cols(MN.quotient.nonpivots)
+        self.psi = psi_raw.pick_cols(NM.quotient.nonpivots)
 
     def __repr__(self) -> str:
         return f"MoritaContext(R dim {self.R.dim}, S dim {self.S.dim}, M dim {self.M.dim}, N dim {self.N.dim})"
 
 
 def raw_pairing(ctx: MoritaContext) -> Matrix:
-    """phi on the raw product basis, the inverse of from_raw_maps: column
+    """phi on the raw product basis, the inverse of the constructor: column
     i*dim(N)+j is phi(m_i (x) n_j).  The psi side is the raw pairing of
     reverse_context(ctx)."""
     return ctx.phi @ ctx.MN.projection
@@ -169,7 +161,7 @@ def _corner(a: Algebra, e: Sequence) -> tuple:
     psi_raw = s_basis.coords_matrix((a.multiply(n, m) for n in n_basis.vectors for m in m_basis.vectors),
                                     "corner product left eAe")
 
-    ctx = MoritaContext.from_raw_maps(a, S, M, N, phi_raw, psi_raw)
+    ctx = MoritaContext(a, S, M, N, phi_raw, psi_raw)
     bad = validate_context(ctx)
     if bad:
         raise AssertionError(f"corner context failed validation: {bad[:3]}")
@@ -177,15 +169,9 @@ def _corner(a: Algebra, e: Sequence) -> tuple:
 
 
 def identity_context(a: Algebra) -> MoritaContext:
-    """The context (A, A, A, A, mult, mult)."""
-    bim = regular_bimodule(a)
-    cols = [a.mul[i][j] for i in range(a.dim) for j in range(a.dim)]
-    raw = Matrix.from_cols(a.field, cols, rows=a.dim)
-    ctx = MoritaContext.from_raw_maps(a, a, bim, bim, raw, raw)
-    bad = validate_context(ctx)
-    if bad:
-        raise AssertionError(f"identity context failed validation: {bad[:3]}")
-    return ctx
+    """The context (A, A, A, A, mult, mult): the corner at the unit, whose
+    spans eAe, Ae and eA are all of A in the standard basis."""
+    return corner_context(a, a.unit)
 
 
 def reverse_context(ctx: MoritaContext) -> MoritaContext:
@@ -313,7 +299,6 @@ class Counit(NamedTuple):
     matrix: Matrix  # X.dim x tensor.dim
     tensor: TensorProduct
     hom_module: LeftModule
-    hom: HomBasis
 
 
 def evaluation_counit(ctx: MoritaContext, x: LeftModule) -> Counit:
@@ -325,7 +310,7 @@ def evaluation_counit(ctx: MoritaContext, x: LeftModule) -> Counit:
     t = tensor_over(ctx.S, ctx.M, h_mod)
     # free column s = i*dim(h) + a is m_i (x) f_a, sent to f_a(m_i)
     cols = [h.matrices[s % h.dim].col(s // h.dim) for s in t.quotient.nonpivots]
-    return Counit(Matrix.from_cols(f, cols, rows=x.dim), t, h_mod, h)
+    return Counit(Matrix.from_cols(f, cols, rows=x.dim), t, h_mod)
 
 
 def compose_contexts(first: MoritaContext, second: MoritaContext) -> MoritaContext:
@@ -342,8 +327,7 @@ def compose_contexts(first: MoritaContext, second: MoritaContext) -> MoritaConte
     n_t = tensor_over(first.S, second.N, first.N)
     phi_raw = _composite_pairing(first, second, m_t, n_t)
     psi_raw = _composite_pairing(reverse_context(second), reverse_context(first), n_t, m_t)
-    return MoritaContext.from_raw_maps(first.R, second.S, m_t.as_bimodule(), n_t.as_bimodule(),
-                                       phi_raw, psi_raw)
+    return MoritaContext(first.R, second.S, m_t.as_bimodule(), n_t.as_bimodule(), phi_raw, psi_raw)
 
 
 def _composite_pairing(first: MoritaContext, second: MoritaContext,

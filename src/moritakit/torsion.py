@@ -122,30 +122,23 @@ class ClosednessResult:
 def closedness_map(tt: TorsionTheory, x: LeftModule) -> ClosednessResult:
     """alpha(x)(a) = a.x; X is closed exactly when alpha is invertible.
     Only the space Hom_R(Iinf, X) is solved for, not its module structure.
-
-    When Iinf is the whole algebra R nothing is solved: f |-> f(1)
-    inverts alpha, since f(a) = a.f(1), so Hom_R(R, X) is the span of
-    alpha's columns, whose canonical basis is the one the solve gives."""
+    At Iinf = R, where alpha is always invertible, is_closed answers
+    without it, so only localize builds it there."""
     if x.algebra != tt.algebra:
         raise ValueError("module is over the wrong algebra")
     f = tt.algebra.field
-    source = tt.ideal_bimodule.left_module()
     acts = [x.action_of(v) for v in tt.stable_ideal.basis.vectors]
     # column k is the map a |-> a.x_k
     cols = [Matrix.from_cols(f, [act.col(k) for act in acts], rows=x.dim) for k in range(x.dim)]
-    if tt.stable_ideal.dim == tt.algebra.dim:
-        h = HomBasis(source, x, Basis.span(f, x.dim * source.dim, [HomBasis.vectorize(c) for c in cols]))
-    else:
-        h = hom_space(source, x)
+    h = hom_space(tt.ideal_bimodule.left_module(), x)
     alpha = h.coords_matrix(cols, "alpha image escaped Hom_R(Iinf, X)")
     return ClosednessResult(alpha.is_invertible(), alpha, h)
 
 
 def is_closed(tt: TorsionTheory, x: LeftModule) -> bool:
     """Is alpha: X -> Hom_R(Iinf, X) invertible?  At Iinf = R every X is
-    closed, since f |-> f(1) inverts alpha (closedness_map), so nothing
-    is computed; closedness_map still builds alpha and Hom_R(R, X) there
-    for localize, which reads them."""
+    closed, since f |-> f(1) inverts alpha (f(a) = a.f(1)), so nothing
+    is computed; only localize builds alpha there."""
     if x.algebra != tt.algebra:
         raise ValueError("module is over the wrong algebra")
     if tt.stable_ideal.dim == tt.algebra.dim:

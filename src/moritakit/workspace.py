@@ -222,7 +222,7 @@ def _parse_context(ws: Workspace, obj, location: str):
             f"{n_name!r} is not an {s_name}-{r_name} bimodule", f"{location}.N")
     phi = _matrix(ws.field, obj.get("phi"), r.dim, m.dim * n.dim, f"{location}.phi")
     psi = _matrix(ws.field, obj.get("psi"), s.dim, n.dim * m.dim, f"{location}.psi")
-    ctx = _located(location, MoritaContext.from_raw_maps, r, s, m, n, phi, psi)
+    ctx = _located(location, MoritaContext, r, s, m, n, phi, psi)
     return _lawful(ctx, validate_context(ctx), location), tuple(names)
 
 

@@ -355,6 +355,17 @@ def test_pinned_machine_reports_unchanged(capsys):
     assert mismatches == []
 
 
+def test_whole_algebra_closed_and_localize_reports_pinned(capsys):
+    # m2_corner's ideal I is all of M2; none of the benchmark's pinned
+    # commands localizes there, where localize builds the closedness map
+    pins = {"closed": "cb032c6ec07cd6ee5380f85ba54a471da7c5f09714f3ea63c5ccffaf82c5bb1c",
+            "localize": "954fa5db822b1da73cd7dbee941fc666aad24e8d8bd93bc0728d19f0c8c4f33b"}
+    for command, digest in pins.items():
+        code, out, _ = run(capsys, command, M2, "--module", "M2reg", "--ideal", "I",
+                           "--format", "machine", "--seed", "0")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_out_flag_writes_machine_report(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "localize", T2, "--module", "T2reg",

@@ -25,9 +25,11 @@ from moritakit.context import (
 from moritakit.exactlin import Basis, Field, Matrix, unit_vector
 from moritakit.modules import (
     Bimodule,
+    TensorProduct,
     direct_sum,
     ideal_action_image,
     quotient_module,
+    regular_bimodule,
     regular_module,
 )
 
@@ -94,6 +96,24 @@ def test_identity_context_is_strict(t2):
     assert i.dim == t2.dim and j.dim == t2.dim
 
 
+@pytest.mark.parametrize("alg", [
+    upper_triangular_algebra(GF2, 2), full_matrix_algebra(Field.gf(3), 2),
+    upper_triangular_algebra(Field.gf(3), 3), full_matrix_algebra(Field.rationals(), 3),
+], ids=["T2-GF2", "M2-GF3", "T3-GF3", "M3-Q"])
+def test_identity_context_is_the_regular_bimodule_with_multiplication(alg):
+    # the corner at the unit against the context built directly: the
+    # regular bimodule twice, both pairings the structure constants
+    bim = regular_bimodule(alg)
+    raw = Matrix.from_cols(alg.field, [alg.mul[i][j] for i in range(alg.dim) for j in range(alg.dim)],
+                           rows=alg.dim)
+    want = MoritaContext(alg, alg, bim, bim, raw, raw)
+    got = identity_context(alg)
+    assert (got.R, got.S, got.M, got.N, got.phi, got.psi) == (want.R, want.S, want.M, want.N,
+                                                            want.phi, want.psi)
+    for mine, theirs in ((got.MN, want.MN), (got.NM, want.NM)):
+        assert all(getattr(mine, k) == getattr(theirs, k) for k in TensorProduct.__slots__)
+
+
 def test_reverse_context_swaps_and_validates(t2_corner):
     rev = reverse_context(t2_corner)
     assert rev.R == t2_corner.S and rev.S == t2_corner.R
@@ -108,8 +128,18 @@ def test_raw_map_must_respect_relations(t2, t2_corner):
     bad_psi = Matrix(GF2, [[GF2.one, GF2.one]])
     good_phi_raw = t2_corner.phi @ t2_corner.MN.projection
     with pytest.raises(ValueError, match="not well-defined"):
-        MoritaContext.from_raw_maps(
+        MoritaContext(
             t2, t2_corner.S, t2_corner.M, t2_corner.N, good_phi_raw, bad_psi)
+
+
+@pytest.mark.parametrize("pairing, cols", [("phi", 1), ("phi", 5), ("psi", 1), ("psi", 5)])
+def test_raw_pairing_of_the_wrong_shape_is_refused(t2, t2_corner, pairing, cols):
+    # both raw product bases of the T2 corner have 2 columns
+    raws = {"phi": raw_pairing(t2_corner), "psi": raw_pairing(reverse_context(t2_corner))}
+    rows = raws[pairing].rows
+    raws[pairing] = Matrix.zeros(GF2, rows, cols)
+    with pytest.raises(ValueError, match=f"^{pairing} is {rows}x{cols}, want {rows}x2$"):
+        MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, raws["phi"], raws["psi"])
 
 
 def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch):
@@ -121,7 +151,7 @@ def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch)
         return real(middle, left, right)
 
     monkeypatch.setattr(context, "tensor_over", counting)
-    ctx = MoritaContext.from_raw_maps(
+    ctx = MoritaContext(
         t2, t2_corner.S, t2_corner.M, t2_corner.N,
         t2_corner.phi @ t2_corner.MN.projection, t2_corner.psi @ t2_corner.NM.projection)
     assert len(calls) == 2
@@ -147,8 +177,7 @@ def test_raw_pairing_inverts_from_raw_maps(field):
                 pure = ctx.MN.pure_tensor(unit_vector(field, ctx.M.dim, i),
                                           unit_vector(field, ctx.N.dim, j))
                 assert raw.col(i * ctx.N.dim + j) == ctx.phi.apply(pure)
-        rebuilt = MoritaContext.from_raw_maps(ctx.R, ctx.S, ctx.M, ctx.N,
-                                              raw, raw_pairing(reverse_context(ctx)))
+        rebuilt = MoritaContext(ctx.R, ctx.S, ctx.M, ctx.N, raw, raw_pairing(reverse_context(ctx)))
         assert rebuilt.phi == ctx.phi and rebuilt.psi == ctx.psi
 
 
@@ -179,8 +208,9 @@ def test_eta_on_pure_tensors_is_pairing_then_action(field):
 
 
 def test_validate_reports_compatibility_break(t2, t2_corner):
-    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.MN.dim)
-    broken = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi, t2_corner.psi)
+    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.M.dim * t2_corner.N.dim)
+    broken = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi,
+                           raw_pairing(reverse_context(t2_corner)))
     failures = validate_context(broken)
     assert failures
     assert any("compatibility" in f for f in failures)
@@ -309,8 +339,8 @@ def test_context_iso_rejects_mismatched_pairs(t2, t2_corner):
 
 
 def test_context_iso_trace_ideal_prune(t2, t2_corner):
-    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.MN.dim)
-    zero_psi = Matrix.zeros(GF2, 1, t2_corner.NM.dim)
+    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.M.dim * t2_corner.N.dim)
+    zero_psi = Matrix.zeros(GF2, 1, t2_corner.N.dim * t2_corner.M.dim)
     degenerate = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi, zero_psi)
     assert validate_context(degenerate) == []
     res = contexts_isomorphic(t2_corner, degenerate)
@@ -318,8 +348,8 @@ def test_context_iso_trace_ideal_prune(t2, t2_corner):
 
 
 def test_context_iso_reflexive_on_degenerate_pairings(t2, t2_corner):
-    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.MN.dim)
-    zero_psi = Matrix.zeros(GF2, 1, t2_corner.NM.dim)
+    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.M.dim * t2_corner.N.dim)
+    zero_psi = Matrix.zeros(GF2, 1, t2_corner.N.dim * t2_corner.M.dim)
     degenerate = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi, zero_psi)
     res = contexts_isomorphic(degenerate, degenerate)
     assert res.found
@@ -340,8 +370,8 @@ def test_context_iso_sampled_miss_is_not_a_proof():
     m = bimodule(1, [[0]])
     n1 = bimodule(4, [[0] * 4] * 4)
     n2 = bimodule(4, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    c1, c2 = (MoritaContext.from_raw_maps(a, a, m, n, Matrix.zeros(GF2, 2, 4),
-                                          Matrix.zeros(GF2, 2, 4)) for n in (n1, n2))
+    c1, c2 = (MoritaContext(a, a, m, n, Matrix.zeros(GF2, 2, 4), Matrix.zeros(GF2, 2, 4))
+              for n in (n1, n2))
     assert validate_context(c1) == [] and validate_context(c2) == []
     assert bimodule_hom_space(n1, n2).dim == 12
     res = contexts_isomorphic(c1, c2)
@@ -381,8 +411,8 @@ def _dual_context(m, n, phi_x=None, psi_x=None):
     phi_x[j] x and psi_x[j] x; zero pairings when not given."""
     width = m.dim * n.dim
     phi_x, psi_x = phi_x or [0] * width, psi_x or [0] * width
-    ctx = MoritaContext.from_raw_maps(DUAL, DUAL, m, n, Matrix(GF2, [[0] * width, phi_x]),
-                                      Matrix(GF2, [[0] * width, psi_x]))
+    ctx = MoritaContext(DUAL, DUAL, m, n, Matrix(GF2, [[0] * width, phi_x]),
+                        Matrix(GF2, [[0] * width, psi_x]))
     assert validate_context(ctx) == []
     return ctx
 
@@ -423,8 +453,8 @@ def test_context_iso_zero_bimodule_hom_is_a_proven_none(t2):
         return Bimodule(t2, t2, 1, acts, acts)
 
     n = simple(0)
-    c1, c2 = (MoritaContext.from_raw_maps(t2, t2, m, n, Matrix.zeros(GF2, 3, 1),
-                                          Matrix.zeros(GF2, 3, 1)) for m in (simple(0), simple(2)))
+    c1, c2 = (MoritaContext(t2, t2, m, n, Matrix.zeros(GF2, 3, 1), Matrix.zeros(GF2, 3, 1))
+              for m in (simple(0), simple(2)))
     assert validate_context(c1) == [] and validate_context(c2) == []
     assert bimodule_hom_space(c1.M, c2.M).dim == 0
     res = contexts_isomorphic(c1, c2)

@@ -267,8 +267,8 @@ def test_kato_muller_localizes_non_closed_members(t2_corner, cat_t2, cat_corner_
 
 
 def test_kato_muller_degenerate_context(t2, t2_corner, cat_t2, cat_corner_s):
-    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.MN.dim)
-    zero_psi = Matrix.zeros(GF2, 1, t2_corner.NM.dim)
+    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.M.dim * t2_corner.N.dim)
+    zero_psi = Matrix.zeros(GF2, 1, t2_corner.N.dim * t2_corner.M.dim)
     degenerate = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi, zero_psi)
     report = verify_kato_muller(degenerate, cat_t2, cat_corner_s)
     assert report.passed  # only the zero module is closed; everything collapses
@@ -341,8 +341,8 @@ def test_projective_equivalence_identity_all_qualify(t2, cat_t2):
 
 
 def test_projective_equivalence_degenerate(t2, t2_corner, cat_t2, cat_corner_s):
-    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.MN.dim)
-    zero_psi = Matrix.zeros(GF2, 1, t2_corner.NM.dim)
+    zero_phi = Matrix.zeros(GF2, t2.dim, t2_corner.M.dim * t2_corner.N.dim)
+    zero_psi = Matrix.zeros(GF2, 1, t2_corner.N.dim * t2_corner.M.dim)
     degenerate = MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, zero_phi, zero_psi)
     report = verify_projective_equivalence(degenerate, cat_t2, cat_corner_s)
     assert report.passed
@@ -887,7 +887,8 @@ def test_strict_verifier_names_the_s_side(t2_corner, cat_t2, cat_corner_s):
     assert [tuple(v) for v in report.verdicts] == [
         ("context", "pairing into S surjective", False, None, "trace ideal has dim 2 < 3")]
     zero = MoritaContext(t2_corner.R, t2_corner.S, t2_corner.M, t2_corner.N,
-                         Matrix.zeros(GF2, 3, t2_corner.MN.dim), Matrix.zeros(GF2, 1, t2_corner.NM.dim))
+                         Matrix.zeros(GF2, 3, t2_corner.M.dim * t2_corner.N.dim),
+                         Matrix.zeros(GF2, 1, t2_corner.N.dim * t2_corner.M.dim))
     report = verify_strict_equivalence(zero, cat_t2, cat_corner_s)
     assert [(v.check, v.note) for v in report.verdicts] == [
         ("pairing into R surjective", "trace ideal has dim 0 < 3"),

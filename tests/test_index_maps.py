@@ -197,9 +197,7 @@ def test_bimodule_laws_on_generators_fail_exactly_when_all_pairs_fail(alg):
 
 
 def _with_pairings(ctx, phi, psi):
-    out = object.__new__(MoritaContext)
-    out._attach(ctx.R, ctx.S, ctx.M, ctx.N, ctx.MN, ctx.NM, phi, psi)
-    return out
+    return MoritaContext(ctx.R, ctx.S, ctx.M, ctx.N, phi @ ctx.MN.projection, psi @ ctx.NM.projection)
 
 
 def _pairings(f, rows, cols, rng):
