@@ -12,6 +12,7 @@ flags, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -182,59 +183,40 @@ def _cmd_closed(ws, args):
     return report, [f"closed: {'true' if ok else 'false'}"]
 
 
-def _built(builder, alg, max_dim: int, args):
-    """builder (build_catalog or build_graded_catalog) within --budget, else
-    the library's lattice budget, sampled past it; the machine report's
-    inputs keep the flag as given."""
-    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
-    return builder(alg, max_dim, budget=budget, allow_sampling=True, seed=args.seed)
+def _catalog(ws, args, recipe_name, alg, graded=None):
+    """The catalog a command reads for alg, or for its grading graded.
 
-
-def _recipe(ws, args, recipe_name, alg):
-    """The workspace catalog recipe recipe_name when it is for alg and no
-    --max-dim overrides it, else None."""
+    Without --max-dim, the workspace recipe recipe_name applies when it is
+    for alg: a module list is the catalog itself (plain catalogs only), else
+    its max_dim bounds the build.  Otherwise the bound is --max-dim, else
+    _DEFAULT_CATALOG_DIM.  The build runs within --budget, else the
+    library's lattice budget, sampled past it from --seed; the machine
+    report's inputs keep the flags as given."""
+    max_dim = args.max_dim if args.max_dim is not None else _DEFAULT_CATALOG_DIM
     rec = None if args.max_dim is not None else ws.catalogs.get(recipe_name)
-    return rec if rec is not None and ws.algebras[rec.algebra_name] == alg else None
-
-
-def _catalog_dim(ws, args, recipe_name, alg) -> int:
-    """--max-dim, else recipe_name's max_dim when it is for alg, else _DEFAULT_CATALOG_DIM."""
-    rec = _recipe(ws, args, recipe_name, alg)
-    if rec is not None and rec.max_dim is not None:
-        return rec.max_dim
-    return args.max_dim if args.max_dim is not None else _DEFAULT_CATALOG_DIM
-
-
-def _catalog_pair(ws, args, r_alg, s_alg):
-    """catR and catS: a recipe's module list, else a catalog built to _catalog_dim."""
-    def catalog(recipe_name, alg):
-        rec = _recipe(ws, args, recipe_name, alg)
-        if rec is not None and rec.module_names is not None:
+    if rec is not None and ws.algebras[rec.algebra_name] == alg:
+        if rec.module_names is None:
+            max_dim = rec.max_dim
+        elif graded is None:
             return user_catalog(alg, [ws.left_module(n) for n in rec.module_names])
-        return _built(build_catalog, alg, _catalog_dim(ws, args, recipe_name, alg), args)
+    budget = args.budget if args.budget is not None else DEFAULT_LATTICE_BUDGET
+    build, target = (build_catalog, alg) if graded is None else (build_graded_catalog, graded)
+    return build(target, max_dim, budget=budget, allow_sampling=True, seed=args.seed)
 
-    return catalog("catR", r_alg), catalog("catS", s_alg)
 
-
-def _cmd_equiv(ws, args):
+def _cmd_verify(verify, ws, args):
+    """equiv and equiv-proj: verify one context on its catR and catS catalogs."""
     ctx, _ = _one_context(ws, args)
-    cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    return verify_kato_muller(ctx, cat_r, cat_s), []
+    return verify(ctx, _catalog(ws, args, "catR", ctx.R), _catalog(ws, args, "catS", ctx.S)), []
 
 
 def _cmd_equiv_strict(ws, args):
     ctx, _ = _one_context(ws, args)
     if is_strict(ctx):
-        cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
+        cat_r, cat_s = _catalog(ws, args, "catR", ctx.R), _catalog(ws, args, "catS", ctx.S)
     else:  # the failed precondition is the whole report: no catalog is read
         cat_r, cat_s = user_catalog(ctx.R, ()), user_catalog(ctx.S, ())
     return verify_strict_equivalence(ctx, cat_r, cat_s, seed=args.seed), []
-
-
-def _cmd_equiv_proj(ws, args):
-    ctx, _ = _one_context(ws, args)
-    cat_r, cat_s = _catalog_pair(ws, args, ctx.R, ctx.S)
-    return verify_projective_equivalence(ctx, cat_r, cat_s), []
 
 
 def _cmd_compose(ws, args):
@@ -265,11 +247,8 @@ def _cmd_iso(ws, args):
 def _cmd_graded_equiv(ws, args):
     _, name = _one_context(ws, args)
     gctx = ws.grading_for_context(name).contexts[name]
-    # a module-list recipe does not apply to a graded catalog
-    cat_r = _built(build_graded_catalog, gctx.graded_r,
-                   _catalog_dim(ws, args, "catR", gctx.graded_r.base), args)
-    cat_s = _built(build_graded_catalog, gctx.graded_s,
-                   _catalog_dim(ws, args, "catS", gctx.graded_s.base), args)
+    cat_r = _catalog(ws, args, "catR", gctx.graded_r.base, gctx.graded_r)
+    cat_s = _catalog(ws, args, "catS", gctx.graded_s.base, gctx.graded_s)
     return verify_graded_kato_muller(gctx, cat_r, cat_s), []
 
 
@@ -280,8 +259,7 @@ def _cmd_catalog(ws, args):
         alg = next(iter(ws.algebras.values()))
     else:
         raise WorkspaceError("catalog needs --module to pick the algebra", "--module")
-    # no recipe is read: the catalog of one algebra is --max-dim or the default
-    cat = _built(build_catalog, alg, _catalog_dim(ws, args, None, alg), args)
+    cat = _catalog(ws, args, None, alg)  # no recipe is read
     dims = [m.dim for m in cat]
     report = Report("module catalog")
     report.flag_sampled_catalogs(cat)
@@ -301,9 +279,9 @@ _HANDLERS = {
     "torsion": _cmd_torsion,
     "localize": _cmd_localize,
     "closed": _cmd_closed,
-    "equiv": _cmd_equiv,
+    "equiv": functools.partial(_cmd_verify, verify_kato_muller),
     "equiv-strict": _cmd_equiv_strict,
-    "equiv-proj": _cmd_equiv_proj,
+    "equiv-proj": functools.partial(_cmd_verify, verify_projective_equivalence),
     "compose": _cmd_compose,
     "iso": _cmd_iso,
     "graded-equiv": _cmd_graded_equiv,

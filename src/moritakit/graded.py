@@ -324,10 +324,6 @@ def graded_localize(tt: TorsionTheory, gm: GradedModule) -> GradedModule:
     return GradedModule(galg, loc.module, loc_degs)
 
 
-# graded catalogs are plain catalogs whose members are GradedModules
-GradedCatalog = Catalog
-
-
 @_memo_scope()
 def build_graded_catalog(galg: GradedAlgebra, max_dim: int,
                          budget: int = DEFAULT_LATTICE_BUDGET,

@@ -29,16 +29,14 @@ class WorkspaceError(ValueError):
 
 class Grading:
     """A group together with degree lists for named workspace objects, and
-    the graded algebras and contexts those degrees were checked on."""
+    the graded contexts those degrees were checked on."""
 
-    __slots__ = ("group", "degrees", "graded_algebras", "contexts")
+    __slots__ = ("group", "degrees", "contexts")
 
     def __init__(self, group: FiniteGroup, degrees: Dict[str, tuple],
-                 graded_algebras: Dict[str, GradedAlgebra],
                  contexts: Dict[str, GradedContext]):
         self.group = group
         self.degrees = degrees
-        self.graded_algebras = graded_algebras
         self.contexts = contexts
 
 
@@ -57,6 +55,7 @@ class Workspace:
         self.algebras: Dict[str, Algebra] = {}
         self.modules: Dict[str, LeftModule] = {}
         self.bimodules: Dict[str, Bimodule] = {}
+        self.module_algebras: Dict[str, tuple] = {}  # module name -> its algebras' names
         self.ideals: Dict[str, Ideal] = {}
         self.contexts: Dict[str, MoritaContext] = {}
         self.context_names: Dict[str, tuple] = {}
@@ -183,9 +182,11 @@ def _parse_module(ws: Workspace, obj, location: str):
         right = _action_mats(ws.field, obj.get("right_action"), b.dim, dim,
                              f"{location}.right_action")
         mod = _located(location, Bimodule, a, b, dim, action, right)
+        names = (alg_name, obj["right_algebra"])
     else:
         mod = _located(location, LeftModule, a, dim, action)
-    return _lawful(mod, validate_module(mod), location)
+        names = (alg_name,)
+    return _lawful(mod, validate_module(mod), location), names
 
 
 def _action_mats(field: Field, raw, count: int, dim: int, location: str) -> list:
@@ -268,31 +269,24 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
             except ValueError as e:
                 raise WorkspaceError(f"context {cname!r}: {e}", f"{location}.degrees") from None
 
-    def graded(a: Algebra) -> GradedAlgebra:
-        alg_name = _algebra_name_of(ws, a)
+    def graded(alg_name: str) -> GradedAlgebra:
         if alg_name not in graded_algebras:
             raise ValueError(f"algebra {alg_name!r} has no degrees in this grading")
         return graded_algebras[alg_name]
 
     # after the contexts, so that a context's bimodule fails naming its context
     for name, degs in degrees.items():
+        if name in ws.algebras:
+            continue
         try:
+            over = [graded(a) for a in ws.module_algebras[name]]
             if name in ws.modules:
-                GradedModule(graded(ws.modules[name].algebra), ws.modules[name], degs)
-            elif name in ws.bimodules:
-                bim = ws.bimodules[name]
-                check_bimodule_degrees(bim, graded(bim.left_algebra), graded(bim.right_algebra),
-                                       degs, name)
+                GradedModule(*over, ws.modules[name], degs)
+            else:
+                check_bimodule_degrees(ws.bimodules[name], *over, degs, name)
         except ValueError as e:
             raise WorkspaceError(str(e), f"{location}.degrees.{name}") from None
-    return Grading(group, degrees, graded_algebras, contexts)
-
-
-def _algebra_name_of(ws: Workspace, a: Algebra) -> Optional[str]:
-    for name, cand in ws.algebras.items():
-        if cand == a:
-            return name
-    return None
+    return Grading(group, degrees, contexts)
 
 
 def _parse_catalog(ws: Workspace, obj, location: str) -> CatalogRecipe:
@@ -338,7 +332,8 @@ def parse_workspace(path: str) -> Workspace:
     for name in sorted(data.get("modules", {})):
         # gradings key degrees by bare name, so no module may share an algebra's
         _expect(name not in ws.algebras, f"{name!r} is already an algebra", f"modules.{name}")
-        mod = _parse_module(ws, data["modules"][name], f"modules.{name}")
+        mod, ws.module_algebras[name] = _parse_module(ws, data["modules"][name],
+                                                      f"modules.{name}")
         if isinstance(mod, Bimodule):
             ws.bimodules[name] = mod
         else:

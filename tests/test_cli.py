@@ -439,6 +439,43 @@ def test_graded_equiv_reads_the_max_dim_recipes(capsys, tmp_path):
         assert (summary["verdict_count"], summary["flags"]) == (count, [])
 
 
+def test_a_recipe_applies_only_to_its_algebra_and_max_dim_overrides_it(capsys, tmp_path):
+    # t2identity's S is T2, so catS (for the corner S, bound 1 here) does not
+    # bound it: the default 3 does; and --max-dim replaces catR's module list
+    with open(T2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["catalogs"]["catS"]["max_dim"] = 1
+    bound_one = tmp_path / "cats_one.json"
+    bound_one.write_text(json.dumps(doc))
+    listed = _t2_with_catalog_recipe(tmp_path, ["S1", "S2", "T2reg"])
+    for argv, count in (([str(bound_one), "--context", "t2identity"], 54),
+                        ([str(bound_one), "--context", "t2identity", "--max-dim", "3"], 54),
+                        ([str(bound_one), "--context", "t2identity", "--max-dim", "1"], 14),
+                        ([listed, "--context", "t2corner", "--max-dim", "2"], 22)):
+        code, out, _ = run(capsys, "equiv", *argv, "--format", "machine")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert (summary["verdict_count"], summary["flags"]) == (count, [])
+
+
+def test_an_unused_twin_of_the_corner_algebra_changes_no_report(capsys, tmp_path):
+    # A equals S and nothing names it: the grading checks each module over
+    # the algebras it names, not over the first algebra equal to one.  The
+    # copy keeps the shipped basename, which the reports record
+    with open(T2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["algebras"]["A"] = dict(doc["algebras"]["S"])
+    twin = tmp_path / "t2_corner.json"
+    twin.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(twin))
+    assert (code, err) == (0, "")
+    for command in ("equiv", "equiv-proj", "graded-equiv"):
+        shipped, copied = (run(capsys, command, path, "--context", "t2corner",
+                               "--format", "machine") for path in (T2, str(twin)))
+        assert shipped[0] == 0
+        assert copied == shipped
+
+
 def test_catalog_recipe_with_unknown_module_is_input_error(capsys, tmp_path):
     path = _t2_with_catalog_recipe(tmp_path, ["S1", "ghost"])
     code, out, err = run(capsys, "equiv", path, "--context", "t2corner")

@@ -142,7 +142,7 @@ def test_raw_pairing_of_the_wrong_shape_is_refused(t2, t2_corner, pairing, cols)
         MoritaContext(t2, t2_corner.S, t2_corner.M, t2_corner.N, raws["phi"], raws["psi"])
 
 
-def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch):
+def test_raw_pairings_build_each_tensor_space_once(t2, t2_corner, monkeypatch):
     calls = []
     real = context.tensor_over
 
@@ -161,7 +161,7 @@ def test_from_raw_maps_builds_each_tensor_space_once(t2, t2_corner, monkeypatch)
 
 @pytest.mark.parametrize("field", [Field.gf(2), Field.gf(3), Field.rationals()],
                          ids=["GF2", "GF3", "Q"])
-def test_raw_pairing_inverts_from_raw_maps(field):
+def test_raw_pairing_inverts_the_constructor(field):
     t2 = upper_triangular_algebra(field, 2)
     corner = corner_context(t2, (field.zero, field.zero, field.one))
     ident = identity_context(t2)

@@ -9,7 +9,6 @@ from moritakit.exactlin import Basis, Field, Matrix
 from moritakit.graded import (
     FiniteGroup,
     GradedAlgebra,
-    GradedCatalog,
     GradedContext,
     GradedModule,
     build_graded_catalog,

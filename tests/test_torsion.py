@@ -294,7 +294,7 @@ def _whole_algebra_cases():
 
 
 @pytest.mark.parametrize("tt, mods", _whole_algebra_cases(), ids=["T2-GF2", "M2-GF2", "M3Q-R", "M3Q-S"])
-def test_whole_algebra_closedness_solves_no_hom_space(monkeypatch, tt, mods):
+def test_whole_algebra_is_closed_solves_no_hom_space(monkeypatch, tt, mods):
     # the unit decides closedness: is_closed solves no intertwining system,
     # counted at the kernel every hom_space solve calls; closedness_map,
     # which only localize builds here, solves Hom_R(R, X) like the oracle

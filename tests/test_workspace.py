@@ -241,6 +241,26 @@ def test_bimodule_degrees_checked_outside_a_graded_context(tmp_path):
     assert info.value.location == "gradings.c2.degrees.Mid"
 
 
+def test_graded_modules_are_checked_over_the_algebras_they_name(tmp_path):
+    # K and L are equal, and only L has degrees: the module and the
+    # bimodule declared over L are graded over L, never over K
+    one = {"dim": 1, "unit": [1], "mul": [[[1]]]}
+    doc = {
+        "field": {"kind": "gf", "p": 2},
+        "algebras": {"K": one, "L": one},
+        "modules": {
+            "X": {"algebra": "L", "dim": 1, "action": [[[1]]]},
+            "B": {"algebra": "L", "dim": 1, "action": [[[1]]],
+                  "right_algebra": "L", "right_action": [[[1]]]},
+        },
+        "gradings": {"g": {"group": {"table": [[0, 1], [1, 0]]},
+                           "degrees": {"L": [0], "X": [1], "B": [0]}}},
+    }
+    ws = parse_workspace(write_ws(tmp_path, doc))
+    assert ws.module_algebras == {"B": ("L", "L"), "X": ("L",)}
+    assert ws.gradings["g"].degrees == {"B": (0,), "L": (0,), "X": (1,)}
+
+
 # ---------------------------------------------- located errors, per site
 
 
