@@ -13,7 +13,7 @@ components are read off the canonical hom basis by pivot degree.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra
 from .context import MoritaContext, _corner, raw_pairing, reverse_context
@@ -97,19 +97,6 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order})"
 
 
-def homogeneous_degree(vec, degrees, field) -> Optional[int]:
-    """The single degree supporting the vector, or None if mixed/zero."""
-    seen = None
-    for i, x in enumerate(vec):
-        if field.is_zero(x):
-            continue
-        if seen is None:
-            seen = degrees[i]
-        elif degrees[i] != seen:
-            return None
-    return seen
-
-
 def _stray_column(mat: Matrix, want: Sequence[int], row_degrees: Sequence[int]) -> Optional[int]:
     """The first column j of mat with a nonzero entry in a row whose degree
     is not want[j], or None when every column lands in its degree."""
@@ -121,15 +108,29 @@ def _stray_column(mat: Matrix, want: Sequence[int], row_degrees: Sequence[int]) 
     return None
 
 
+def _stray_action(actions, alg_degrees: Sequence[int], degs: Sequence[int], group,
+                  right: bool = False) -> Optional[tuple]:
+    """The first (i, j) where basis element i of an algebra graded by
+    alg_degrees, acting on the left (on the right when right) on a space
+    graded by degs, moves coordinate j out of its degree; None when every
+    action keeps the grading."""
+    for i, (act, g) in enumerate(zip(actions, alg_degrees)):
+        want = [group.mul(d, g) for d in degs] if right else [group.mul(g, d) for d in degs]
+        j = _stray_column(act, want, degs)
+        if j is not None:
+            return i, j
+    return None
+
+
 def _degrees_of(vectors, coord_degrees: Sequence[int], field, error: str) -> tuple:
     """The degree of each vector, raising ValueError(error) at the first
-    one whose support mixes degrees."""
+    one that is zero or whose support mixes degrees."""
     out = []
     for v in vectors:
-        d = homogeneous_degree(v, coord_degrees, field)
-        if d is None:
+        seen = {coord_degrees[i] for i, x in enumerate(v) if not field.is_zero(x)}
+        if len(seen) != 1:
             raise ValueError(error)
-        out.append(d)
+        out.append(seen.pop())
     return tuple(out)
 
 
@@ -146,12 +147,10 @@ class GradedAlgebra:
         for i, u in enumerate(base.unit):
             if not f.is_zero(u) and degs[i] != group.identity:
                 raise ValueError("unit is not concentrated in the identity degree")
-        for i in range(base.dim):
-            j = _stray_column(base.left_mult_matrix(base.basis_vector(i)),
-                              [group.mul(degs[i], d) for d in degs], degs)
-            if j is not None:
-                raise ValueError(
-                    f"product of basis {i} and {j} has a component in the wrong degree")
+        stray = _stray_action((base.left_mult_matrix(base.basis_vector(i)) for i in range(base.dim)),
+                              degs, degs, group)
+        if stray is not None:
+            raise ValueError("product of basis {} and {} has a component in the wrong degree".format(*stray))
         self.base = base
         self.group = group
         self.degrees = degs
@@ -183,10 +182,9 @@ class GradedModule:
         group = algebra.group
         if any(not 0 <= d < group.order for d in degs):
             raise ValueError("degree index out of range")
-        for i, act in enumerate(base.action):
-            j = _stray_column(act, [group.mul(algebra.degrees[i], d) for d in degs], degs)
-            if j is not None:
-                raise ValueError(f"action of basis {i} on coordinate {j} leaves its degree")
+        stray = _stray_action(base.action, algebra.degrees, degs, group)
+        if stray is not None:
+            raise ValueError("action of basis {} on coordinate {} leaves its degree".format(*stray))
         self.algebra = algebra
         self.base = base
         self.degrees = degs
@@ -219,15 +217,12 @@ def _hom_coord_degrees(group, src_degrees, tgt_degrees) -> tuple:
     return tuple(group.mul(group.inv(lam), mu) for mu in tgt_degrees for lam in src_degrees)
 
 
-class GradedHom:
+class GradedHom(NamedTuple):
     """Degree decomposition of a hom space: one HomBasis per degree."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: GradedModule, target: GradedModule, components: Dict[int, HomBasis]):
-        self.source = source
-        self.target = target
-        self.components = components
+    source: GradedModule
+    target: GradedModule
+    components: Dict[int, HomBasis]
 
     @property
     def total_dim(self) -> int:
@@ -363,14 +358,11 @@ def check_bimodule_degrees(bim: Bimodule, graded_left: GradedAlgebra,
         raise ValueError(f"{name}: one degree per basis vector is required")
     if any(not 0 <= d < group.order for d in degs):
         raise ValueError(f"{name}: degree index out of range")
-    for i, act in enumerate(bim.left_action):
-        j = _stray_column(act, [group.mul(graded_left.degrees[i], d) for d in degs], degs)
-        if j is not None:
-            raise ValueError(f"{name}: left action breaks the grading at ({i}, {j})")
-    for i, act in enumerate(bim.right_action):
-        j = _stray_column(act, [group.mul(d, graded_right.degrees[i]) for d in degs], degs)
-        if j is not None:
-            raise ValueError(f"{name}: right action breaks the grading at ({i}, {j})")
+    for side, actions, galg in (("left", bim.left_action, graded_left),
+                                ("right", bim.right_action, graded_right)):
+        stray = _stray_action(actions, galg.degrees, degs, group, right=side == "right")
+        if stray is not None:
+            raise ValueError(f"{name}: {side} action breaks the grading at {stray}")
 
 
 class GradedContext:
@@ -418,9 +410,9 @@ def graded_corner_context(galg: GradedAlgebra, e: Sequence) -> GradedContext:
     """Corner context of a homogeneous identity-degree idempotent, with
     the induced gradings on the corner algebra and both bimodules."""
     f = galg.base.field
-    d = homogeneous_degree(e, galg.degrees, f)
-    if d is None or d != galg.group.identity:
-        raise ValueError("corner element must be homogeneous of identity degree")
+    not_identity = "corner element must be homogeneous of identity degree"
+    if _degrees_of([e], galg.degrees, f, not_identity) != (galg.group.identity,):
+        raise ValueError(not_identity)
     ctx, spans = _corner(galg.base, e)
     # degrees of the corner subalgebra and bimodule bases, read off their
     # echelon representatives inside the ambient algebra

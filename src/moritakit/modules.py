@@ -20,12 +20,13 @@ import contextvars
 import functools
 import itertools
 import random
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import Algebra, Ideal
 from .exactlin import (
     Basis,
     Matrix,
+    QuotientStructure,
     _combination,
     _dot_products,
     _pivot_rows,
@@ -429,31 +430,18 @@ def hom_structure(bim: Bimodule, hom: HomBasis) -> LeftModule:
     return LeftModule(bim.right_algebra, hom.dim, mats)
 
 
-class TensorProduct:
+class TensorProduct(NamedTuple):
     """A balanced tensor product M (x)_A N of a bimodule M and a left module
     or bimodule N, presented as a quotient of the raw product space."""
 
-    __slots__ = (
-        "left_factor",
-        "right_factor",
-        "relations",
-        "quotient",
-        "left_algebra",
-        "left_action",
-        "right_algebra",
-        "right_action",
-    )
-
-    def __init__(self, left_factor, right_factor, relations, quotient,
-                 left_algebra, left_action, right_algebra, right_action):
-        self.left_factor = left_factor
-        self.right_factor = right_factor
-        self.relations = relations
-        self.quotient = quotient
-        self.left_algebra = left_algebra
-        self.left_action = left_action
-        self.right_algebra = right_algebra
-        self.right_action = right_action
+    left_factor: Bimodule
+    right_factor: Union[LeftModule, Bimodule]
+    relations: Basis
+    quotient: QuotientStructure
+    left_algebra: Algebra
+    left_action: tuple
+    right_algebra: Optional[Algebra]
+    right_action: Optional[tuple]
 
     @property
     def dim(self) -> int:

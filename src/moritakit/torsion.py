@@ -102,17 +102,14 @@ def is_torsion(tt: TorsionTheory, x: LeftModule) -> bool:
     return torsion_submodule(tt, x).basis.dim == x.dim
 
 
-class ClosednessResult:
+class ClosednessResult(NamedTuple):
     """Verdict plus the witness matrix of alpha: X -> Hom_R(Iinf, X), in
     the coordinates of hom; the module structure on hom is left to the
     callers that need it (hom_structure)."""
 
-    __slots__ = ("closed", "alpha", "hom")
-
-    def __init__(self, closed: bool, alpha: Matrix, hom: HomBasis):
-        self.closed = closed
-        self.alpha = alpha
-        self.hom = hom
+    closed: bool
+    alpha: Matrix
+    hom: HomBasis
 
     def __bool__(self) -> bool:
         return self.closed
@@ -180,16 +177,13 @@ def localize(tt: TorsionTheory, x: LeftModule) -> Localization:
     return Localization(loc, canonical, t, res.hom)
 
 
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Extension-oracle outcome; exhaustive is False when the submodule
     supply was sampled instead of enumerated."""
 
-    __slots__ = ("verdict", "exhaustive", "failures")
-
-    def __init__(self, verdict: bool, exhaustive: bool, failures: tuple):
-        self.verdict = verdict
-        self.exhaustive = exhaustive
-        self.failures = failures
+    verdict: bool
+    exhaustive: bool
+    failures: tuple
 
     def __bool__(self) -> bool:
         return self.verdict

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .algebra import Algebra, Ideal, validate_algebra
 from .context import MoritaContext, raw_pairing, reverse_context, validate_context
@@ -27,26 +27,19 @@ class WorkspaceError(ValueError):
         self.location = location
 
 
-class Grading:
+class Grading(NamedTuple):
     """A group together with degree lists for named workspace objects, and
     the graded contexts those degrees were checked on."""
 
-    __slots__ = ("group", "degrees", "contexts")
-
-    def __init__(self, group: FiniteGroup, degrees: Dict[str, tuple],
-                 contexts: Dict[str, GradedContext]):
-        self.group = group
-        self.degrees = degrees
-        self.contexts = contexts
+    group: FiniteGroup
+    degrees: Dict[str, tuple]
+    contexts: Dict[str, GradedContext]
 
 
-class CatalogRecipe:
-    __slots__ = ("algebra_name", "max_dim", "module_names")
-
-    def __init__(self, algebra_name: str, max_dim: Optional[int], module_names: Optional[tuple]):
-        self.algebra_name = algebra_name
-        self.max_dim = max_dim
-        self.module_names = module_names
+class CatalogRecipe(NamedTuple):
+    algebra_name: str
+    max_dim: Optional[int]
+    module_names: Optional[tuple]
 
 
 class Workspace:
@@ -119,6 +112,11 @@ def _non_negative_int(raw, message: str, location: str) -> int:
     # bool is an int subclass, but true is not a dimension
     _expect(isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0, message, location)
     return raw
+
+
+def _indices(raw) -> bool:
+    """Is raw a list of JSON integers?  true and false are not indices."""
+    return isinstance(raw, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
 
 
 def _vector(field: Field, raw, length: int, location: str) -> tuple:
@@ -232,10 +230,10 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
     group_obj = obj.get("group")
     _expect(isinstance(group_obj, dict) and isinstance(group_obj.get("table"), list),
             "grading needs a group with a multiplication table", f"{location}.group")
-    try:
-        group = FiniteGroup(tuple(tuple(r) for r in group_obj["table"]))
-    except (ValueError, TypeError) as e:
-        raise WorkspaceError(str(e), f"{location}.group") from None
+    table = group_obj["table"]
+    _expect(all(_indices(row) for row in table),
+            "multiplication table rows must be lists of integer element indices", f"{location}.group")
+    group = _located(f"{location}.group", FiniteGroup, table)
     raw_degrees = obj.get("degrees")
     _expect(isinstance(raw_degrees, dict), "grading needs a degrees object",
             f"{location}.degrees")
@@ -251,9 +249,7 @@ def _parse_grading(ws: Workspace, obj, location: str) -> Grading:
         else:
             raise WorkspaceError(f"degrees given for unknown object {name!r}", loc)
         raw = raw_degrees[name]
-        _expect(isinstance(raw, list) and len(raw) == want
-                and all(isinstance(d, int) and not isinstance(d, bool) for d in raw),
-                f"expected a list of {want} degree indices", loc)
+        _expect(_indices(raw) and len(raw) == want, f"expected a list of {want} degree indices", loc)
         _expect(all(0 <= d < group.order for d in raw), "degree index out of range", loc)
         degrees[name] = tuple(raw)
     graded_algebras = {name: _located(f"{location}.degrees.{name}", GradedAlgebra,

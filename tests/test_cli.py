@@ -143,6 +143,17 @@ def test_graded_equiv_without_grading_is_input_error(capsys):
     assert "grading" in err
 
 
+def test_graded_equiv_with_two_gradings_covering_the_context_is_input_error(capsys, tmp_path):
+    with open(T2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["gradings"]["twin"] = doc["gradings"]["c2"]
+    path = tmp_path / "two_gradings.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "graded-equiv", str(path), "--context", "t2corner")
+    assert code == 2
+    assert err == "error: gradings: several gradings cover context 't2corner'\n"
+
+
 def test_compose_composable_pair(capsys):
     code, out, _ = run(capsys, "compose", T2, "--context", "t2identity",
                        "--context", "t2corner")
@@ -186,12 +197,45 @@ def test_iso_over_the_rationals_finds_the_identity_pair_as_a_proof(capsys, tmp_p
     assert json.loads(out)["verdicts"] == relaxed["verdicts"]
 
 
+def test_iso_over_the_rationals_samples_when_the_identity_is_no_map(capsys, tmp_path):
+    # the copy has M in the basis P: its actions are P A P^-1 and its
+    # pairings phi (P^-1 (x) I) and psi (I (x) P^-1), so the isos u are the
+    # nonzero multiples of P.  u = I is no map, and over Q the walk samples
+    doc = builtin_workspaces()["t2_corner.json"]
+    doc["field"] = {"kind": "rationals"}
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    p, p_inv = [[1, 1], [0, 1]], [[1, -1], [0, 1]]
+    m = doc["modules"]["M"]
+    doc["modules"]["Mp"] = dict(m, action=[mul(mul(p, a), p_inv) for a in m["action"]],
+                                right_action=[mul(mul(p, a), p_inv) for a in m["right_action"]])
+    ctx = doc["contexts"]["t2corner"]  # N is 1-dim, so P^-1 (x) I = I (x) P^-1 = P^-1
+    doc["contexts"]["t2p"] = dict(ctx, M="Mp", phi=mul(ctx["phi"], p_inv), psi=mul(ctx["psi"], p_inv))
+    path = tmp_path / "t2_corner_q.json"
+    path.write_text(json.dumps(doc))
+    argv = ["iso", str(path), "--context", "t2corner", "--context", "t2p", "--format", "machine"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["flags"] == ["sampled iso search (seed 0)"]
+    [verdict] = report["verdicts"]
+    assert (verdict["pass"], verdict["note"]) == (True, "sampled search (seed 0)")
+    (a, b), (c, d) = verdict["witness"]["u"]
+    assert a == b == d != "0" and c == "0"
+    code, _, _ = run(capsys, *argv, "--strict-sampling")
+    assert code == 1
+
+
 @pytest.mark.parametrize("argv, text", [
     (["equiv", T2, "--context", "t2corner", "--context", "t2corner"], "exactly one --context"),
     (["iso", T2, "--context", "t2corner"], "exactly two --context"),
     (["torsion", T2, "--module", "T2reg", "--ideal", "J"], "live over different algebras"),
     (["catalog", T2], "catalog needs --module"),
-], ids=["equiv-two-contexts", "iso-one-context", "torsion-foreign-ideal", "catalog-no-module"])
+    (["catalog", T2, "--module", "nope"], "modules: unknown module 'nope'"),
+], ids=["equiv-two-contexts", "iso-one-context", "torsion-foreign-ideal", "catalog-no-module",
+        "catalog-unknown-module"])
 def test_mismatched_arguments_are_input_errors(capsys, argv, text):
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -203,6 +247,13 @@ def test_catalog_command(capsys):
     assert code == 0
     assert "catalog: 13 modules" in out
     assert "provenance: exhaustive-up-to-dim(3)" in out
+
+
+def test_catalog_of_a_bimodule_is_over_its_left_algebra(capsys):
+    code, out, _ = run(capsys, "catalog", T2, "--module", "M", "--max-dim", "2")
+    assert code == 0
+    assert "catalog: 7 modules" in out
+    assert run(capsys, "catalog", T2, "--module", "T2reg", "--max-dim", "2") == (code, out, "")
 
 
 def test_unknown_context_is_input_error(capsys):

@@ -111,7 +111,7 @@ def test_identity_context_is_the_regular_bimodule_with_multiplication(alg):
     assert (got.R, got.S, got.M, got.N, got.phi, got.psi) == (want.R, want.S, want.M, want.N,
                                                             want.phi, want.psi)
     for mine, theirs in ((got.MN, want.MN), (got.NM, want.NM)):
-        assert all(getattr(mine, k) == getattr(theirs, k) for k in TensorProduct.__slots__)
+        assert all(getattr(mine, k) == getattr(theirs, k) for k in TensorProduct._fields)
 
 
 def test_reverse_context_swaps_and_validates(t2_corner):
@@ -378,6 +378,17 @@ def test_context_iso_sampled_miss_is_not_a_proof():
     assert not res.found
     assert not res.exhaustive
     assert not res.proven_none
+
+
+def test_context_iso_of_zero_bimodules_is_the_empty_pair(t2):
+    # M = N = 0: the bimodule Hom spaces are 0, and the 0x0 maps are isos
+    empty = Matrix.zeros(GF2, 0, 0)
+    zero = Bimodule(t2, t2, 0, [empty] * 3, [empty] * 3)
+    ctx = MoritaContext(t2, t2, zero, zero, Matrix.zeros(GF2, 3, 0), Matrix.zeros(GF2, 3, 0))
+    assert validate_context(ctx) == []
+    res = contexts_isomorphic(ctx, ctx)
+    assert res.found and res.exhaustive
+    assert res.map_ == (empty, empty)
 
 
 def test_bimodule_hom_space_of_corner_m(t2_corner):

@@ -133,6 +133,18 @@ def test_grading_wrong_length_rejected(tmp_path):
         parse_workspace(write_ws(tmp_path, doc))
 
 
+@pytest.mark.parametrize("table", [
+    [[0, "a"], [1, 0]], [[0, 1.0], [1, 0]], [[False, True], [True, False]], [[0, 1], 1],
+], ids=["string", "float", "bool", "row-not-a-list"])
+def test_group_table_entries_are_json_integers(tmp_path, table):
+    doc = builtin_workspaces()["t2_corner.json"]
+    doc["gradings"]["c2"]["group"]["table"] = table
+    with pytest.raises(WorkspaceError) as info:
+        parse_workspace(write_ws(tmp_path, doc))
+    assert (info.value.message, info.value.location) == (
+        "multiplication table rows must be lists of integer element indices", "gradings.c2.group")
+
+
 @pytest.mark.parametrize("path", ["algebras.K.dim", "modules.X.dim", "catalogs.c.max_dim"])
 def test_boolean_is_not_a_count(tmp_path, path):
     doc = json.loads(json.dumps(MINIMAL))
@@ -288,6 +300,7 @@ def _edit(path, value):
 # swap the constructor for one that raises.
 LOCATED_SITES = [
     ("field.p", 4, None, "field order 4 is not prime", "field.p"),
+    ("field.kind", "gf3", None, "unknown field kind 'gf3'", "field.kind"),
     ("algebras.S.mul", [[[0]]], None, "left unit law fails at basis 0", "algebras.S"),
     (None, None, "Algebra", "rejected by Algebra", "algebras.S"),
     ("modules.S1.algebra", "nope", None, "unknown algebra 'nope'", "modules.S1.algebra"),
@@ -311,6 +324,8 @@ LOCATED_SITES = [
      "phi/psi compatibility in M fails at (0, 0, 1)", "contexts.t2corner"),
     ("gradings.c2.degrees.S", [1], None,
      "unit is not concentrated in the identity degree", "gradings.c2.degrees.S"),
+    ("gradings.c2.degrees.N", [1], None,
+     "context 't2corner': phi: pairing of degrees breaks the grading at (0, 0)", "gradings.c2.degrees"),
     ("catalogs.catR.algebra", "nope", None, "unknown algebra 'nope'", "catalogs.catR.algebra"),
     ("catalogs.catR.algebra", 3, None, "unknown algebra 3", "catalogs.catR.algebra"),
 ]
